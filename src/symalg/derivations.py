@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, normalize, GenIx
+from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, GenIx
 from .elements import Element, element, singleton, zero_element
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
@@ -73,7 +73,6 @@ def induced_monoid(alg: SAlgebra):
 def s_algebra(name: str, carrier: SpaceExpr, nu: MorExpr,
               bound: int | None = None) -> SAlgebra:
     b = VALIDATE_BOUND if bound is None else bound
-    carrier = normalize(carrier)
     _require("algebra.unit", compose(Eta(carrier), nu), Id(carrier), b)
     _require("algebra.assoc", compose(Mu(carrier), nu), compose(SymF(nu), nu), b)
     return SAlgebra(name, carrier, nu)
@@ -94,7 +93,7 @@ def table_algebra(name: str, carrier: SpaceExpr, mult_table, unit_elem: Element,
     diagrams.
     """
     b = VALIDATE_BOUND if bound is None else bound
-    nu = TableNu(normalize(carrier), tuple(tuple(r) for r in mult_table), unit_elem)
+    nu = TableNu(carrier, tuple(tuple(r) for r in mult_table), unit_elem)
     alg = SAlgebra(name, nu.carrier, nu)
     m, u = alg.mult(), alg.unit()
     a = alg.carrier
@@ -121,7 +120,6 @@ def a_module(algebra: SAlgebra, carrier: SpaceExpr, alpha: MorExpr,
              bound: int | None = None) -> AModule:
     b = VALIDATE_BOUND if bound is None else bound
     a = algebra.carrier
-    carrier = normalize(carrier)
     m, u = algebra.mult(), algebra.unit()
     _require("module.unit",
              compose(TensorM(u, Id(carrier)), alpha), Id(carrier), b)

@@ -9,14 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import SpaceExpr, BasisVector, normalize, join_pair, tensor
+from .spaces import SpaceExpr, BasisVector, join_pair, tensor, order_key
 
 
 class SpaceMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     space: SpaceExpr
     coeffs: tuple  # sorted ((BasisVector, Fraction), ...), no zeros
@@ -35,36 +35,48 @@ class Element:
 
 
 def element(space: SpaceExpr, coeffs) -> Element:
-    """Build an element from a {basis vector: coefficient} mapping."""
-    space = normalize(space)
+    """Build an element from a {basis vector: coefficient} mapping or from
+    (basis vector, coefficient) pairs, which are summed."""
+    if not isinstance(coeffs, dict):
+        pairs, coeffs = coeffs, {}
+        for bv, c in pairs:
+            coeffs[bv] = coeffs.get(bv, 0) + c
     items = []
-    for bv, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-        c = Fraction(c)
-        if c != 0:
+    for bv in sorted(coeffs, key=order_key):
+        c = coeffs[bv]
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c:
             items.append((bv, c))
-    items.sort(key=lambda it: it[0].key())
     return Element(space, tuple(items))
 
 
 def zero_element(space: SpaceExpr) -> Element:
-    return Element(normalize(space), ())
+    return Element(space, ())
 
 
 def singleton(space: SpaceExpr, bv: BasisVector, c=1) -> Element:
-    return element(space, {bv: Fraction(c)})
+    return element(space, {bv: c})
+
+
+def _accumulate(out: dict, space: SpaceExpr, e: Element, scale=None) -> None:
+    """Add e, times scale if given, into the coefficient dict out."""
+    if e.space != space:
+        raise SpaceMismatchError(f"summand in {e.space!r}, expected {space!r}")
+    for bv, c in e.coeffs:
+        if scale is not None:
+            c = scale * c
+        old = out.get(bv)
+        out[bv] = c if old is None else old + c
 
 
 def elem_add(a: Element, b: Element) -> Element:
-    if a.space != b.space:
-        raise SpaceMismatchError(f"cannot add elements of {a.space!r} and {b.space!r}")
-    out = a.as_dict()
-    for bv, c in b.coeffs:
-        out[bv] = out.get(bv, Fraction(0)) + c
-    return element(a.space, out)
+    return elem_sum(a.space, (a, b))
 
 
 def elem_scale(c, a: Element) -> Element:
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     if c == 0:
         return zero_element(a.space)
     return Element(a.space, tuple((bv, c * x) for bv, x in a.coeffs))
@@ -72,21 +84,22 @@ def elem_scale(c, a: Element) -> Element:
 
 def elem_sum(space: SpaceExpr, elems) -> Element:
     out = {}
-    space = normalize(space)
     for e in elems:
-        if e.space != space:
-            raise SpaceMismatchError(f"summand in {e.space!r}, expected {space!r}")
-        for bv, c in e.coeffs:
-            out[bv] = out.get(bv, Fraction(0)) + c
+        _accumulate(out, space, e)
+    return element(space, out)
+
+
+def elem_combination(space: SpaceExpr, pairs) -> Element:
+    """The sum of c * e over the (c, e) pairs, accumulated in one dict."""
+    out = {}
+    for c, e in pairs:
+        _accumulate(out, space, e, c)
     return element(space, out)
 
 
 def elem_tensor(a: Element, b: Element) -> Element:
     """Bilinear tensor product, landing in the normalized tensor space."""
-    target = tensor(a.space, b.space)
-    out = {}
-    for bva, ca in a.coeffs:
-        for bvb, cb in b.coeffs:
-            bv = join_pair(a.space, bva, b.space, bvb)
-            out[bv] = out.get(bv, Fraction(0)) + ca * cb
-    return element(target, out)
+    # join_pair is injective, so no two pairs land on the same basis vector.
+    out = {join_pair(a.space, bva, b.space, bvb): ca * cb
+           for bva, ca in a.coeffs for bvb, cb in b.coeffs}
+    return element(tensor(a.space, b.space), out)

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .spaces import base, GenIx
+from .spaces import base, rank, GenIx
 from .elements import Element, element
 from .derivations import (
     SAlgebra, table_algebra, a_module, derivation, zero_derivation,
@@ -90,11 +90,23 @@ def default_parallelism() -> int:
         return 1
 
 
+def _is_square(table, n: int) -> bool:
+    return (isinstance(table, list) and len(table) == n
+            and all(isinstance(row, list) and len(row) == n for row in table))
+
+
 def _vector_element(space, coeffs) -> Element:
-    if len(coeffs) != len(list(coeffs)):
-        raise ConfigError("bad vector")
-    return element(space, {GenIx(i): _rational(c)
-                           for i, c in enumerate(coeffs) if _rational(c) != 0})
+    n = rank(space)
+    if not isinstance(coeffs, list) or len(coeffs) != n:
+        raise ConfigError(f"vector {coeffs!r} must list {n} coefficients")
+    return element(space, {GenIx(i): _rational(c) for i, c in enumerate(coeffs)})
+
+
+def _number(merged: dict, key: str, kind):
+    try:
+        return kind(merged[key])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: cannot read {merged[key]!r} as {kind.__name__}") from e
 
 
 def _load_algebra(entry: dict) -> SAlgebra:
@@ -105,8 +117,10 @@ def _load_algebra(entry: dict) -> SAlgebra:
         unit = entry["unit"]
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"algebra entry malformed: {entry!r}") from e
+    if r < 1:
+        raise ConfigError(f"algebra {name!r}: rank must be >= 1")
     space = base(name, r)
-    if len(table) != r or any(len(row) != r for row in table):
+    if not _is_square(table, r):
         raise ConfigError(f"algebra {name!r}: mult_table must be {r}x{r}")
     elems = tuple(tuple(_vector_element(space, cell) for cell in row)
                   for row in table)
@@ -126,6 +140,9 @@ def _load_derivation(entry, algebras: dict):
     except (KeyError, TypeError) as e:
         raise ConfigError(f"derivation entry malformed: {entry!r}") from e
     a = alg.carrier
+    n = rank(a)
+    if not _is_square(matrix, n):
+        raise ConfigError(f"derivation {name!r}: matrix must be {n}x{n}")
     d = linear_map_from_matrix(a, a, [[_rational(x) for x in row] for row in matrix])
     try:
         module = a_module(alg, a, alg.mult())
@@ -158,7 +175,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
     if "bound" in merged:
-        cfg.bound = int(merged["bound"])
+        cfg.bound = _number(merged, "bound", int)
         if cfg.bound < 1:
             raise ConfigError("bound must be >= 1")
     if "laws" in merged and merged["laws"] is not None:
@@ -169,14 +186,17 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
                 f"unknown mutation {merged['mutate']!r}; known: {list(MUTATIONS)}")
         cfg.mutate = merged["mutate"]
     if "seed" in merged:
-        cfg.seed = int(merged["seed"])
+        cfg.seed = _number(merged, "seed", int)
     if "budget" in merged and merged["budget"] is not None:
-        cfg.budget = float(merged["budget"])
+        cfg.budget = _number(merged, "budget", float)
         if cfg.budget <= 0:
             raise ConfigError("budget must be positive")
     if "parallelism" in merged:
-        cfg.parallelism = max(1, int(merged["parallelism"]))
+        cfg.parallelism = max(1, _number(merged, "parallelism", int))
 
+    for key in ("algebras", "derivations"):
+        if not isinstance(raw.get(key, []), list):
+            raise ConfigError(f"{key} must be a list")
     algebras = {a.name: a for a in builtin_algebras()}
     extra_algs = []
     for entry in raw.get("algebras", []):

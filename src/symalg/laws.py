@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, direct_sum, sym
+from .spaces import UNIT, ZERO, base, tensor, direct_sum, sym
 from .morphisms import (
     Id, Compose, TensorM, Add, ZeroM, Sigma, SymF, Eta, Mu, Mult, UnitM,
     Deriv, Chi, ChiInv, Chi0, Chi0Inv, Verdict, check_equal, compose,
@@ -256,18 +256,6 @@ def base_laws():
     return laws
 
 
-def base_law_suite(a: SpaceExpr, weight_bound: int):
-    """All base laws instantiated at a single space (naturality uses the
-    default random instances)."""
-    ctx = LawContext()
-    results = []
-    for law in base_laws():
-        b = max(1, weight_bound - 1) if law.deep else weight_bound
-        for iname, v in law.runner(b, ctx):
-            results.append((f"{law.name}[{iname}]", v))
-    return results
-
-
 # ---------------------------------------------------------------------------
 # Arrow-level laws
 # ---------------------------------------------------------------------------
@@ -451,17 +439,6 @@ def arrow_laws():
         lambda bound, ctx: [("0", _merge(*arrow_check(
             arrow_seely0(), ubar(zero_obj()), bound)))])
     return laws
-
-
-def arrow_law_suite(samples, weight_bound: int):
-    """All arrow laws on the given (name, ArrowObj) samples."""
-    ctx = LawContext()
-    results = []
-    for law in arrow_laws():
-        b = max(1, weight_bound - 1) if law.deep else weight_bound
-        for iname, v in law.runner(b, ctx):
-            results.append((f"{law.name}[{iname}]", v))
-    return results
 
 
 # ---------------------------------------------------------------------------

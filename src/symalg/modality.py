@@ -13,12 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .spaces import (
-    MonIx, UnitIx, UNIT_IX, monomial, terms, decompose_sum, build_sum,
-    direct_sum, sym, tensor, enumerate_basis, rank,
+    MonIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, split_pair,
+    direct_sum, sym, enumerate_basis,
 )
 from .elements import (
-    element, zero_element, singleton, elem_add, elem_scale, elem_sum,
-    elem_tensor,
+    element, singleton, elem_combination, elem_sum, elem_tensor,
 )
 from .morphisms import (
     SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0, Chi0Inv, TableNu,
@@ -41,7 +40,7 @@ def eval_primitive(m, bv):
         return singleton(m.cod(), monomial(merged))
 
     if isinstance(m, Mult):
-        p, q = _split_monomials(bv, m.dom(), sym(m.a))
+        p, q = split_pair(bv, sym(m.a), sym(m.a))
         return singleton(m.cod(), monomial(p.parts + q.parts))
 
     if isinstance(m, SymF):
@@ -68,12 +67,6 @@ def eval_primitive(m, bv):
     raise TypeError(f"no evaluation rule for {type(m).__name__}")
 
 
-def _split_monomials(bv, dom, half):
-    from .spaces import split_pair
-    a, b = split_pair(bv, half, half)
-    return a, b
-
-
 def _symf(m, bv):
     """S(f) on a monomial: apply f to each factor and expand multilinearly."""
     images = [apply_basis(m.f, p) for p in bv.parts]
@@ -83,12 +76,15 @@ def _symf(m, bv):
         for prefix, c in acc.items():
             for fbv, fc in img.coeffs:
                 key = prefix + (fbv,)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * fc
+                x = c * fc
+                old = nxt.get(key)
+                nxt[key] = x if old is None else old + x
         acc = nxt  # empty when any factor image is zero
     out = {}
     for parts, c in acc.items():
         mono = monomial(parts)
-        out[mono] = out.get(mono, Fraction(0)) + c
+        old = out.get(mono)
+        out[mono] = c if old is None else old + c
     return element(m.cod(), out)
 
 
@@ -104,7 +100,7 @@ def _deriv(m, bv):
 
 def _chi(m, bv):
     """p (x) q -> the product monomial over a (+) b, generators embedded."""
-    p, q = _two_monomials(bv, m.a, m.b)
+    p, q = split_pair(bv, sym(m.a), sym(m.b))
     ab = direct_sum(m.a, m.b)
     off = len(terms(m.a))
     parts = []
@@ -132,11 +128,6 @@ def _chi_inv(m, bv):
                        singleton(sym(m.b), monomial(pb)))
 
 
-def _two_monomials(bv, a, b):
-    from .spaces import split_pair
-    return split_pair(bv, sym(a), sym(b))
-
-
 def _table_fold(m, bv):
     """nu on a monomial: fold the multiplication table over the factors."""
     gens = enumerate_basis(m.carrier, 0)
@@ -148,8 +139,5 @@ def _table_fold(m, bv):
 
 
 def _table_mult(m, x, y, index):
-    out = zero_element(m.carrier)
-    for bx, cx in x.coeffs:
-        for by, cy in y.coeffs:
-            out = elem_add(out, elem_scale(cx * cy, m.mult_table[index[bx]][index[by]]))
-    return out
+    return elem_combination(m.carrier, ((cx * cy, m.mult_table[index[bx]][index[by]])
+                                        for bx, cx in x.coeffs for by, cy in y.coeffs))

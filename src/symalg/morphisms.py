@@ -9,30 +9,45 @@ check enumerates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .spaces import (
-    SpaceExpr, BasisVector, UNIT, ZERO, UnitIx, GenIx, SumIx,
-    normalize, tensor, direct_sum, sym, terms, is_sym_free, rank,
+    Node, node, SpaceExpr, BasisVector, UNIT, ZERO,
+    tensor, direct_sum, sym, terms, is_sym_free, rank,
     enumerate_basis, decompose_sum, build_sum, split_pair,
     term_offset,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
-    elem_add, elem_scale, elem_sum, elem_tensor,
+    elem_add, elem_combination, elem_sum, elem_tensor,
 )
 
 
-class MorExpr:
-    __slots__ = ()
+class MorExpr(Node):
+    """A morphism expression, hash-consed like spaces and basis vectors.
+
+    When a node is first built it runs its class's checks and computes its
+    domain and codomain once (`_endpoints`).
+    """
+
+    __slots__ = ("_dom", "_cod")
+
+    def __post_init__(self):
+        dom, cod = self._endpoints()
+        object.__setattr__(self, "_dom", dom)
+        object.__setattr__(self, "_cod", cod)
+
+    def _endpoints(self) -> tuple:
+        """Check the fields; return (domain, codomain)."""
+        raise NotImplementedError
 
     def dom(self) -> SpaceExpr:
-        raise NotImplementedError
+        return self._dom
 
     def cod(self) -> SpaceExpr:
-        raise NotImplementedError
+        return self._cod
 
     def __matmul__(self, other):  # f @ g = tensor product on maps
         return TensorM(self, other)
@@ -51,147 +66,101 @@ def _require(cond, msg):
 # Structural constructors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@node
 class Id(MorExpr):
     space: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "space", normalize(self.space))
-
-    def dom(self):
-        return self.space
-
-    def cod(self):
-        return self.space
+    def _endpoints(self):
+        return self.space, self.space
 
 
-@dataclass(frozen=True)
+@node
 class Compose(MorExpr):
     """g after f."""
 
     g: MorExpr
     f: MorExpr
 
-    def __post_init__(self):
+    def _endpoints(self):
         _require(self.f.cod() == self.g.dom(),
                  f"compose mismatch: cod {self.f.cod()!r} != dom {self.g.dom()!r}")
-
-    def dom(self):
-        return self.f.dom()
-
-    def cod(self):
-        return self.g.cod()
+        return self.f.dom(), self.g.cod()
 
 
-@dataclass(frozen=True)
+@node
 class TensorM(MorExpr):
     f: MorExpr
     g: MorExpr
 
-    def dom(self):
-        return tensor(self.f.dom(), self.g.dom())
-
-    def cod(self):
-        return tensor(self.f.cod(), self.g.cod())
+    def _endpoints(self):
+        return (tensor(self.f.dom(), self.g.dom()),
+                tensor(self.f.cod(), self.g.cod()))
 
 
-@dataclass(frozen=True)
+@node
 class SumM(MorExpr):
     """Pointwise biproduct of maps, f (+) g."""
 
     f: MorExpr
     g: MorExpr
 
-    def dom(self):
-        return direct_sum(self.f.dom(), self.g.dom())
-
-    def cod(self):
-        return direct_sum(self.f.cod(), self.g.cod())
+    def _endpoints(self):
+        return (direct_sum(self.f.dom(), self.g.dom()),
+                direct_sum(self.f.cod(), self.g.cod()))
 
 
-@dataclass(frozen=True)
+@node
 class Add(MorExpr):
     f: MorExpr
     g: MorExpr
 
-    def __post_init__(self):
+    def _endpoints(self):
         _require(self.f.dom() == self.g.dom() and self.f.cod() == self.g.cod(),
                  "added maps must share endpoints")
-
-    def dom(self):
-        return self.f.dom()
-
-    def cod(self):
-        return self.f.cod()
+        return self.f.dom(), self.f.cod()
 
 
-@dataclass(frozen=True)
+@node
 class ZeroM(MorExpr):
     dom_space: SpaceExpr
     cod_space: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "dom_space", normalize(self.dom_space))
-        object.__setattr__(self, "cod_space", normalize(self.cod_space))
-
-    def dom(self):
-        return self.dom_space
-
-    def cod(self):
-        return self.cod_space
+    def _endpoints(self):
+        return self.dom_space, self.cod_space
 
 
-@dataclass(frozen=True)
+@node
 class Sigma(MorExpr):
     """Symmetry a (x) b -> b (x) a."""
 
     a: SpaceExpr
     b: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-        object.__setattr__(self, "b", normalize(self.b))
-
-    def dom(self):
-        return tensor(self.a, self.b)
-
-    def cod(self):
-        return tensor(self.b, self.a)
+    def _endpoints(self):
+        return tensor(self.a, self.b), tensor(self.b, self.a)
 
 
-@dataclass(frozen=True)
+@node
 class Inj(MorExpr):
     index: int
     summands: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(normalize(s) for s in self.summands))
+    def _endpoints(self):
         _require(0 <= self.index < len(self.summands), "injection index out of range")
-
-    def dom(self):
-        return self.summands[self.index]
-
-    def cod(self):
-        return direct_sum(*self.summands)
+        return self.summands[self.index], direct_sum(*self.summands)
 
 
-@dataclass(frozen=True)
+@node
 class Proj(MorExpr):
     index: int
     summands: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(normalize(s) for s in self.summands))
+    def _endpoints(self):
         _require(0 <= self.index < len(self.summands), "projection index out of range")
-
-    def dom(self):
-        return direct_sum(*self.summands)
-
-    def cod(self):
-        return self.summands[self.index]
+        return direct_sum(*self.summands), self.summands[self.index]
 
 
-@dataclass(frozen=True)
+@node
 class Matrix(MorExpr):
     """Block matrix over biproducts: entry (i, j) maps dom block j to cod block i."""
 
@@ -199,10 +168,7 @@ class Matrix(MorExpr):
     dom_blocks: tuple
     cod_blocks: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "dom_blocks", tuple(normalize(s) for s in self.dom_blocks))
-        object.__setattr__(self, "cod_blocks", tuple(normalize(s) for s in self.cod_blocks))
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
+    def _endpoints(self):
         _require(len(self.entries) == len(self.cod_blocks), "matrix row count mismatch")
         for i, row in enumerate(self.entries):
             _require(len(row) == len(self.dom_blocks), "matrix column count mismatch")
@@ -211,15 +177,10 @@ class Matrix(MorExpr):
                          f"matrix entry ({i},{j}) domain mismatch")
                 _require(entry.cod() == self.cod_blocks[i],
                          f"matrix entry ({i},{j}) codomain mismatch")
-
-    def dom(self):
-        return direct_sum(*self.dom_blocks)
-
-    def cod(self):
-        return direct_sum(*self.cod_blocks)
+        return direct_sum(*self.dom_blocks), direct_sum(*self.cod_blocks)
 
 
-@dataclass(frozen=True)
+@node
 class LinearMap(MorExpr):
     """Explicit table of basis-vector images; Sym-free domain only."""
 
@@ -227,162 +188,101 @@ class LinearMap(MorExpr):
     cod_space: SpaceExpr
     images: tuple  # ((BasisVector, Element), ...) covering the whole basis
 
-    def __post_init__(self):
-        object.__setattr__(self, "dom_space", normalize(self.dom_space))
-        object.__setattr__(self, "cod_space", normalize(self.cod_space))
-        object.__setattr__(self, "images", tuple(self.images))
+    def _endpoints(self):
         _require(is_sym_free(self.dom_space), "LinearMap requires a Sym-free domain")
         covered = {bv for bv, _ in self.images}
         full = set(enumerate_basis(self.dom_space, 0))
         _require(covered == full, "LinearMap images must cover the domain basis exactly")
         for _, img in self.images:
             _require(img.space == self.cod_space, "LinearMap image in wrong space")
-
-    def dom(self):
-        return self.dom_space
-
-    def cod(self):
-        return self.cod_space
+        return self.dom_space, self.cod_space
 
 
 # ---------------------------------------------------------------------------
 # Sym-modality primitives (semantics in modality.py)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@node
 class SymF(MorExpr):
     """Functor action S(f)."""
 
     f: MorExpr
 
-    def dom(self):
-        return sym(self.f.dom())
-
-    def cod(self):
-        return sym(self.f.cod())
+    def _endpoints(self):
+        return sym(self.f.dom()), sym(self.f.cod())
 
 
-@dataclass(frozen=True)
+@node
 class Eta(MorExpr):
     a: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-
-    def dom(self):
-        return self.a
-
-    def cod(self):
-        return sym(self.a)
+    def _endpoints(self):
+        return self.a, sym(self.a)
 
 
-@dataclass(frozen=True)
+@node
 class Mu(MorExpr):
     a: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-
-    def dom(self):
-        return sym(sym(self.a))
-
-    def cod(self):
-        return sym(self.a)
+    def _endpoints(self):
+        return sym(sym(self.a)), sym(self.a)
 
 
-@dataclass(frozen=True)
+@node
 class Mult(MorExpr):
     a: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-
-    def dom(self):
-        return tensor(sym(self.a), sym(self.a))
-
-    def cod(self):
-        return sym(self.a)
+    def _endpoints(self):
+        return tensor(sym(self.a), sym(self.a)), sym(self.a)
 
 
-@dataclass(frozen=True)
+@node
 class UnitM(MorExpr):
     a: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-
-    def dom(self):
-        return UNIT
-
-    def cod(self):
-        return sym(self.a)
+    def _endpoints(self):
+        return UNIT, sym(self.a)
 
 
-@dataclass(frozen=True)
+@node
 class Deriv(MorExpr):
     a: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-
-    def dom(self):
-        return sym(self.a)
-
-    def cod(self):
-        return tensor(sym(self.a), self.a)
+    def _endpoints(self):
+        return sym(self.a), tensor(sym(self.a), self.a)
 
 
-@dataclass(frozen=True)
+@node
 class Chi(MorExpr):
     a: SpaceExpr
     b: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-        object.__setattr__(self, "b", normalize(self.b))
-
-    def dom(self):
-        return tensor(sym(self.a), sym(self.b))
-
-    def cod(self):
-        return sym(direct_sum(self.a, self.b))
+    def _endpoints(self):
+        return tensor(sym(self.a), sym(self.b)), sym(direct_sum(self.a, self.b))
 
 
-@dataclass(frozen=True)
+@node
 class ChiInv(MorExpr):
     a: SpaceExpr
     b: SpaceExpr
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", normalize(self.a))
-        object.__setattr__(self, "b", normalize(self.b))
-
-    def dom(self):
-        return sym(direct_sum(self.a, self.b))
-
-    def cod(self):
-        return tensor(sym(self.a), sym(self.b))
+    def _endpoints(self):
+        return sym(direct_sum(self.a, self.b)), tensor(sym(self.a), sym(self.b))
 
 
-@dataclass(frozen=True)
+@node
 class Chi0(MorExpr):
-    def dom(self):
-        return UNIT
-
-    def cod(self):
-        return sym(ZERO)
+    def _endpoints(self):
+        return UNIT, sym(ZERO)
 
 
-@dataclass(frozen=True)
+@node
 class Chi0Inv(MorExpr):
-    def dom(self):
-        return sym(ZERO)
-
-    def cod(self):
-        return UNIT
+    def _endpoints(self):
+        return sym(ZERO), UNIT
 
 
-@dataclass(frozen=True)
+@node
 class TableNu(MorExpr):
     """Structure map of a multiplication-table algebra: fold of the table
     over a monomial, with the unit element on the empty monomial."""
@@ -391,19 +291,12 @@ class TableNu(MorExpr):
     mult_table: tuple  # rank x rank of Element
     unit_elem: Element
 
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", normalize(self.carrier))
-        object.__setattr__(self, "mult_table", tuple(tuple(row) for row in self.mult_table))
+    def _endpoints(self):
         _require(is_sym_free(self.carrier), "table algebra carrier must be Sym-free")
         n = rank(self.carrier)
         _require(len(self.mult_table) == n and all(len(r) == n for r in self.mult_table),
                  "mult_table must be rank x rank")
-
-    def dom(self):
-        return sym(self.carrier)
-
-    def cod(self):
-        return self.carrier
+        return sym(self.carrier), self.carrier
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +308,7 @@ def apply(m: MorExpr, v: Element) -> Element:
     if v.space != m.dom():
         raise SpaceMismatchError(
             f"element lives in {v.space!r}, morphism expects {m.dom()!r}")
-    out = zero_element(m.cod())
-    for bv, c in v.coeffs:
-        out = elem_add(out, elem_scale(c, apply_basis(m, bv)))
-    return out
+    return elem_combination(m.cod(), ((c, apply_basis(m, bv)) for bv, c in v.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -560,8 +450,6 @@ def compose(*ms: MorExpr) -> MorExpr:
 
 def linear_map_from_matrix(dom: SpaceExpr, cod: SpaceExpr, entries) -> LinearMap:
     """Columns are images of the domain basis vectors, in global order."""
-    dom = normalize(dom)
-    cod = normalize(cod)
     _require(is_sym_free(dom) and is_sym_free(cod),
              "matrix presentation needs Sym-free endpoints")
     dbasis = enumerate_basis(dom, 0)

@@ -18,29 +18,99 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed nodes
+# ---------------------------------------------------------------------------
+
+#: Dataclass form of every expression node: immutable and slotted, compared
+#: by Node.__eq__ and hashed by the hash stored at construction.
+node = dataclass(frozen=True, slots=True, eq=False)
+
+# The intern table: (class, *fields) -> the one node with those fields.  It
+# lives as long as the process.
+_TABLE = {}
+
+
+class Interned(type):
+    """Metaclass of hash-consed nodes.
+
+    Constructing a node whose class and fields equal an existing node's
+    returns that existing node, so equal nodes are normally identical.
+    `dict.setdefault` keeps that true when two threads build the same node.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            args = super().__call__(*args, **kwargs)._fields()
+        key = (cls, *args)
+        found = _TABLE.get(key)
+        if found is not None:
+            return found
+        made = super().__call__(*args)
+        object.__setattr__(made, "_hash", hash(key))
+        return _TABLE.setdefault(key, made)
+
+
+class Node(metaclass=Interned):
+    """Base of expression nodes, which are interned; each stores its hash.
+
+    Equality is identity first, then structure, so a node that escaped
+    interning still compares equal to its twin.
+    """
+
+    __slots__ = ("_hash",)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(self) is not type(other):
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 # ---------------------------------------------------------------------------
 # Space expressions
 # ---------------------------------------------------------------------------
 
-class SpaceExpr:
-    """Base class for space expressions."""
+class SpaceExpr(Node):
+    """Base class for space expressions.
+
+    Every SpaceExpr is in normal form: Tensor, Sum and Sym nodes are built
+    only by `tensor`, `direct_sum` and `sym`, and reject other shapes.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _require_normal(ok: bool, s: SpaceExpr) -> None:
+    if not ok:
+        raise ValueError(f"{s!r} is not in normal form; "
+                         "build spaces with tensor, direct_sum and sym")
+
+
+@node
 class Unit(SpaceExpr):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Zero(SpaceExpr):
     pass
 
 
-@dataclass(frozen=True)
+@node
 class Base(SpaceExpr):
     name: str
     rank: int
@@ -50,27 +120,36 @@ class Base(SpaceExpr):
             raise ValueError(f"base space rank must be positive, got {self.rank}")
 
 
-@dataclass(frozen=True)
+@node
 class Tensor(SpaceExpr):
-    factors: tuple  # atoms only, length >= 2 in normal form
+    factors: tuple  # atoms only, length >= 2
+
+    def __post_init__(self):
+        _require_normal(len(self.factors) >= 2
+                        and all(isinstance(f, (Base, Sym)) for f in self.factors), self)
 
 
-@dataclass(frozen=True)
+@node
 class Sum(SpaceExpr):
-    summands: tuple  # tensor terms only, length >= 2 in normal form
+    summands: tuple  # tensor terms only, length >= 2
+
+    def __post_init__(self):
+        _require_normal(len(self.summands) >= 2
+                        and all(isinstance(t, (Unit, Base, Sym, Tensor))
+                                for t in self.summands), self)
 
 
-@dataclass(frozen=True)
+@node
 class Sym(SpaceExpr):
     inner: SpaceExpr
+
+    def __post_init__(self):
+        if not isinstance(self.inner, SpaceExpr):
+            raise TypeError(f"not a SpaceExpr: {self.inner!r}")
 
 
 UNIT = Unit()
 ZERO = Zero()
-
-
-def _is_atom(s: SpaceExpr) -> bool:
-    return isinstance(s, (Base, Sym))
 
 
 def terms(s: SpaceExpr) -> tuple:
@@ -110,26 +189,22 @@ def _make_sum(ts) -> SpaceExpr:
 
 
 def normalize(s: SpaceExpr) -> SpaceExpr:
-    """Distributed normal form: a sum of tensor terms of atoms."""
-    if isinstance(s, (Unit, Zero, Base)):
-        return s
-    if isinstance(s, Sym):
-        return Sym(normalize(s.inner))
-    if isinstance(s, Sum):
-        return direct_sum(*s.summands)
-    if isinstance(s, Tensor):
-        return tensor(*s.factors)
-    raise TypeError(f"not a SpaceExpr: {s!r}")
+    """Distributed normal form: a sum of tensor terms of atoms.
+
+    Every SpaceExpr is built in normal form, so this returns `s` itself.
+    """
+    if not isinstance(s, SpaceExpr):
+        raise TypeError(f"not a SpaceExpr: {s!r}")
+    return s
 
 
+@lru_cache(maxsize=None)
 def tensor(*spaces: SpaceExpr) -> SpaceExpr:
     """Monoidal product, distributed over direct sums (row-major order)."""
-    normed = [normalize(x) for x in spaces]
-    if any(isinstance(x, Zero) for x in normed):
+    if any(isinstance(x, Zero) for x in spaces):
         return ZERO
-    term_lists = [terms(x) for x in normed]
     out = []
-    for combo in itertools.product(*term_lists):
+    for combo in itertools.product(*(terms(x) for x in spaces)):
         atoms = []
         for t in combo:
             atoms.extend(factors(t))
@@ -137,16 +212,17 @@ def tensor(*spaces: SpaceExpr) -> SpaceExpr:
     return _make_sum(out)
 
 
+@lru_cache(maxsize=None)
 def direct_sum(*spaces: SpaceExpr) -> SpaceExpr:
     """Biproduct; nested sums flatten and Zero summands vanish."""
     out = []
     for x in spaces:
-        out.extend(terms(normalize(x)))
+        out.extend(terms(x))
     return _make_sum(out)
 
 
 def sym(s: SpaceExpr) -> SpaceExpr:
-    return Sym(normalize(s))
+    return Sym(s)
 
 
 def base(name: str, rank: int) -> SpaceExpr:
@@ -185,76 +261,83 @@ def rank(s: SpaceExpr) -> int:
 # Basis vectors
 # ---------------------------------------------------------------------------
 
-class BasisVector:
-    __slots__ = ()
+class BasisVector(Node):
+    """A basis vector; its weight and graded order key are stored at
+    construction."""
+
+    __slots__ = ("_weight", "_key")
+
+    def _order(self, weight: int, skey: tuple) -> None:
+        object.__setattr__(self, "_weight", weight)
+        object.__setattr__(self, "_key", (weight,) + skey)
 
     def key(self):
         """Graded global order key: weight first, then structure."""
-        return (weight(self),) + self._skey()
+        return self._key
 
     def __lt__(self, other):
-        return self.key() < other.key()
+        return self._key < other._key
 
 
-@dataclass(frozen=True)
+#: Sort key for basis vectors, read without a Python-level call.
+order_key = attrgetter("_key")
+
+
+@node
 class UnitIx(BasisVector):
-    def _skey(self):
-        return (0,)
+    def __post_init__(self):
+        self._order(0, (0,))
 
 
-@dataclass(frozen=True)
+@node
 class GenIx(BasisVector):
     index: int  # 0-based generator index
 
-    def _skey(self):
-        return (1, self.index)
+    def __post_init__(self):
+        self._order(0, (1, self.index))
 
 
-@dataclass(frozen=True)
+@node
 class TensorIx(BasisVector):
     parts: tuple
 
-    def _skey(self):
-        return (2, tuple(p.key() for p in self.parts))
+    def __post_init__(self):
+        self._order(sum(p._weight for p in self.parts),
+                    (2, tuple(p._key for p in self.parts)))
 
 
-@dataclass(frozen=True)
+@node
 class SumIx(BasisVector):
     branch: int
     inner: BasisVector
 
-    def _skey(self):
-        return (3, self.branch, self.inner.key())
+    def __post_init__(self):
+        self._order(self.inner._weight, (3, self.branch, self.inner._key))
 
 
-@dataclass(frozen=True)
+@node
 class MonIx(BasisVector):
-    """A monomial: canonically sorted multiset of inner basis vectors."""
+    """A monomial: canonically sorted multiset of inner basis vectors.
+
+    Its weight counts each factor once plus the factor's own weight.
+    """
 
     parts: tuple
 
-    def _skey(self):
-        return (4, tuple(p.key() for p in self.parts))
+    def __post_init__(self):
+        self._order(len(self.parts) + sum(p._weight for p in self.parts),
+                    (4, tuple(p._key for p in self.parts)))
 
 
 UNIT_IX = UnitIx()
 
 
 def monomial(parts) -> MonIx:
-    return MonIx(tuple(sorted(parts, key=lambda b: b.key())))
+    return MonIx(tuple(sorted(parts, key=order_key)))
 
 
-@lru_cache(maxsize=None)
 def weight(bv: BasisVector) -> int:
-    if isinstance(bv, (UnitIx, GenIx)):
-        return 0
-    if isinstance(bv, TensorIx):
-        return sum(weight(p) for p in bv.parts)
-    if isinstance(bv, SumIx):
-        return weight(bv.inner)
-    if isinstance(bv, MonIx):
-        return len(bv.parts) + sum(weight(p) for p in bv.parts)
-    raise TypeError(f"not a BasisVector: {bv!r}")
+    return bv._weight
 
 
 # -- structural helpers tying basis vectors to normalized spaces ------------
@@ -334,7 +417,7 @@ def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) ->
 
 def term_offset(spaces, i: int) -> int:
     """Term offset of block i inside direct_sum(spaces)."""
-    return sum(len(terms(normalize(s))) for s in spaces[:i])
+    return sum(len(terms(s)) for s in spaces[:i])
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +428,7 @@ def enumerate_basis(space: SpaceExpr, weight_bound: int):
     """All basis vectors of weight <= weight_bound, in global order."""
     if weight_bound < 0:
         raise ValueError("weight_bound must be >= 0")
-    space = normalize(space)
-    out = sorted(_enum(space, weight_bound), key=lambda b: b.key())
-    return out
+    return sorted(_enum(space, weight_bound), key=order_key)
 
 
 def _enum(space: SpaceExpr, bound: int):
@@ -371,7 +452,7 @@ def _enum(space: SpaceExpr, bound: int):
         return
     if isinstance(space, Sym):
         # Each multiset element costs 1 + its own weight.
-        inner = sorted(_enum(space.inner, max(bound - 1, 0)), key=lambda b: b.key())
+        inner = sorted(_enum(space.inner, max(bound - 1, 0)), key=order_key)
         yield from _enum_multisets(inner, bound)
         return
     raise TypeError(f"not a SpaceExpr: {space!r}")
@@ -383,7 +464,7 @@ def _enum_product(fs, bound):
         return
     head, rest = fs[0], fs[1:]
     for bv in _enum(head, bound):
-        w = weight(bv)
+        w = bv._weight
         for tail in _enum_product(rest, bound - w):
             yield (bv,) + tail
 
@@ -395,7 +476,7 @@ def _enum_multisets(inner, bound, start=0):
     while stack:
         prefix, lo, budget = stack.pop()
         for i in range(lo, len(inner)):
-            cost = 1 + weight(inner[i])
+            cost = 1 + inner[i]._weight
             if cost > budget:
                 continue
             mono = prefix + (inner[i],)

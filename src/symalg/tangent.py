@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .spaces import (
-    SpaceExpr, direct_sum, tensor, sym, normalize, enumerate_basis,
-    TensorIx, GenIx,
+    SpaceExpr, direct_sum, tensor, sym, enumerate_basis, GenIx,
 )
-from .elements import Element, zero_element, elem_add, elem_scale
+from .elements import Element, elem_add, elem_combination
 from .morphisms import (
     MorExpr, Id, TensorM, SumM, ZeroM, Proj, Matrix,
     SymF, Eta, Deriv, Chi, apply, apply_basis, compose,
@@ -110,8 +109,6 @@ class KleisliMap:
 
 
 def kleisli_map(dom: SpaceExpr, cod_base: SpaceExpr, images) -> KleisliMap:
-    dom = normalize(dom)
-    cod_base = normalize(cod_base)
     target = sym(cod_base)
     pairs = tuple(images.items() if isinstance(images, dict) else images)
     covered = {bv for bv, _ in pairs}
@@ -125,10 +122,7 @@ def kleisli_map(dom: SpaceExpr, cod_base: SpaceExpr, images) -> KleisliMap:
 
 
 def kleisli_apply(f: KleisliMap, x: Element) -> Element:
-    out = zero_element(sym(f.cod_base))
-    for bv, c in x.coeffs:
-        out = elem_add(out, elem_scale(c, f.image_of(bv)))
-    return out
+    return elem_combination(sym(f.cod_base), ((c, f.image_of(bv)) for bv, c in x.coeffs))
 
 
 def kleisli_add(f: KleisliMap, g: KleisliMap) -> KleisliMap:

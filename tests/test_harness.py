@@ -1,5 +1,6 @@
 """Suite runner, configuration handling, reports, CLI."""
 
+import hashlib
 import json
 import os
 
@@ -154,6 +155,13 @@ class TestRunner:
         assert seq["results"] == par["results"]
         assert seq["summary"] == par["summary"]
 
+    def test_report_digest_at_bound_2(self):
+        # The timing-stripped report of the default suite, as recorded from
+        # the seed code; a speed-up must leave it byte-identical.
+        report = strip_timing(run_suite(load_config(None, {"bound": 2})))
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "67b9a489c722c5d26364431f7684f38cb5a1e59cf08ab594ad8f1d8d3e37765e"
+
     def test_budget_aborts_politely(self):
         cfg = SuiteConfig(bound=3, laws="*", budget=1e-9)
         report = run_suite(cfg)
@@ -191,6 +199,41 @@ class TestCLI:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["check", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("field", ["bound", "seed", "parallelism", "budget"])
+    def test_non_numeric_setting_exit_two(self, tmp_path, capsys, field):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({field: "abc"}))
+        assert main(["check", "--config", str(p)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_derivation_matrix_of_wrong_shape_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "algebras": [{"name": "q1", "rank": 1, "mult_table": [[[1]]], "unit": [1]}],
+            "derivations": [{"name": "d", "algebra": "q1", "matrix": [[0, 0], [0, 0]]}],
+        }))
+        assert main(["check", "--config", str(p)]) == 2
+        assert "matrix must be 1x1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"algebras": [{"name": "z", "rank": 0, "mult_table": [], "unit": []}]},
+        {"algebras": 5},
+        {"derivations": 5},
+    ])
+    def test_malformed_algebra_section_exit_two(self, tmp_path, config):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(config))
+        assert main(["check", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("unit", [[1, 0], [], "1"])
+    def test_unit_vector_not_of_rank_length_exit_two(self, tmp_path, capsys, unit):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({
+            "algebras": [{"name": "q1", "rank": 1, "mult_table": [[[1]]], "unit": unit}],
+        }))
+        assert main(["check", "--config", str(p)]) == 2
+        assert "must list 1 coefficients" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,0 +1,131 @@
+"""The hash-consed expression kernel: interning, stored order keys, and
+equality that stays structural."""
+
+import copy
+import pickle
+import sys
+import threading
+
+import pytest
+
+from symalg.spaces import (
+    Base, Sum, Tensor, base, tensor, direct_sum, sym, enumerate_basis,
+    BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
+)
+from symalg.morphisms import Id, Mu, SymF, TensorM, compose, linear_map_from_matrix
+
+B1 = base("x", 1)
+B2 = base("y", 2)
+
+
+def reference_weight(bv):
+    """The weight recurrence, computed from the structure every time."""
+    if isinstance(bv, (UnitIx, GenIx)):
+        return 0
+    if isinstance(bv, (TensorIx, MonIx)):
+        extra = len(bv.parts) if isinstance(bv, MonIx) else 0
+        return extra + sum(reference_weight(p) for p in bv.parts)
+    return reference_weight(bv.inner)
+
+
+def reference_key(bv):
+    """The graded order key, (weight,) + structural key, built from scratch."""
+    if isinstance(bv, UnitIx):
+        skey = (0,)
+    elif isinstance(bv, GenIx):
+        skey = (1, bv.index)
+    elif isinstance(bv, TensorIx):
+        skey = (2, tuple(reference_key(p) for p in bv.parts))
+    elif isinstance(bv, SumIx):
+        skey = (3, bv.branch, reference_key(bv.inner))
+    else:
+        skey = (4, tuple(reference_key(p) for p in bv.parts))
+    return (reference_weight(bv),) + skey
+
+
+class TestInterning:
+    def test_equal_basis_vectors_are_identical(self):
+        assert GenIx(0) is GenIx(0)
+        assert GenIx(0) is not GenIx(1)
+
+    def test_space_constructors_return_one_instance(self):
+        assert tensor(B1, B2) is tensor(B1, B2)
+        assert direct_sum(B1, sym(B2)) is direct_sum(B1, sym(B2))
+        assert sym(B2) is sym(B2)
+        assert base("y", 2) is B2
+
+    def test_equal_monomial_parts_share_one_instance(self):
+        parts = (GenIx(0), GenIx(1))
+        assert MonIx(parts) is MonIx(tuple(list(parts)))
+        assert monomial([GenIx(1), GenIx(0)]) is MonIx(parts)
+
+    def test_keyword_construction_interns(self):
+        assert Base(name="y", rank=2) is B2
+        assert SumIx(branch=1, inner=GenIx(0)) is SumIx(1, GenIx(0))
+
+    def test_morphisms_intern(self):
+        f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
+        g = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
+        assert f is g
+        assert compose(SymF(SymF(f)), Mu(B2)) is compose(SymF(SymF(g)), Mu(B2))
+        assert TensorM(Id(B1), f).dom() is tensor(B1, B2)
+
+    def test_copy_and_pickle_return_the_interned_node(self):
+        f = linear_map_from_matrix(B2, B1, ((1, 2),))
+        for x in (tensor(sym(B1), B2), MonIx((GenIx(0), GenIx(0))), compose(f, Id(B1))):
+            assert copy.deepcopy(x) is x
+            assert pickle.loads(pickle.dumps(x)) is x
+
+    def test_non_normal_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            Tensor((B1,))
+        with pytest.raises(ValueError):
+            Sum((direct_sum(B1, B2), B2))
+
+    def test_equality_stays_structural(self):
+        # A twin that escaped the table still equals, and hashes like, the
+        # interned node.
+        twin = type.__call__(GenIx, 5)
+        object.__setattr__(twin, "_hash", hash(GenIx(5)))
+        assert twin is not GenIx(5)
+        assert twin == GenIx(5) and GenIx(5) == twin
+        assert {GenIx(5): "found"}[twin] == "found"
+        assert twin != GenIx(6)
+
+    def test_racing_threads_get_one_instance(self):
+        n_threads, n_nodes = 8, 300
+        seen = [[] for _ in range(n_threads)]
+        start = threading.Barrier(n_threads)
+
+        def build(out):
+            start.wait()
+            for i in range(n_nodes):
+                out.append(MonIx((GenIx(10_000 + i), GenIx(20_000 + i))))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(n_nodes):
+            assert len({id(out[i]) for out in seen}) == 1
+
+
+class TestStoredOrder:
+    @pytest.mark.parametrize("space", [
+        sym(B2), sym(sym(B1)), tensor(sym(B1), direct_sum(B1, B2)),
+        sym(direct_sum(B1, tensor(B2, B2))),
+    ])
+    def test_key_matches_reference(self, space):
+        basis = enumerate_basis(space, 3)
+        assert basis
+        for bv in basis:
+            assert isinstance(bv, BasisVector)
+            assert bv.key() == reference_key(bv)
+        assert [bv.key() for bv in basis] == sorted(reference_key(bv) for bv in basis)
