@@ -10,7 +10,9 @@ power and product rules with exact integer coefficients.
 Run with:  python3 demos/04_tangent_and_kleisli.py
 """
 
-from symalg import base, sym, GenIx, MonIx, build_sum, singleton, elem_add, apply
+from symalg import (
+    base, sym, GenIx, MonIx, build_sum, singleton, elem_add, apply, apply_basis,
+)
 from symalg.derivations import formal_derivative, dual_numbers, rational_algebra
 from symalg.tangent import (
     tangent_algebra, tangent_derivation, multiplication_table,
@@ -42,7 +44,7 @@ print("\nD[eps](x^2 + x^3 eps) =", apply(lift.d, sample))
 # ----------------------------------------------------------------------
 for k in (2, 3, 4):
     df = kleisli_diff(monomial_power_map(k))
-    print(f"\nD[x^{k}] sends the generator to:", df.image_of(GenIx(0)))
+    print(f"\nD[x^{k}] sends the generator to:", apply_basis(df, GenIx(0)))
 
 df = kleisli_diff(xy_map())
-print("\nD[x*y] sends the generator to:", df.image_of(GenIx(0)))
+print("\nD[x*y] sends the generator to:", apply_basis(df, GenIx(0)))

@@ -7,7 +7,7 @@ rationals, and morphism expressions evaluated exactly per basis vector.
 from .spaces import (
     SpaceExpr, Base, Unit, Zero, Tensor, Sum, Sym, UNIT, ZERO,
     BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, UNIT_IX,
-    base, tensor, direct_sum, sym, normalize, weight, monomial,
+    base, tensor, direct_sum, sym, weight, monomial,
     enumerate_basis, rank, is_sym_free,
     build_sum, decompose_sum, join_pair, split_pair,
 )

@@ -15,7 +15,7 @@ from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, SumM, Add, ZeroM, Sigma, Inj, Proj,
     Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0, Chi0Inv,
-    Verdict, check_equal, compose,
+    check_equal, compose,
 )
 
 #: Weight bound used when validating commuting squares at construction.
@@ -105,26 +105,6 @@ def sum_obj(p: ArrowObj, q: ArrowObj) -> ArrowObj:
 
 def zero_obj() -> ArrowObj:
     return ArrowObj(ZeroM(ZERO, ZERO))
-
-
-def inj_arrow(i: int, objs) -> ArrowMor:
-    objs = tuple(objs)
-    total = objs[0]
-    for o in objs[1:]:
-        total = sum_obj(total, o)
-    return ArrowMor(objs[i], total,
-                    Inj(i, tuple(o.a0 for o in objs)),
-                    Inj(i, tuple(o.a1 for o in objs)))
-
-
-def proj_arrow(i: int, objs) -> ArrowMor:
-    objs = tuple(objs)
-    total = objs[0]
-    for o in objs[1:]:
-        total = sum_obj(total, o)
-    return ArrowMor(total, objs[i],
-                    Proj(i, tuple(o.a0 for o in objs)),
-                    Proj(i, tuple(o.a1 for o in objs)))
 
 
 # ---------------------------------------------------------------------------

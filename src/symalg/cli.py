@@ -64,7 +64,7 @@ def _cmd_demo(args) -> int:
     print("  D[eps](x^2 + x^3 eps) =", apply(td.d, sample))
 
     df = kleisli_diff(monomial_power_map(2))
-    print("D[x^2] at the generator =", df.image_of(GenIx(0)))
+    print("D[x^2] at the generator =", apply_basis(df, GenIx(0)))
 
     b = base("y", 1)
     p = MonIx((GenIx(0),))

@@ -12,19 +12,17 @@ are implemented here with their round-trip checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, GenIx
-from .elements import Element, element, singleton, zero_element
+from .elements import Element, singleton, zero_element
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
     SymF, Eta, Mu, Mult, UnitM, Deriv, TableNu,
     Verdict, check_equal, compose, linear_map_from_matrix,
 )
 from .arrow import (
-    ArrowObj, ArrowMor, arrow_mor, id_arrow, compose_arrow,
-    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit, ubar,
-    arrow_check, InvalidArrowError,
+    ArrowObj, ArrowMor, id_arrow, compose_arrow,
+    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit, arrow_check,
 )
 
 #: Weight bound used by the validating factories below.

@@ -9,7 +9,8 @@ Report schema (``symalg-report/1``), a compatibility surface:
 
 - ``schema``: the literal string above.
 - ``config``: the effective configuration (bound, laws, mutate, seed,
-  budget, parallelism).
+  budget, parallelism).  Laws always run serially, so ``parallelism`` is
+  1; a config may still set it.
 - ``results``: one object per (law, instance) check with fields ``law``,
   ``anchor``, ``instance``, ``status`` ("equal" or "counterexample"),
   ``tested``, ``bound``, ``witness`` (string or null) and ``time_ms``.
@@ -20,16 +21,14 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import base, rank, GenIx
 from .elements import Element, element
 from .derivations import (
-    SAlgebra, table_algebra, a_module, derivation, zero_derivation,
+    SAlgebra, table_algebra, a_module, derivation,
     builtin_algebras, InvalidStructureError,
 )
 from .morphisms import linear_map_from_matrix
@@ -37,7 +36,6 @@ from .laws import registry, LawContext, MUTATIONS
 
 CONFIG_SCHEMA = "symalg-config/1"
 REPORT_SCHEMA = "symalg-report/1"
-PARALLELISM_ENV = "SYMALG_PARALLELISM"
 
 
 class ConfigError(ValueError):
@@ -48,15 +46,11 @@ def _rational(x) -> Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError as e:
+        except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"bad rational {x!r}") from e
     if isinstance(x, int):
         return Fraction(x)
     raise ConfigError(f"rationals must be integers or 'p/q' strings, got {x!r}")
-
-
-def rational_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 @dataclass
@@ -66,7 +60,6 @@ class SuiteConfig:
     mutate: str | None = None
     seed: int = 0
     budget: float | None = None
-    parallelism: int = 1
     extra_algebras: tuple = ()
     extra_derivations: tuple = ()
 
@@ -78,16 +71,8 @@ class SuiteConfig:
             "mutate": self.mutate,
             "seed": self.seed,
             "budget": self.budget,
-            "parallelism": self.parallelism,
+            "parallelism": 1,
         }
-
-
-def default_parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _is_square(table, n: int) -> bool:
@@ -102,10 +87,15 @@ def _vector_element(space, coeffs) -> Element:
     return element(space, {GenIx(i): _rational(c) for i, c in enumerate(coeffs)})
 
 
+def _require_name(kind: str, name) -> None:
+    if not isinstance(name, str):
+        raise ConfigError(f"{kind} name must be a string, got {name!r}")
+
+
 def _number(merged: dict, key: str, kind):
     try:
         return kind(merged[key])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{key}: cannot read {merged[key]!r} as {kind.__name__}") from e
 
 
@@ -117,6 +107,7 @@ def _load_algebra(entry: dict) -> SAlgebra:
         unit = entry["unit"]
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"algebra entry malformed: {entry!r}") from e
+    _require_name("algebra", name)
     if r < 1:
         raise ConfigError(f"algebra {name!r}: rank must be >= 1")
     space = base(name, r)
@@ -139,6 +130,7 @@ def _load_derivation(entry, algebras: dict):
         matrix = entry["matrix"]
     except (KeyError, TypeError) as e:
         raise ConfigError(f"derivation entry malformed: {entry!r}") from e
+    _require_name("derivation", name)
     a = alg.carrier
     n = rank(a)
     if not _is_square(matrix, n):
@@ -170,7 +162,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    cfg = SuiteConfig(parallelism=default_parallelism())
+    cfg = SuiteConfig()
     merged = dict(raw)
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
@@ -192,7 +184,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
         if cfg.budget <= 0:
             raise ConfigError("budget must be positive")
     if "parallelism" in merged:
-        cfg.parallelism = max(1, _number(merged, "parallelism", int))
+        _number(merged, "parallelism", int)  # accepted for compatibility; runs serially
 
     for key in ("algebras", "derivations"):
         if not isinstance(raw.get(key, []), list):
@@ -227,8 +219,9 @@ def run_suite(cfg: SuiteConfig) -> dict:
                      extra_derivations=cfg.extra_derivations)
     selected = select_laws(cfg.laws)
 
-    def run_one(item):
-        name, law = item
+    results = []
+    aborted = False
+    for name, law in selected:
         t0 = time.perf_counter()
         rows = []
         for instance, v in law.run(cfg.bound, ctx):
@@ -244,24 +237,10 @@ def run_suite(cfg: SuiteConfig) -> dict:
         elapsed = (time.perf_counter() - t0) * 1000.0
         for row in rows:
             row["time_ms"] = round(elapsed / max(1, len(rows)), 3)
-        return name, rows, elapsed
-
-    results = []
-    aborted = False
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            outcomes = list(pool.map(run_one, selected))
-        for name, rows, elapsed in outcomes:
-            results.extend(rows)
-            if cfg.budget is not None and elapsed > cfg.budget * 1000.0:
-                aborted = True
-    else:
-        for item in selected:
-            name, rows, elapsed = run_one(item)
-            results.extend(rows)
-            if cfg.budget is not None and elapsed > cfg.budget * 1000.0:
-                aborted = True
-                break
+        results.extend(rows)
+        if cfg.budget is not None and elapsed > cfg.budget * 1000.0:
+            aborted = True
+            break
 
     failures = sum(1 for r in results if r["status"] != "equal")
     return {

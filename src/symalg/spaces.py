@@ -188,16 +188,6 @@ def _make_sum(ts) -> SpaceExpr:
     return Sum(ts)
 
 
-def normalize(s: SpaceExpr) -> SpaceExpr:
-    """Distributed normal form: a sum of tensor terms of atoms.
-
-    Every SpaceExpr is built in normal form, so this returns `s` itself.
-    """
-    if not isinstance(s, SpaceExpr):
-        raise TypeError(f"not a SpaceExpr: {s!r}")
-    return s
-
-
 @lru_cache(maxsize=None)
 def tensor(*spaces: SpaceExpr) -> SpaceExpr:
     """Monoidal product, distributed over direct sums (row-major order)."""

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from .spaces import (
     SpaceExpr, direct_sum, tensor, sym, enumerate_basis, GenIx,
 )
-from .elements import Element, elem_add, elem_combination
 from .morphisms import (
-    MorExpr, Id, TensorM, SumM, ZeroM, Proj, Matrix,
-    SymF, Eta, Deriv, Chi, apply, apply_basis, compose,
+    MorExpr, Id, TensorM, SumM, ZeroM, Proj, Matrix, LinearMap,
+    SymF, Eta, Deriv, Chi, apply_basis, compose,
 )
 from .derivations import (
     SAlgebra, AModule, Derivation, s_algebra, a_module, derivation,
@@ -93,59 +92,24 @@ def multiplication_table(alg: SAlgebra):
 # Kleisli maps and the differential combinator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KleisliMap:
-    """A map A -> S(B) stored by generator images."""
-
-    dom: SpaceExpr       # Sym-free
-    cod_base: SpaceExpr  # B; the actual codomain is S(B)
-    images: tuple        # ((BasisVector, Element of S(B)), ...)
-
-    def image_of(self, bv) -> Element:
-        for b, e in self.images:
-            if b == bv:
-                return e
-        raise KeyError(bv)
+def kleisli_map(dom: SpaceExpr, cod_base: SpaceExpr, images) -> LinearMap:
+    """A map A -> S(B) given by generator images; A must be Sym-free."""
+    pairs = images.items() if isinstance(images, dict) else images
+    return LinearMap(dom, sym(cod_base), tuple(pairs))
 
 
-def kleisli_map(dom: SpaceExpr, cod_base: SpaceExpr, images) -> KleisliMap:
-    target = sym(cod_base)
-    pairs = tuple(images.items() if isinstance(images, dict) else images)
-    covered = {bv for bv, _ in pairs}
-    full = set(enumerate_basis(dom, 0))
-    if covered != full:
-        raise ValueError("images must cover the domain basis exactly")
-    for _, e in pairs:
-        if e.space != target:
-            raise ValueError(f"image lies in {e.space!r}, expected {target!r}")
-    return KleisliMap(dom, cod_base, pairs)
-
-
-def kleisli_apply(f: KleisliMap, x: Element) -> Element:
-    return elem_combination(sym(f.cod_base), ((c, f.image_of(bv)) for bv, c in x.coeffs))
-
-
-def kleisli_add(f: KleisliMap, g: KleisliMap) -> KleisliMap:
-    if f.dom != g.dom or f.cod_base != g.cod_base:
-        raise ValueError("kleisli sum endpoint mismatch")
-    images = [(bv, elem_add(e, g.image_of(bv))) for bv, e in f.images]
-    return KleisliMap(f.dom, f.cod_base, tuple(images))
-
-
-def kleisli_diff(f: KleisliMap) -> KleisliMap:
+def kleisli_diff(f: MorExpr) -> MorExpr:
     """Differential combinator: postcompose with chi . (1 (x) eta) . d.
 
     The result maps A into S(B (+) B); first-copy generators carry the
     point, the single second-copy generator in each monomial carries the
     derivative direction.
     """
-    b = f.cod_base
-    post = compose(Deriv(b), TensorM(Id(sym(b)), Eta(b)), Chi(b, b))
-    images = tuple((bv, apply(post, e)) for bv, e in f.images)
-    return KleisliMap(f.dom, direct_sum(b, b), images)
+    b = f.cod().inner
+    return compose(f, Deriv(b), TensorM(Id(sym(b)), Eta(b)), Chi(b, b))
 
 
-def monomial_power_map(k: int) -> KleisliMap:
+def monomial_power_map(k: int) -> LinearMap:
     """e1 |-> x^k as a Kleisli map on one generator."""
     from .spaces import base, MonIx
     from .elements import singleton
@@ -154,7 +118,7 @@ def monomial_power_map(k: int) -> KleisliMap:
     return kleisli_map(e, x, {GenIx(0): singleton(sym(x), MonIx((GenIx(0),) * k))})
 
 
-def xy_map() -> KleisliMap:
+def xy_map() -> LinearMap:
     """e1 |-> x * y as a Kleisli map into two generators."""
     from .spaces import base, MonIx
     from .elements import singleton

@@ -11,7 +11,7 @@ from symalg.spaces import base, sym, tensor, direct_sum, MonIx, GenIx, build_sum
 from symalg.elements import singleton, elem_add, element
 from symalg.morphisms import (
     Id, Add, SymF, Chi, ChiInv, Chi0, Chi0Inv, check_equal, compose,
-    linear_map_from_matrix, apply,
+    linear_map_from_matrix, apply, apply_basis,
 )
 from symalg.spaces import UNIT, ZERO
 from symalg.derivations import (
@@ -136,8 +136,8 @@ def test_criterion_7_tangent_structure():
     # generator coefficient of the differentiated power map is the exponent
     for k in range(1, 5):
         df = kleisli_diff(monomial_power_map(k))
-        img = df.image_of(GenIx(0))
-        bb = df.cod_base
+        img = apply_basis(df, GenIx(0))
+        bb = df.cod().inner
         mono = MonIx(tuple(sorted(
             [build_sum(bb, 0, GenIx(0))] * (k - 1)
             + [build_sum(bb, 1, GenIx(0))], key=lambda v: v.key())))

@@ -5,12 +5,14 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from symalg.harness import (
     ConfigError, SuiteConfig, load_config, run_suite, select_laws,
     strip_timing, render_summary, write_report,
-    CONFIG_SCHEMA, REPORT_SCHEMA, PARALLELISM_ENV,
+    CONFIG_SCHEMA, REPORT_SCHEMA,
 )
+from symalg.derivations import builtin_algebras
 from symalg.laws import registry, list_laws, MUTATIONS, MUTATION_TARGETS
 from symalg.cli import main
 
@@ -114,11 +116,6 @@ class TestConfig:
         assert "zero-on-cdual" in instances
         assert report["summary"]["failures"] == 0
 
-    def test_parallelism_env_default(self, monkeypatch):
-        monkeypatch.setenv(PARALLELISM_ENV, "3")
-        assert load_config(None).parallelism == 3
-        monkeypatch.setenv(PARALLELISM_ENV, "junk")
-        assert load_config(None).parallelism == 1
 
 
 class TestRunner:
@@ -148,12 +145,17 @@ class TestRunner:
         b = run_suite(SuiteConfig(bound=2, laws="nat.*", seed=2))
         assert a["summary"]["failures"] == b["summary"]["failures"] == 0
 
-    def test_parallel_run_matches_sequential(self):
-        seq = strip_timing(run_suite(SuiteConfig(bound=2, laws="monoid.*")))
-        par = strip_timing(run_suite(SuiteConfig(bound=2, laws="monoid.*",
-                                                 parallelism=4)))
+    def test_parallelism_key_is_accepted_and_runs_serially(self, tmp_path):
+        reports = []
+        for extra in ({}, {"parallelism": 4}):
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps({"bound": 2, "laws": "monoid.*", **extra}))
+            reports.append(strip_timing(run_suite(load_config(str(p)))))
+        seq, par = reports
         assert seq["results"] == par["results"]
         assert seq["summary"] == par["summary"]
+        assert seq["config"] == par["config"]
+        assert par["config"]["parallelism"] == 1
 
     def test_report_digest_at_bound_2(self):
         # The timing-stripped report of the default suite, as recorded from
@@ -235,6 +237,17 @@ class TestCLI:
         assert main(["check", "--config", str(p)]) == 2
         assert "must list 1 coefficients" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"algebras": [{"name": [1], "rank": 1, "mult_table": [[[1]]], "unit": [1]}]},
+        {"algebras": [{"name": 7, "rank": 1, "mult_table": [[[1]]], "unit": [1]}]},
+        {"derivations": [{"name": {"d": 1}, "algebra": "rationals", "matrix": [[0]]}]},
+    ])
+    def test_non_string_name_exit_two(self, tmp_path, capsys, config):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(config))
+        assert main(["check", "--config", str(p)]) == 2
+        assert "name must be a string" in capsys.readouterr().err
+
     def test_json_report_written(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["check", "--laws", "D1", "--bound", "2",
@@ -255,3 +268,75 @@ class TestCLI:
         assert "D[x^2]" in out
         assert "Seely round trip" in out
         assert "round trip identical: True" in out
+
+
+# Any JSON value; NaN and infinities are not JSON.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+def _mostly(valid, other=_json):
+    """Mostly `valid`, sometimes `other`, so that many examples get past the
+    first check and reach the deeper ones."""
+    return st.one_of([valid] * 3 + [other])
+
+
+_junk_keys = _mostly(st.just({}), st.dictionaries(st.text(max_size=4), _json,
+                                                  min_size=1, max_size=1))
+_coefficient = st.integers(-1, 2) | st.sampled_from(["1", "1/2", "-3", "1/0", "x"])
+
+
+def _vectors(n):
+    return st.lists(_coefficient, min_size=n, max_size=n)
+
+
+@st.composite
+def _algebra_entry(draw):
+    r = draw(st.integers(0, 3))
+    table = st.lists(st.lists(_vectors(r), min_size=r, max_size=r), min_size=r, max_size=r)
+    entry = {"name": draw(_mostly(st.text(max_size=6))),
+             "rank": draw(_mostly(st.just(r))),
+             "mult_table": draw(_mostly(table)),
+             "unit": draw(_mostly(_vectors(r)))}
+    return {**entry, **draw(_junk_keys)}
+
+
+@st.composite
+def _derivation_entry(draw):
+    n = draw(st.integers(1, 3))
+    entry = {"name": draw(_mostly(st.text(max_size=6))),
+             "algebra": draw(_mostly(st.sampled_from([a.name for a in builtin_algebras()]))),
+             "matrix": draw(_mostly(st.lists(_vectors(n), min_size=n, max_size=n)))}
+    return {**entry, **draw(_junk_keys)}
+
+
+_config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries({}, optional={
+    "schema": _mostly(st.just(CONFIG_SCHEMA)),
+    "bound": _mostly(st.integers(1, 3)),
+    "laws": _mostly(st.text(max_size=4)),
+    "seed": _mostly(st.integers()),
+    "budget": _mostly(st.floats(1e-3, 1e3) | st.integers(1)),
+    "parallelism": _mostly(st.integers()),
+    "mutate": _mostly(st.sampled_from(MUTATIONS)),
+    "algebras": _mostly(st.lists(_mostly(_algebra_entry()), max_size=2)),
+    "derivations": _mostly(st.lists(_mostly(_derivation_entry() | st.just("zero")),
+                                    max_size=2)),
+}), _junk_keys)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_config)
+# Inputs that crashed an earlier loader, pinned so they always run:
+@example(config={"algebras": [{"name": [1], "rank": 1, "mult_table": [[[1]]], "unit": [1]}]})
+@example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": ["1/0"]}]})
+@example(config={"budget": 10 ** 400})
+def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(config))
+    assert main(["check", "--config", str(p), "--laws", "D1", "--bound", "1"]) in (0, 1, 2)
+    capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symalg.spaces import (
-    UNIT, ZERO, base, tensor, direct_sum, sym, normalize,
+    UNIT, ZERO, base, tensor, direct_sum, sym,
     Sum, Tensor, Sym, Base, Unit, Zero,
     GenIx, MonIx, SumIx, TensorIx, UnitIx, UNIT_IX,
     monomial, weight, enumerate_basis, rank, is_sym_free,
@@ -47,11 +47,6 @@ class TestNormalization:
     def test_sum_flat_and_associative(self):
         assert (direct_sum(direct_sum(B1, B2), B3)
                 == direct_sum(B1, direct_sum(B2, B3)))
-
-    def test_normalize_idempotent(self):
-        for s in [tensor(direct_sum(B1, sym(B2)), B3), sym(direct_sum(B1, B2)),
-                  tensor(sym(B1), sym(B1))]:
-            assert normalize(s) == normalize(normalize(s))
 
 
 class TestRank:

@@ -12,7 +12,7 @@ from symalg.spaces import (
 )
 from symalg.elements import singleton, elem_add, element
 from symalg.morphisms import (
-    SumM, apply, apply_basis, check_equal,
+    Add, SumM, apply, apply_basis, check_equal,
 )
 from symalg.derivations import (
     rational_algebra, dual_numbers, square_zero_extension, builtin_algebras,
@@ -21,9 +21,9 @@ from symalg.derivations import (
 from symalg.tangent import (
     TangentData, tangent_structure_map, tangent_algebra, tangent_derivation,
     tangent_module_action, multiplication_table,
-    kleisli_map, kleisli_apply, kleisli_add, kleisli_diff,
-    monomial_power_map, xy_map, KleisliMap,
+    kleisli_map, kleisli_diff, monomial_power_map, xy_map,
 )
+from symalg.laws import power_rule_check
 
 
 def coeff_rows(table):
@@ -122,8 +122,8 @@ class TestKleisli:
         x = sympy.Symbol("x")
         for k in range(1, 5):
             df = kleisli_diff(monomial_power_map(k))
-            img = df.image_of(GenIx(0))
-            bb = df.cod_base
+            img = apply_basis(df, GenIx(0))
+            bb = df.cod().inner
             x1 = build_sum(bb, 0, GenIx(0))
             x2 = build_sum(bb, 1, GenIx(0))
             # expected: k * x1^(k-1) * x2, per d(x^k)/dx = k x^(k-1)
@@ -136,14 +136,14 @@ class TestKleisli:
         b = base("x", 1)
         lin = kleisli_map(e, b, {GenIx(0): singleton(sym(b), MonIx((GenIx(0),)))})
         df = kleisli_diff(lin)
-        bb = df.cod_base
+        bb = df.cod().inner
         want = singleton(sym(bb), MonIx((build_sum(bb, 1, GenIx(0)),)))
-        assert df.image_of(GenIx(0)) == want
+        assert apply_basis(df, GenIx(0)) == want
 
     def test_two_variable_product_rule(self):
         df = kleisli_diff(xy_map())
-        img = df.image_of(GenIx(0))
-        bb = df.cod_base
+        img = apply_basis(df, GenIx(0))
+        bb = df.cod().inner
         x1, y1 = build_sum(bb, 0, GenIx(0)), build_sum(bb, 0, GenIx(1))
         x2, y2 = build_sum(bb, 1, GenIx(0)), build_sum(bb, 1, GenIx(1))
         want = {monomial([y1, x2]): Fraction(1), monomial([x1, y2]): Fraction(1)}
@@ -151,14 +151,14 @@ class TestKleisli:
 
     def test_additivity(self):
         f, g = monomial_power_map(2), monomial_power_map(3)
-        assert (kleisli_diff(kleisli_add(f, g))
-                == kleisli_add(kleisli_diff(f), kleisli_diff(g)))
+        assert check_equal(kleisli_diff(Add(f, g)),
+                           Add(kleisli_diff(f), kleisli_diff(g)), 1).ok
 
     def test_apply_is_linear_extension(self):
         f = monomial_power_map(2)
-        e = f.dom
+        e = f.dom()
         v = element(e, {GenIx(0): Fraction(3, 2)})
-        out = kleisli_apply(f, v)
+        out = apply(f, v)
         assert out == element(sym(base("x", 1)),
                               {MonIx((GenIx(0),) * 2): Fraction(3, 2)})
 
@@ -167,3 +167,10 @@ class TestKleisli:
         b = base("x", 1)
         with pytest.raises(ValueError):
             kleisli_map(e, b, {GenIx(0): singleton(sym(b), MonIx(()))})
+
+    def test_power_rule_check_rejects_a_wrong_coefficient(self):
+        assert power_rule_check(3, 3, 2).ok
+        v = power_rule_check(3, 4, 2)
+        assert not v.ok
+        assert v.witness == GenIx(0)
+        assert v.lhs_value != v.rhs_value
