@@ -16,11 +16,12 @@ from .elements import (
     elem_add, elem_scale, elem_tensor, elem_sum,
 )
 from .morphisms import (
-    MorExpr, Id, Compose, TensorM, SumM, Add, ZeroM, Sigma, Inj, Proj,
+    MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
     Matrix, LinearMap, SymF, Eta, Mu, Mult, UnitM, Deriv,
-    Chi, ChiInv, Chi0, Chi0Inv, TableNu,
+    Chi, ChiInv, Chi0Inv, TableNu,
     Verdict, EndpointMismatchError,
     apply, apply_basis, check_equal, compose, linear_map_from_matrix,
+    sum_map, inj, proj,
 )
 
 from . import arrow, derivations, tangent, laws, harness  # noqa: E402,F401

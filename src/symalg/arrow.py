@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
-    MorExpr, Id, Compose, TensorM, SumM, Add, ZeroM, Sigma, Inj, Proj,
-    Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0, Chi0Inv,
-    check_equal, compose,
+    MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
+    Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0Inv,
+    check_equal, compose, sum_map, inj, proj,
 )
 
 #: Weight bound used when validating commuting squares at construction.
@@ -50,15 +50,14 @@ class ArrowMor:
 
 
 def arrow_mor(src: ArrowObj, dst: ArrowObj, f0: MorExpr, f1: MorExpr,
-              bound: int | None = None, check: bool = True) -> ArrowMor:
+              check: bool = True) -> ArrowMor:
     """Build an arrow morphism, validating the commuting square."""
     if f0.dom() != src.a0 or f0.cod() != dst.a0:
         raise InvalidArrowError("f0 endpoints do not match the arrow objects")
     if f1.dom() != src.a1 or f1.cod() != dst.a1:
         raise InvalidArrowError("f1 endpoints do not match the arrow objects")
     if check:
-        b = SQUARE_CHECK_BOUND if bound is None else bound
-        v = check_equal(Compose(f1, src.phi), Compose(dst.phi, f0), b)
+        v = check_equal(Compose(f1, src.phi), Compose(dst.phi, f0), SQUARE_CHECK_BOUND)
         if not v.ok:
             raise InvalidArrowError(f"square does not commute at {v.witness}", v)
     return ArrowMor(src, dst, f0, f1)
@@ -100,7 +99,7 @@ def arrow_check(lhs: ArrowMor, rhs: ArrowMor, weight_bound: int):
 # ---------------------------------------------------------------------------
 
 def sum_obj(p: ArrowObj, q: ArrowObj) -> ArrowObj:
-    return ArrowObj(SumM(p.phi, q.phi))
+    return ArrowObj(sum_map(p.phi, q.phi))
 
 
 def zero_obj() -> ArrowObj:
@@ -256,8 +255,8 @@ def arrow_seely(p: ArrowObj, q: ArrowObj) -> ArrowMor:
     src = boxtimes_obj(sp, sq)
     dst = sbar_obj(sum_obj(p, q))
     blocks = _box_blocks(sp, sq)
-    entry1 = TensorM(Chi(a0, b0), Inj(1, (a1, b1)))
-    entry2 = Compose(TensorM(Chi(a0, b0), Inj(0, (a1, b1))),
+    entry1 = TensorM(Chi(a0, b0), inj(1, (a1, b1)))
+    entry2 = Compose(TensorM(Chi(a0, b0), inj(0, (a1, b1))),
                      TensorM(Id(sym(a0)), Sigma(a1, sym(b0))))
     f1 = Matrix(entries=((entry1, entry2),),
                 dom_blocks=blocks,
@@ -272,16 +271,16 @@ def arrow_seely_inv(p: ArrowObj, q: ArrowObj) -> ArrowMor:
     dst = boxtimes_obj(sp, sq)
     blocks = _box_blocks(sp, sq)
     sab = sym(direct_sum(a0, b0))
-    g1 = compose(TensorM(Id(sab), Proj(1, (a1, b1))),
+    g1 = compose(TensorM(Id(sab), proj(1, (a1, b1))),
                  TensorM(ChiInv(a0, b0), Id(b1)),
-                 Inj(0, blocks))
-    g2 = compose(TensorM(Id(sab), Proj(0, (a1, b1))),
+                 inj(0, blocks))
+    g2 = compose(TensorM(Id(sab), proj(0, (a1, b1))),
                  TensorM(ChiInv(a0, b0), Id(a1)),
                  TensorM(Id(sym(a0)), Sigma(sym(b0), a1)),
-                 Inj(1, blocks))
+                 inj(1, blocks))
     return ArrowMor(src, dst, ChiInv(a0, b0), Add(g1, g2))
 
 
 def arrow_seely0() -> ArrowMor:
     dst = sbar_obj(zero_obj())
-    return ArrowMor(boxtimes_unit(), dst, Chi0(), ZeroM(ZERO, ZERO))
+    return ArrowMor(boxtimes_unit(), dst, UnitM(ZERO), ZeroM(ZERO, ZERO))

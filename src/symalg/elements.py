@@ -21,9 +21,6 @@ class Element:
     space: SpaceExpr
     coeffs: tuple  # sorted ((BasisVector, Fraction), ...), no zeros
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

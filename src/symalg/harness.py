@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,23 +93,31 @@ def _require_name(kind: str, name) -> None:
         raise ConfigError(f"{kind} name must be a string, got {name!r}")
 
 
-def _number(merged: dict, key: str, kind):
-    try:
-        return kind(merged[key])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{key}: cannot read {merged[key]!r} as {kind.__name__}") from e
+def _integer(what: str, x) -> int:
+    """x itself, if it is a JSON integer; a bool or a float is not one."""
+    if type(x) is not int:
+        raise ConfigError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _budget(x) -> float:
+    """x as seconds, if it is a JSON number that is positive and fits a float."""
+    # NaN fails both comparisons; an integer above the float range fails the second.
+    if type(x) not in (int, float) or not 0 < x <= sys.float_info.max:
+        raise ConfigError(f"budget must be a finite positive number, got {x!r}")
+    return float(x)
 
 
 def _load_algebra(entry: dict) -> SAlgebra:
     try:
         name = entry["name"]
-        r = int(entry["rank"])
+        r = entry["rank"]
         table = entry["mult_table"]
         unit = entry["unit"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise ConfigError(f"algebra entry malformed: {entry!r}") from e
     _require_name("algebra", name)
-    if r < 1:
+    if _integer(f"algebra {name!r}: rank", r) < 1:
         raise ConfigError(f"algebra {name!r}: rank must be >= 1")
     space = base(name, r)
     if not _is_square(table, r):
@@ -167,7 +176,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
 
     if "bound" in merged:
-        cfg.bound = _number(merged, "bound", int)
+        cfg.bound = _integer("bound", merged["bound"])
         if cfg.bound < 1:
             raise ConfigError("bound must be >= 1")
     if "laws" in merged and merged["laws"] is not None:
@@ -178,13 +187,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
                 f"unknown mutation {merged['mutate']!r}; known: {list(MUTATIONS)}")
         cfg.mutate = merged["mutate"]
     if "seed" in merged:
-        cfg.seed = _number(merged, "seed", int)
+        cfg.seed = _integer("seed", merged["seed"])
     if "budget" in merged and merged["budget"] is not None:
-        cfg.budget = _number(merged, "budget", float)
-        if cfg.budget <= 0:
-            raise ConfigError("budget must be positive")
+        cfg.budget = _budget(merged["budget"])
     if "parallelism" in merged:
-        _number(merged, "parallelism", int)  # accepted for compatibility; runs serially
+        _integer("parallelism", merged["parallelism"])  # accepted; laws run serially
 
     for key in ("algebras", "derivations"):
         if not isinstance(raw.get(key, []), list):

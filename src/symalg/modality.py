@@ -20,7 +20,7 @@ from .elements import (
     element, singleton, elem_combination, elem_sum, elem_tensor,
 )
 from .morphisms import (
-    SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0, Chi0Inv, TableNu,
+    SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0Inv, TableNu,
     apply_basis,
 )
 
@@ -54,9 +54,6 @@ def eval_primitive(m, bv):
 
     if isinstance(m, ChiInv):
         return _chi_inv(m, bv)
-
-    if isinstance(m, Chi0):
-        return singleton(m.cod(), MonIx(()))
 
     if isinstance(m, Chi0Inv):
         return singleton(m.cod(), UNIT_IX)

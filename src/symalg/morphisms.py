@@ -17,11 +17,10 @@ from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO,
     tensor, direct_sum, sym, terms, is_sym_free, rank,
     enumerate_basis, decompose_sum, build_sum, split_pair,
-    term_offset,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
-    elem_add, elem_combination, elem_sum, elem_tensor,
+    elem_add, elem_combination, elem_tensor,
 )
 
 
@@ -82,8 +81,9 @@ class Compose(MorExpr):
     f: MorExpr
 
     def _endpoints(self):
-        _require(self.f.cod() == self.g.dom(),
-                 f"compose mismatch: cod {self.f.cod()!r} != dom {self.g.dom()!r}")
+        if self.f.cod() != self.g.dom():
+            raise EndpointMismatchError(
+                f"compose mismatch: cod {self.f.cod()!r} != dom {self.g.dom()!r}")
         return self.f.dom(), self.g.cod()
 
 
@@ -95,18 +95,6 @@ class TensorM(MorExpr):
     def _endpoints(self):
         return (tensor(self.f.dom(), self.g.dom()),
                 tensor(self.f.cod(), self.g.cod()))
-
-
-@node
-class SumM(MorExpr):
-    """Pointwise biproduct of maps, f (+) g."""
-
-    f: MorExpr
-    g: MorExpr
-
-    def _endpoints(self):
-        return (direct_sum(self.f.dom(), self.g.dom()),
-                direct_sum(self.f.cod(), self.g.cod()))
 
 
 @node
@@ -138,26 +126,6 @@ class Sigma(MorExpr):
 
     def _endpoints(self):
         return tensor(self.a, self.b), tensor(self.b, self.a)
-
-
-@node
-class Inj(MorExpr):
-    index: int
-    summands: tuple
-
-    def _endpoints(self):
-        _require(0 <= self.index < len(self.summands), "injection index out of range")
-        return self.summands[self.index], direct_sum(*self.summands)
-
-
-@node
-class Proj(MorExpr):
-    index: int
-    summands: tuple
-
-    def _endpoints(self):
-        _require(0 <= self.index < len(self.summands), "projection index out of range")
-        return direct_sum(*self.summands), self.summands[self.index]
 
 
 @node
@@ -271,12 +239,6 @@ class ChiInv(MorExpr):
 
 
 @node
-class Chi0(MorExpr):
-    def _endpoints(self):
-        return UNIT, sym(ZERO)
-
-
-@node
 class Chi0Inv(MorExpr):
     def _endpoints(self):
         return sym(ZERO), UNIT
@@ -334,36 +296,23 @@ def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
         bva, bvb = split_pair(bv, m.a, m.b)
         return elem_tensor(singleton(m.b, bvb), singleton(m.a, bva))
 
-    if isinstance(m, SumM):
-        k, inner = decompose_sum(bv, m.dom())
-        na = len(terms(m.f.dom()))
-        if k < na:
-            res = apply_basis(m.f, build_sum(m.f.dom(), k, inner))
-            return _embed(res, m.cod(), 0)
-        res = apply_basis(m.g, build_sum(m.g.dom(), k - na, inner))
-        return _embed(res, m.cod(), len(terms(m.f.cod())))
-
-    if isinstance(m, Inj):
-        res = singleton(m.summands[m.index], bv)
-        return _embed(res, m.cod(), term_offset(m.summands, m.index))
-
-    if isinstance(m, Proj):
-        k, inner = decompose_sum(bv, m.dom())
-        off = term_offset(m.summands, m.index)
-        width = len(terms(m.summands[m.index]))
-        if off <= k < off + width:
-            return singleton(m.cod(), build_sum(m.cod(), k - off, inner))
-        return zero_element(m.cod())
-
     if isinstance(m, Matrix):
         k, inner = decompose_sum(bv, m.dom())
         j, local = _locate_block(m.dom_blocks, k)
         x = build_sum(m.dom_blocks[j], local, inner)
-        pieces = []
-        for i, row in enumerate(m.entries):
-            res = apply_basis(row[j], x)
-            pieces.append(_embed(res, m.cod(), term_offset(m.cod_blocks, i)))
-        return elem_sum(m.cod(), pieces)
+        cod = m.cod()
+        out = {}
+        offset = 0
+        for row, block in zip(m.entries, m.cod_blocks):
+            entry = row[j]
+            if not isinstance(entry, ZeroM):
+                # Each row writes only into its own block of codomain terms,
+                # so no two rows write the same basis vector.
+                for rbv, c in apply_basis(entry, x).coeffs:
+                    t, rinner = decompose_sum(rbv, block)
+                    out[build_sum(cod, offset + t, rinner)] = c
+            offset += len(terms(block))
+        return element(cod, out)
 
     if isinstance(m, LinearMap):
         for key, img in m.images:
@@ -373,15 +322,6 @@ def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
 
     from . import modality
     return modality.eval_primitive(m, bv)
-
-
-def _embed(e: Element, big: SpaceExpr, offset: int) -> Element:
-    """Re-index an element of a summand block into the containing sum."""
-    out = {}
-    for bv, c in e.coeffs:
-        j, inner = decompose_sum(bv, e.space)
-        out[build_sum(big, offset + j, inner)] = c
-    return element(big, out)
 
 
 def _locate_block(blocks, k):
@@ -423,8 +363,10 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
     Both sides are linear, so agreement on the enumerated basis certifies
     equality on its whole span -- exact, not probabilistic.
     """
-    _require(lhs.dom() == rhs.dom(), f"domain mismatch: {lhs.dom()!r} vs {rhs.dom()!r}")
-    _require(lhs.cod() == rhs.cod(), f"codomain mismatch: {lhs.cod()!r} vs {rhs.cod()!r}")
+    if lhs.dom() != rhs.dom():
+        raise EndpointMismatchError(f"domain mismatch: {lhs.dom()!r} vs {rhs.dom()!r}")
+    if lhs.cod() != rhs.cod():
+        raise EndpointMismatchError(f"codomain mismatch: {lhs.cod()!r} vs {rhs.cod()!r}")
     basis = enumerate_basis(lhs.dom(), weight_bound)
     for n, bv in enumerate(basis):
         lv = apply_basis(lhs, bv)
@@ -446,6 +388,32 @@ def compose(*ms: MorExpr) -> MorExpr:
     for m in ms[1:]:
         out = Compose(m, out)
     return out
+
+
+def sum_map(f: MorExpr, g: MorExpr) -> Matrix:
+    """Pointwise biproduct of maps, f (+) g, as a block-diagonal matrix."""
+    return Matrix(entries=((f, ZeroM(g.dom(), f.cod())),
+                           (ZeroM(f.dom(), g.cod()), g)),
+                  dom_blocks=(f.dom(), g.dom()),
+                  cod_blocks=(f.cod(), g.cod()))
+
+
+def inj(i: int, summands: tuple) -> Matrix:
+    """Injection of summands[i] into direct_sum(*summands): a column matrix."""
+    _require(0 <= i < len(summands), "injection index out of range")
+    s = summands[i]
+    return Matrix(entries=tuple((Id(s) if k == i else ZeroM(s, t),)
+                                for k, t in enumerate(summands)),
+                  dom_blocks=(s,), cod_blocks=summands)
+
+
+def proj(i: int, summands: tuple) -> Matrix:
+    """Projection of direct_sum(*summands) onto summands[i]: a row matrix."""
+    _require(0 <= i < len(summands), "projection index out of range")
+    s = summands[i]
+    return Matrix(entries=(tuple(Id(s) if k == i else ZeroM(t, s)
+                                 for k, t in enumerate(summands)),),
+                  dom_blocks=summands, cod_blocks=(s,))
 
 
 def linear_map_from_matrix(dom: SpaceExpr, cod: SpaceExpr, entries) -> LinearMap:

@@ -405,11 +405,6 @@ def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) ->
     return build_sum(big, k, build_tensor(terms(big)[k], parts))
 
 
-def term_offset(spaces, i: int) -> int:
-    """Term offset of block i inside direct_sum(spaces)."""
-    return sum(len(terms(s)) for s in spaces[:i])
-
-
 # ---------------------------------------------------------------------------
 # Truncated basis enumeration
 # ---------------------------------------------------------------------------

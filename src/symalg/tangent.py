@@ -15,8 +15,8 @@ from .spaces import (
     SpaceExpr, direct_sum, tensor, sym, enumerate_basis, GenIx,
 )
 from .morphisms import (
-    MorExpr, Id, TensorM, SumM, ZeroM, Proj, Matrix, LinearMap,
-    SymF, Eta, Deriv, Chi, apply_basis, compose,
+    MorExpr, Id, TensorM, ZeroM, Matrix, LinearMap,
+    SymF, Eta, Deriv, Chi, apply_basis, compose, sum_map, proj,
 )
 from .derivations import (
     SAlgebra, AModule, Derivation, s_algebra, a_module, derivation,
@@ -33,8 +33,8 @@ def tangent_structure_map(alg: SAlgebra) -> MorExpr:
     """The column [nu . S(p1) ; mult . (nu (x) 1) . (S(p1) (x) p2) . d]."""
     a = alg.carrier
     aa = direct_sum(a, a)
-    p1 = Proj(0, (a, a))
-    p2 = Proj(1, (a, a))
+    p1 = proj(0, (a, a))
+    p2 = proj(1, (a, a))
     first = compose(SymF(p1), alg.nu)
     second = compose(Deriv(aa),
                      TensorM(SymF(p1), p2),
@@ -75,7 +75,7 @@ def tangent_derivation(d: Derivation, bound: int | None = None) -> Derivation:
     tan = tangent_algebra(d.algebra, bound=bound).tangent
     mm = direct_sum(d.module.carrier, d.module.carrier)
     module = a_module(tan, mm, tangent_module_action(d.module), bound=bound)
-    return derivation(tan, module, SumM(d.d, d.d), bound=bound)
+    return derivation(tan, module, sum_map(d.d, d.d), bound=bound)
 
 
 def multiplication_table(alg: SAlgebra):

@@ -10,7 +10,7 @@ import json
 from symalg.spaces import base, sym, tensor, direct_sum, MonIx, GenIx, build_sum
 from symalg.elements import singleton, elem_add, element
 from symalg.morphisms import (
-    Id, Add, SymF, Chi, ChiInv, Chi0, Chi0Inv, check_equal, compose,
+    Id, Add, SymF, UnitM, Chi, ChiInv, Chi0Inv, check_equal, compose,
     linear_map_from_matrix, apply, apply_basis,
 )
 from symalg.spaces import UNIT, ZERO
@@ -65,8 +65,8 @@ def test_criterion_2_seely_storage():
                               Id(tensor(sym(a), sym(b))), 3).ok
             ok &= check_equal(compose(ChiInv(a, b), Chi(a, b)),
                               Id(sym(direct_sum(a, b))), 3).ok
-    ok &= check_equal(compose(Chi0(), Chi0Inv()), Id(UNIT), 3).ok
-    ok &= check_equal(compose(Chi0Inv(), Chi0()), Id(sym(ZERO)), 3).ok
+    ok &= check_equal(compose(UnitM(ZERO), Chi0Inv()), Id(UNIT), 3).ok
+    ok &= check_equal(compose(Chi0Inv(), UnitM(ZERO)), Id(sym(ZERO)), 3).ok
     report_line(2, "storage isomorphisms, bound 3", ok)
 
 

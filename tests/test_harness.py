@@ -118,6 +118,15 @@ class TestConfig:
 
 
 
+#: sha256 of the timing-stripped default-suite report at each bound.
+REPORT_DIGESTS = {
+    2: "67b9a489c722c5d26364431f7684f38cb5a1e59cf08ab594ad8f1d8d3e37765e",
+    3: "c3ee1df21d60d59792f2b419984841ec86e92c0d4e2af789d44fae2eaec0c5c9",
+    4: "289e53293431acb1353778659c30b250560903fd603f8d96012c69e80716a71e",
+    5: "84d5d2bc3394c1433fc8d0311d44b1dd354bd119536436c9f4b7bd326cab58bf",
+}
+
+
 class TestRunner:
     def test_report_schema_fields(self):
         report = run_suite(SuiteConfig(bound=2, laws="D1"))
@@ -157,12 +166,13 @@ class TestRunner:
         assert seq["config"] == par["config"]
         assert par["config"]["parallelism"] == 1
 
-    def test_report_digest_at_bound_2(self):
+    @pytest.mark.parametrize("bound", sorted(REPORT_DIGESTS))
+    def test_report_digest_at_bound(self, bound):
         # The timing-stripped report of the default suite, as recorded from
         # the seed code; a speed-up must leave it byte-identical.
-        report = strip_timing(run_suite(load_config(None, {"bound": 2})))
+        report = strip_timing(run_suite(load_config(None, {"bound": bound})))
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "67b9a489c722c5d26364431f7684f38cb5a1e59cf08ab594ad8f1d8d3e37765e"
+        assert digest == REPORT_DIGESTS[bound]
 
     def test_budget_aborts_politely(self):
         cfg = SuiteConfig(bound=3, laws="*", budget=1e-9)
@@ -202,12 +212,26 @@ class TestCLI:
         p.write_text("{not json")
         assert main(["check", "--config", str(p)]) == 2
 
-    @pytest.mark.parametrize("field", ["bound", "seed", "parallelism", "budget"])
-    def test_non_numeric_setting_exit_two(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param(f, "abc", id=f) for f in ("bound", "seed", "parallelism", "budget")),
+        # Integers must be JSON integers: no truncation, no bools, no strings.
+        ("bound", 2.9), ("bound", True), ("bound", "3"), ("seed", 7.5),
+        ("seed", False), ("parallelism", 4.0),
+        # A budget must be a finite positive number.
+        ("budget", "nan"), ("budget", "30"), ("budget", True),
+        pytest.param("budget", float("nan"), id="budget-NaN"),
+        ("budget", float("inf")), ("budget", 0),
+    ])
+    def test_non_numeric_setting_exit_two(self, tmp_path, capsys, field, value):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({field: "abc"}))
+        p.write_text(json.dumps({field: value}))
         assert main(["check", "--config", str(p)]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_bad_budget_flag_exit_two(self, capsys, budget):
+        assert main(["check", "--laws", "D1", "--bound", "1", "--budget", budget]) == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_derivation_matrix_of_wrong_shape_exit_two(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -222,6 +246,9 @@ class TestCLI:
         {"algebras": [{"name": "z", "rank": 0, "mult_table": [], "unit": []}]},
         {"algebras": 5},
         {"derivations": 5},
+        {"algebras": [{"name": "q", "rank": 1.5, "mult_table": [[[1]]], "unit": [1]}]},
+        {"algebras": [{"name": "q", "rank": True, "mult_table": [[[1]]], "unit": [1]}]},
+        {"algebras": [{"name": "q", "rank": "1", "mult_table": [[[1]]], "unit": [1]}]},
     ])
     def test_malformed_algebra_section_exit_two(self, tmp_path, config):
         p = tmp_path / "bad.json"

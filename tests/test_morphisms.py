@@ -11,9 +11,9 @@ from symalg.spaces import (
 )
 from symalg.elements import element, singleton, zero_element, elem_add, elem_scale
 from symalg.morphisms import (
-    Id, Compose, TensorM, SumM, Add, ZeroM, Sigma, Inj, Proj, Matrix,
+    Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
     LinearMap, SymF, Eta, Mult, apply, apply_basis, check_equal, compose,
-    linear_map_from_matrix, EndpointMismatchError,
+    linear_map_from_matrix, sum_map, inj, proj, EndpointMismatchError,
 )
 
 B1 = base("x", 1)
@@ -33,6 +33,12 @@ class TestEndpoints:
     def test_check_equal_requires_same_endpoints(self):
         with pytest.raises(EndpointMismatchError):
             check_equal(Id(B2), Id(B3), 1)
+
+    @pytest.mark.parametrize("build", [inj, proj])
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_biproduct_index_out_of_range(self, build, index):
+        with pytest.raises(EndpointMismatchError):
+            build(index, (B1, B2))
 
 
 class TestLinearity:
@@ -62,14 +68,14 @@ class TestSymmetryAndBiproducts:
         total = direct_sum(*blocks)
         for i in range(3):
             for j in range(3):
-                c = compose(Inj(j, blocks), Proj(i, blocks))
+                c = compose(inj(j, blocks), proj(i, blocks))
                 if i == j:
                     assert check_equal(c, Id(blocks[i]), 1).ok
                 else:
                     assert check_equal(c, ZeroM(blocks[j], blocks[i]), 1).ok
-        total_id = Add(Add(compose(Proj(0, blocks), Inj(0, blocks)),
-                           compose(Proj(1, blocks), Inj(1, blocks))),
-                       compose(Proj(2, blocks), Inj(2, blocks)))
+        total_id = Add(Add(compose(proj(0, blocks), inj(0, blocks)),
+                           compose(proj(1, blocks), inj(1, blocks))),
+                       compose(proj(2, blocks), inj(2, blocks)))
         assert check_equal(total_id, Id(total), 1).ok
 
     def test_matrix_equals_sum_of_paths(self):
@@ -79,18 +85,18 @@ class TestSymmetryAndBiproducts:
         blocks_out = (B2,)
         m = Matrix(entries=((f, g),), dom_blocks=blocks_in,
                    cod_blocks=blocks_out)
-        manual = Add(compose(Proj(0, blocks_in), f),
-                     compose(Proj(1, blocks_in), g))
+        manual = Add(compose(proj(0, blocks_in), f),
+                     compose(proj(1, blocks_in), g))
         assert check_equal(m, manual, 1).ok
 
     def test_sum_map_acts_blockwise(self):
         f = linear_map_from_matrix(B1, B1, ((3,),))
         g = linear_map_from_matrix(B2, B2, ((0, 1), (1, 0)))
-        s = SumM(f, g)
+        s = sum_map(f, g)
         blocks = (B1, B2)
         for i, h in [(0, f), (1, g)]:
-            lhs = compose(Inj(i, blocks), s)
-            rhs = compose(h, Inj(i, blocks))
+            lhs = compose(inj(i, blocks), s)
+            rhs = compose(h, inj(i, blocks))
             assert check_equal(lhs, rhs, 1).ok
 
 

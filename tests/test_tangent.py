@@ -12,7 +12,7 @@ from symalg.spaces import (
 )
 from symalg.elements import singleton, elem_add, element
 from symalg.morphisms import (
-    Add, SumM, apply, apply_basis, check_equal,
+    Add, apply, apply_basis, check_equal, sum_map,
 )
 from symalg.derivations import (
     rational_algebra, dual_numbers, square_zero_extension, builtin_algebras,
@@ -72,7 +72,7 @@ class TestTangentDerivation:
     def test_lift_is_diagonal(self):
         d = formal_derivative()
         td = tangent_derivation(d)
-        assert check_equal(td.d, SumM(d.d, d.d), 3).ok
+        assert check_equal(td.d, sum_map(d.d, d.d), 3).ok
 
     def test_lift_satisfies_chain_rule(self):
         for d in [formal_derivative(), zero_derivation(rational_algebra())]:
