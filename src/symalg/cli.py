@@ -42,9 +42,9 @@ def _cmd_list_laws(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from .spaces import base, sym, direct_sum, MonIx, GenIx, enumerate_basis
-    from .elements import singleton
-    from .morphisms import Deriv, Chi, ChiInv, apply, apply_basis, compose
+    from .spaces import base, sym, build_sum, MonIx, GenIx
+    from .elements import singleton, elem_add, elem_tensor
+    from .morphisms import Deriv, Chi, ChiInv, apply, apply_basis
     from .derivations import formal_derivative
     from .tangent import tangent_derivation, monomial_power_map, kleisli_diff
 
@@ -56,8 +56,6 @@ def _cmd_demo(args) -> int:
     td = tangent_derivation(d)
     print("tangent of d/dx on (x^2, x^3):")
     aa = td.algebra.carrier
-    from .spaces import build_sum
-    from .elements import elem_add
     x3 = MonIx((GenIx(0),) * 3)
     sample = elem_add(singleton(aa, build_sum(aa, 0, x2)),
                       singleton(aa, build_sum(aa, 1, x3)))
@@ -68,7 +66,6 @@ def _cmd_demo(args) -> int:
 
     b = base("y", 1)
     p = MonIx((GenIx(0),))
-    from .elements import elem_tensor
     pq = elem_tensor(singleton(sym(a), x2), singleton(sym(b), p))
     merged = apply(Chi(a, b), pq)
     back = apply(ChiInv(a, b), merged)

@@ -180,7 +180,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
         if cfg.bound < 1:
             raise ConfigError("bound must be >= 1")
     if "laws" in merged and merged["laws"] is not None:
-        cfg.laws = str(merged["laws"])
+        if not isinstance(merged["laws"], str):
+            raise ConfigError(f"laws must be a string pattern, got {merged['laws']!r}")
+        cfg.laws = merged["laws"]
     if "mutate" in merged and merged["mutate"] is not None:
         if merged["mutate"] not in MUTATIONS:
             raise ConfigError(
@@ -215,9 +217,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
 
 
 def select_laws(pattern: str):
-    reg = registry()
-    names = [n for n in reg if fnmatch.fnmatchcase(n, pattern)]
-    return [(n, reg[n]) for n in names]
+    return [(n, law) for n, law in registry().items() if fnmatch.fnmatchcase(n, pattern)]
 
 
 def run_suite(cfg: SuiteConfig) -> dict:

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .spaces import (
-    UNIT, ZERO, GenIx, base, tensor, direct_sum, sym, monomial, build_sum,
+    UNIT, ZERO, GenIx, base, tensor, direct_sum, sym, monomial, build_sum, rank,
 )
 from .elements import singleton
 from .morphisms import (
@@ -103,7 +103,6 @@ def default_arrows():
 
 
 def _random_map(rng, a, b):
-    from .spaces import rank
     entries = [[rng.randint(-2, 2) for _ in range(rank(a))] for _ in range(rank(b))]
     return linear_map_from_matrix(a, b, entries)
 

@@ -21,47 +21,21 @@ from .elements import (
 )
 from .morphisms import (
     SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0Inv, TableNu,
-    apply_basis,
+    RULES, apply_basis,
 )
 
 
-def eval_primitive(m, bv):
-    if isinstance(m, Eta):
-        return singleton(m.cod(), MonIx((bv,)))
+def _mu(m, bv):
+    """A monomial of monomials multiplies out to one merged monomial."""
+    merged = []
+    for inner in bv.parts:
+        merged.extend(inner.parts)
+    return singleton(m.cod(), monomial(merged))
 
-    if isinstance(m, UnitM):
-        return singleton(m.cod(), MonIx(()))
 
-    if isinstance(m, Mu):
-        # A monomial of monomials multiplies out to one merged monomial.
-        merged = []
-        for inner in bv.parts:
-            merged.extend(inner.parts)
-        return singleton(m.cod(), monomial(merged))
-
-    if isinstance(m, Mult):
-        p, q = split_pair(bv, sym(m.a), sym(m.a))
-        return singleton(m.cod(), monomial(p.parts + q.parts))
-
-    if isinstance(m, SymF):
-        return _symf(m, bv)
-
-    if isinstance(m, Deriv):
-        return _deriv(m, bv)
-
-    if isinstance(m, Chi):
-        return _chi(m, bv)
-
-    if isinstance(m, ChiInv):
-        return _chi_inv(m, bv)
-
-    if isinstance(m, Chi0Inv):
-        return singleton(m.cod(), UNIT_IX)
-
-    if isinstance(m, TableNu):
-        return _table_fold(m, bv)
-
-    raise TypeError(f"no evaluation rule for {type(m).__name__}")
+def _mult(m, bv):
+    p, q = split_pair(bv, sym(m.a), sym(m.a))
+    return singleton(m.cod(), monomial(p.parts + q.parts))
 
 
 def _symf(m, bv):
@@ -127,14 +101,24 @@ def _chi_inv(m, bv):
 
 def _table_fold(m, bv):
     """nu on a monomial: fold the multiplication table over the factors."""
-    gens = enumerate_basis(m.carrier, 0)
-    index = {g: i for i, g in enumerate(gens)}
+    index = {g: i for i, g in enumerate(enumerate_basis(m.carrier, 0))}
     acc = m.unit_elem
     for factor in bv.parts:
-        acc = _table_mult(m, acc, singleton(m.carrier, factor), index)
+        col = index[factor]
+        acc = elem_combination(m.carrier, ((c, m.mult_table[index[g]][col])
+                                           for g, c in acc.coeffs))
     return acc
 
 
-def _table_mult(m, x, y, index):
-    return elem_combination(m.carrier, ((cx * cy, m.mult_table[index[bx]][index[by]])
-                                        for bx, cx in x.coeffs for by, cy in y.coeffs))
+RULES.update({
+    Eta: lambda m, bv: singleton(m.cod(), MonIx((bv,))),
+    UnitM: lambda m, bv: singleton(m.cod(), MonIx(())),
+    Mu: _mu,
+    Mult: _mult,
+    SymF: _symf,
+    Deriv: _deriv,
+    Chi: _chi,
+    ChiInv: _chi_inv,
+    Chi0Inv: lambda m, bv: singleton(m.cod(), UNIT_IX),
+    TableNu: _table_fold,
+})

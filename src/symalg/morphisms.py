@@ -276,61 +276,67 @@ def apply(m: MorExpr, v: Element) -> Element:
 @lru_cache(maxsize=None)
 def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
     """Image of a single domain basis vector; always a finite element."""
-    if isinstance(m, Id):
-        return singleton(m.space, bv)
-
-    if isinstance(m, Compose):
-        return apply(m.g, apply_basis(m.f, bv))
-
-    if isinstance(m, ZeroM):
-        return zero_element(m.cod_space)
-
-    if isinstance(m, Add):
-        return elem_add(apply_basis(m.f, bv), apply_basis(m.g, bv))
-
-    if isinstance(m, TensorM):
-        bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
-        return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
-
-    if isinstance(m, Sigma):
-        bva, bvb = split_pair(bv, m.a, m.b)
-        return elem_tensor(singleton(m.b, bvb), singleton(m.a, bva))
-
-    if isinstance(m, Matrix):
-        k, inner = decompose_sum(bv, m.dom())
-        j, local = _locate_block(m.dom_blocks, k)
-        x = build_sum(m.dom_blocks[j], local, inner)
-        cod = m.cod()
-        out = {}
-        offset = 0
-        for row, block in zip(m.entries, m.cod_blocks):
-            entry = row[j]
-            if not isinstance(entry, ZeroM):
-                # Each row writes only into its own block of codomain terms,
-                # so no two rows write the same basis vector.
-                for rbv, c in apply_basis(entry, x).coeffs:
-                    t, rinner = decompose_sum(rbv, block)
-                    out[build_sum(cod, offset + t, rinner)] = c
-            offset += len(terms(block))
-        return element(cod, out)
-
-    if isinstance(m, LinearMap):
-        for key, img in m.images:
-            if key == bv:
-                return img
-        raise ValueError(f"basis vector {bv!r} missing from LinearMap table")
-
-    from . import modality
-    return modality.eval_primitive(m, bv)
+    fn = RULES.get(type(m))
+    if fn is None:
+        raise TypeError(f"no evaluation rule for {type(m).__name__}")
+    return fn(m, bv)
 
 
-def _locate_block(blocks, k):
-    for j, s in enumerate(blocks):
-        width = len(terms(s))
+def _tensor(m, bv):
+    bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
+    return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
+
+
+def _sigma(m, bv):
+    bva, bvb = split_pair(bv, m.a, m.b)
+    return elem_tensor(singleton(m.b, bvb), singleton(m.a, bva))
+
+
+def _matrix(m, bv):
+    k, inner = decompose_sum(bv, m.dom())
+    for j, block in enumerate(m.dom_blocks):  # the block holding term k
+        width = len(terms(block))
         if k < width:
-            return j, k
+            break
         k -= width
-    raise ValueError("term index out of range for block structure")
+    else:
+        raise ValueError("term index out of range for block structure")
+    x = build_sum(m.dom_blocks[j], k, inner)
+    cod = m.cod()
+    out = {}
+    offset = 0
+    for row, block in zip(m.entries, m.cod_blocks):
+        entry = row[j]
+        if not isinstance(entry, ZeroM):
+            # Each row writes only into its own block of codomain terms,
+            # so no two rows write the same basis vector.
+            for rbv, c in apply_basis(entry, x).coeffs:
+                t, rinner = decompose_sum(rbv, block)
+                out[build_sum(cod, offset + t, rinner)] = c
+        offset += len(terms(block))
+    return element(cod, out)
+
+
+def _linear_map(m, bv):
+    for key, img in m.images:
+        if key == bv:
+            return img
+    raise ValueError(f"basis vector {bv!r} missing from LinearMap table")
+
+
+#: The evaluation rule of each node class: RULES[type(m)](m, bv) is the
+#: image of the basis vector bv under m.  modality.py adds the rules of the
+#: Sym primitives.
+RULES = {
+    Id: lambda m, bv: singleton(m.space, bv),
+    Compose: lambda m, bv: apply(m.g, apply_basis(m.f, bv)),
+    ZeroM: lambda m, bv: zero_element(m.cod_space),
+    Add: lambda m, bv: elem_add(apply_basis(m.f, bv), apply_basis(m.g, bv)),
+    TensorM: _tensor,
+    Sigma: _sigma,
+    Matrix: _matrix,
+    LinearMap: _linear_map,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +438,8 @@ def linear_map_from_matrix(dom: SpaceExpr, cod: SpaceExpr, entries) -> LinearMap
         col = {cbasis[i]: Fraction(rows[i][j]) for i in range(len(cbasis))}
         images.append((dbv, element(cod, col)))
     return LinearMap(dom, cod, tuple(images))
+
+
+# The Sym primitives' rules live in modality.py, which needs this module
+# complete; importing it here registers them whenever morphisms is loaded.
+from . import modality  # noqa: E402,F401

@@ -334,75 +334,81 @@ def weight(bv: BasisVector) -> int:
 
 def decompose_sum(bv: BasisVector, space: SpaceExpr):
     """Split a basis vector of a normalized space into (term index, inner)."""
-    ts = terms(space)
-    if len(ts) >= 2:
+    if isinstance(space, Sum):
         if not isinstance(bv, SumIx):
             raise ValueError(f"expected SumIx for {space!r}, got {bv!r}")
         return bv.branch, bv.inner
-    if len(ts) == 1:
-        return 0, bv
-    raise ValueError("Zero space has no basis vectors")
+    if isinstance(space, Zero):
+        raise ValueError("Zero space has no basis vectors")
+    return 0, bv
 
 
 def build_sum(space: SpaceExpr, index: int, inner: BasisVector) -> BasisVector:
-    ts = terms(space)
-    if len(ts) >= 2:
+    if isinstance(space, Sum):
         return SumIx(index, inner)
     if index != 0:
         raise ValueError(f"branch {index} out of range for {space!r}")
     return inner
 
 
-def decompose_tensor(bv: BasisVector, term: SpaceExpr):
+@lru_cache(maxsize=None)
+def _pair_layout(a: SpaceExpr, b: SpaceExpr):
+    """What split_pair and join_pair need, computed once per pair of spaces.
+
+    Returns (tensor(a, b), number of terms of b, rows), where row k is
+    (i, j, term_a, term_b, term_k, number of factors of term_a) for term k of
+    tensor(a, b), the product of term i of a and term j of b.
+    """
+    big = tensor(a, b)
+    pairs = itertools.product(enumerate(terms(a)), enumerate(terms(b)))
+    rows = tuple((i, j, ta, tb, tk, len(factors(ta)))
+                 for ((i, ta), (j, tb)), tk in zip(pairs, terms(big)))
+    return big, len(terms(b)), rows
+
+
+def _term_parts(bv: BasisVector, term: SpaceExpr) -> tuple:
     """Split a term-level basis vector into one index per tensor factor."""
-    fs = factors(term)
-    if len(fs) == 0:
-        if not isinstance(bv, UnitIx):
-            raise ValueError(f"expected UnitIx for Unit, got {bv!r}")
-        return ()
-    if len(fs) == 1:
+    if isinstance(term, Tensor):
+        if isinstance(bv, TensorIx) and len(bv.parts) == len(term.factors):
+            return bv.parts
+    elif not isinstance(term, Unit):
         return (bv,)
-    if not isinstance(bv, TensorIx) or len(bv.parts) != len(fs):
-        raise ValueError(f"expected {len(fs)}-part TensorIx for {term!r}, got {bv!r}")
-    return bv.parts
+    elif isinstance(bv, UnitIx):
+        return ()
+    raise ValueError(f"{bv!r} is not a basis vector of the term {term!r}")
 
 
-def build_tensor(term: SpaceExpr, parts) -> BasisVector:
-    parts = tuple(parts)
-    fs = factors(term)
-    if len(parts) != len(fs):
-        raise ValueError(f"need {len(fs)} parts for {term!r}, got {len(parts)}")
-    if len(fs) == 0:
-        return UNIT_IX
-    if len(fs) == 1:
-        return parts[0]
-    return TensorIx(parts)
+def _term_vector(parts: tuple) -> BasisVector:
+    """The term-level basis vector with one index per factor."""
+    if len(parts) >= 2:
+        return TensorIx(parts)
+    return parts[0] if parts else UNIT_IX
 
 
 def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
     """Split a basis vector of tensor(a, b) into basis vectors of a and b."""
-    big = tensor(a, b)
+    big, _, rows = _pair_layout(a, b)
     k, inner = decompose_sum(bv, big)
-    nb = len(terms(b))
-    i, j = divmod(k, nb)
-    term_a = terms(a)[i]
-    term_b = terms(b)[j]
-    parts = decompose_tensor(inner, terms(big)[k])
-    na = len(factors(term_a))
-    bva = build_sum(a, i, build_tensor(term_a, parts[:na]))
-    bvb = build_sum(b, j, build_tensor(term_b, parts[na:]))
-    return bva, bvb
+    if not 0 <= k < len(rows):
+        raise ValueError(f"branch {k} out of range for {big!r}")
+    i, j, _, _, term_k, na = rows[k]
+    parts = _term_parts(inner, term_k)
+    bva, bvb = _term_vector(parts[:na]), _term_vector(parts[na:])
+    return (SumIx(i, bva) if isinstance(a, Sum) else bva,
+            SumIx(j, bvb) if isinstance(b, Sum) else bvb)
 
 
 def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) -> BasisVector:
     """Inverse of split_pair."""
-    big = tensor(a, b)
+    big, nb, rows = _pair_layout(a, b)
     i, inner_a = decompose_sum(bva, a)
     j, inner_b = decompose_sum(bvb, b)
-    nb = len(terms(b))
     k = i * nb + j
-    parts = decompose_tensor(inner_a, terms(a)[i]) + decompose_tensor(inner_b, terms(b)[j])
-    return build_sum(big, k, build_tensor(terms(big)[k], parts))
+    if not (0 <= j < nb and 0 <= k < len(rows)):
+        raise ValueError(f"branches ({i}, {j}) out of range for {a!r} and {b!r}")
+    _, _, term_a, term_b, _, _ = rows[k]
+    inner = _term_vector(_term_parts(inner_a, term_a) + _term_parts(inner_b, term_b))
+    return SumIx(k, inner) if isinstance(big, Sum) else inner
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +419,13 @@ def enumerate_basis(space: SpaceExpr, weight_bound: int):
     """All basis vectors of weight <= weight_bound, in global order."""
     if weight_bound < 0:
         raise ValueError("weight_bound must be >= 0")
-    return sorted(_enum(space, weight_bound), key=order_key)
+    return list(_sorted_basis(space, weight_bound))
+
+
+@lru_cache(maxsize=None)
+def _sorted_basis(space: SpaceExpr, bound: int) -> tuple:
+    """The sorted basis, once per (space, bound), as a tuple no caller can change."""
+    return tuple(sorted(_enum(space, bound), key=order_key))
 
 
 def _enum(space: SpaceExpr, bound: int):
@@ -437,8 +449,7 @@ def _enum(space: SpaceExpr, bound: int):
         return
     if isinstance(space, Sym):
         # Each multiset element costs 1 + its own weight.
-        inner = sorted(_enum(space.inner, max(bound - 1, 0)), key=order_key)
-        yield from _enum_multisets(inner, bound)
+        yield from _enum_multisets(_sorted_basis(space.inner, max(bound - 1, 0)), bound)
         return
     raise TypeError(f"not a SpaceExpr: {space!r}")
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .spaces import (
-    SpaceExpr, direct_sum, tensor, sym, enumerate_basis, GenIx,
+    SpaceExpr, base, direct_sum, tensor, sym, enumerate_basis, join_pair,
+    GenIx, MonIx,
 )
+from .elements import singleton
 from .morphisms import (
     MorExpr, Id, TensorM, ZeroM, Matrix, LinearMap,
     SymF, Eta, Deriv, Chi, apply_basis, compose, sum_map, proj,
@@ -80,7 +82,6 @@ def tangent_derivation(d: Derivation, bound: int | None = None) -> Derivation:
 
 def multiplication_table(alg: SAlgebra):
     """The induced multiplication evaluated on all generator pairs."""
-    from .spaces import join_pair
     a = alg.carrier
     gens = enumerate_basis(a, 0)
     m = alg.mult()
@@ -111,8 +112,6 @@ def kleisli_diff(f: MorExpr) -> MorExpr:
 
 def monomial_power_map(k: int) -> LinearMap:
     """e1 |-> x^k as a Kleisli map on one generator."""
-    from .spaces import base, MonIx
-    from .elements import singleton
     e = base("e", 1)
     x = base("x", 1)
     return kleisli_map(e, x, {GenIx(0): singleton(sym(x), MonIx((GenIx(0),) * k))})
@@ -120,8 +119,6 @@ def monomial_power_map(k: int) -> LinearMap:
 
 def xy_map() -> LinearMap:
     """e1 |-> x * y as a Kleisli map into two generators."""
-    from .spaces import base, MonIx
-    from .elements import singleton
     e = base("e", 1)
     b = base("xy", 2)
     mono = MonIx((GenIx(0), GenIx(1)))

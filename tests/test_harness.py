@@ -221,6 +221,8 @@ class TestCLI:
         ("budget", "nan"), ("budget", "30"), ("budget", True),
         pytest.param("budget", float("nan"), id="budget-NaN"),
         ("budget", float("inf")), ("budget", 0),
+        # A law selection must be a glob string, not a list of names.
+        pytest.param("laws", ["D1"], id="laws-list"),
     ])
     def test_non_numeric_setting_exit_two(self, tmp_path, capsys, field, value):
         p = tmp_path / "bad.json"
@@ -358,10 +360,13 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_config)
-# Inputs that crashed an earlier loader, pinned so they always run:
+# Inputs that an earlier loader crashed on or misread, pinned so they always
+# run (--laws below overrides the config's laws; test_non_numeric_setting_exit_two
+# checks a list-valued laws on its own):
 @example(config={"algebras": [{"name": [1], "rank": 1, "mult_table": [[[1]]], "unit": [1]}]})
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": ["1/0"]}]})
 @example(config={"budget": 10 ** 400})
+@example(config={"laws": ["D1"]})
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(config))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symalg.spaces import (
-    UNIT, ZERO, base, sym, tensor, direct_sum, monomial, GenIx, MonIx,
+    node, UNIT, ZERO, base, sym, tensor, direct_sum, monomial, GenIx, MonIx,
     enumerate_basis,
 )
 from symalg.elements import element, singleton, zero_element, elem_add, elem_scale
+from symalg import morphisms
 from symalg.morphisms import (
-    Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
-    LinearMap, SymF, Eta, Mult, apply, apply_basis, check_equal, compose,
+    MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
+    LinearMap, SymF, Eta, Mult, RULES, apply, apply_basis, check_equal, compose,
     linear_map_from_matrix, sum_map, inj, proj, EndpointMismatchError,
 )
 
@@ -123,3 +124,22 @@ class TestChecker:
         f = linear_map_from_matrix(B2, B1, ((1, 2),))
         v = check_equal(Add(f, f), linear_map_from_matrix(B2, B1, ((2, 4),)), 1)
         assert v.ok
+
+
+class TestRuleTable:
+    def test_every_node_class_has_a_rule(self):
+        classes = [c for c in vars(morphisms).values()
+                   if isinstance(c, type) and issubclass(c, MorExpr) and c is not MorExpr]
+        assert len(classes) >= 18  # the scan sees the node classes
+        assert [c.__name__ for c in classes if c not in RULES] == []
+
+    def test_unregistered_class_raises_type_error(self):
+        @node
+        class Unregistered(MorExpr):
+            space: object
+
+            def _endpoints(self):
+                return self.space, self.space
+
+        with pytest.raises(TypeError, match="no evaluation rule for Unregistered"):
+            apply_basis(Unregistered(B1), GenIx(0))

@@ -102,6 +102,21 @@ class TestEnumeration:
         assert enumerate_basis(ZERO, 5) == []
         assert enumerate_basis(sym(ZERO), 5) == [MonIx(())]
 
+    def test_returned_list_is_the_callers_own(self):
+        space = tensor(sym(B2), B1)
+        first = enumerate_basis(space, 2)
+        want = list(first)
+        first.reverse()
+        first.append(GenIx(7))
+        again = enumerate_basis(space, 2)
+        assert type(again) is list
+        assert again == want
+        assert again is not first
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_basis(B2, -1)
+
 
 class TestWeight:
     def test_weight_recurrence(self):
@@ -139,3 +154,67 @@ class TestStructuralHelpers:
         q = monomial([GenIx(i) for i in qs])
         bv = join_pair(a, p, b, q)
         assert split_pair(bv, a, b) == (p, q)
+
+
+# Terms with 0, 1 and 2 factors on both sides of the pair.
+A_MULTI = direct_sum(UNIT, B1, tensor(B1, sym(B2)))
+B_MULTI = direct_sum(UNIT, sym(B1), tensor(B2, B1))
+
+
+class TestPairLayouts:
+    def test_roundtrip_over_multi_term_spaces(self):
+        a, b = A_MULTI, B_MULTI
+        big = enumerate_basis(tensor(a, b), 2)
+        for bv in big:
+            p, q = split_pair(bv, a, b)
+            assert join_pair(a, p, b, q) == bv
+        # join_pair is a bijection from the pairs of total weight <= 2 onto
+        # the weight-2 truncation of tensor(a, b).
+        joined = [join_pair(a, p, b, q)
+                  for p in enumerate_basis(a, 2) for q in enumerate_basis(b, 2)
+                  if weight(p) + weight(q) <= 2]
+        assert len(set(joined)) == len(joined)
+        assert set(joined) == set(big)
+
+    def test_term_index_is_row_major(self):
+        # Term 2 of a is x (x) S(y), term 2 of b is y (x) x; b has 3 terms.
+        p = SumIx(2, TensorIx((GenIx(0), MonIx((GenIx(1),)))))
+        q = SumIx(2, TensorIx((GenIx(1), GenIx(0))))
+        want = SumIx(8, TensorIx((GenIx(0), MonIx((GenIx(1),)), GenIx(1), GenIx(0))))
+        assert join_pair(A_MULTI, p, B_MULTI, q) == want
+        assert split_pair(want, A_MULTI, B_MULTI) == (p, q)
+        # Unit terms contribute no factors.
+        assert join_pair(A_MULTI, SumIx(0, UNIT_IX), B_MULTI, SumIx(0, UNIT_IX)) \
+            == SumIx(0, UNIT_IX)
+        assert join_pair(A_MULTI, SumIx(1, GenIx(0)), B_MULTI, SumIx(0, UNIT_IX)) \
+            == SumIx(3, GenIx(0))
+
+    @pytest.mark.parametrize("bv", [
+        pytest.param(GenIx(0), id="not-SumIx"),
+        pytest.param(SumIx(8, TensorIx((GenIx(0), GenIx(0)))), id="too-few-parts"),
+        pytest.param(SumIx(0, GenIx(0)), id="unit-term-not-UnitIx"),
+        pytest.param(SumIx(9, UNIT_IX), id="branch-too-large"),
+        pytest.param(SumIx(-1, UNIT_IX), id="branch-negative"),
+    ])
+    def test_split_rejects_malformed_vectors(self, bv):
+        with pytest.raises(ValueError):
+            split_pair(bv, A_MULTI, B_MULTI)
+
+    @pytest.mark.parametrize("p, q", [
+        pytest.param(GenIx(0), SumIx(1, MonIx(())), id="not-SumIx"),
+        pytest.param(SumIx(2, TensorIx((GenIx(0),) * 3)), SumIx(1, MonIx(())),
+                     id="too-many-parts"),
+        pytest.param(SumIx(3, GenIx(0)), SumIx(1, MonIx(())), id="a-branch-too-large"),
+        pytest.param(SumIx(1, GenIx(0)), SumIx(3, MonIx(())), id="b-branch-too-large"),
+        pytest.param(SumIx(-1, GenIx(0)), SumIx(1, MonIx(())), id="a-branch-negative"),
+        pytest.param(SumIx(1, GenIx(0)), SumIx(-1, MonIx(())), id="b-branch-negative"),
+    ])
+    def test_join_rejects_malformed_vectors(self, p, q):
+        with pytest.raises(ValueError):
+            join_pair(A_MULTI, p, B_MULTI, q)
+
+    def test_zero_factor_has_no_basis_vectors(self):
+        with pytest.raises(ValueError):
+            split_pair(UNIT_IX, B1, ZERO)
+        with pytest.raises(ValueError):
+            join_pair(B1, GenIx(0), ZERO, UNIT_IX)
