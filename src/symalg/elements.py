@@ -1,7 +1,9 @@
 """Finitely supported exact-rational elements of a space.
 
-All arithmetic is on `fractions.Fraction`; zero coefficients are never
-stored, so structural equality of elements is semantic equality.
+Coefficients are exact rationals: an `int` when integral, a
+`fractions.Fraction` otherwise; there is no floating point.  Zero
+coefficients are never stored, so structural equality of elements is
+semantic equality.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ class SpaceMismatchError(ValueError):
 @dataclass(frozen=True, slots=True)
 class Element:
     space: SpaceExpr
-    coeffs: tuple  # sorted ((BasisVector, Fraction), ...), no zeros
+    # sorted ((BasisVector, c), ...), no zeros; c is an exact rational:
+    # an int when integral, a Fraction otherwise, never a float
+    coeffs: tuple
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -29,6 +33,13 @@ class Element:
             return "Element(0)"
         body = " + ".join(f"{c}*{bv}" for bv, c in self.coeffs)
         return f"Element({body})"
+
+
+def _coeff(c):
+    """c as a canonical exact rational: an int when integral, else a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def element(space: SpaceExpr, coeffs) -> Element:
@@ -41,8 +52,8 @@ def element(space: SpaceExpr, coeffs) -> Element:
     items = []
     for bv in sorted(coeffs, key=order_key):
         c = coeffs[bv]
-        if type(c) is not Fraction:
-            c = Fraction(c)
+        if type(c) is not int:
+            c = _coeff(c)
         if c:
             items.append((bv, c))
     return Element(space, tuple(items))
@@ -72,11 +83,9 @@ def elem_add(a: Element, b: Element) -> Element:
 
 
 def elem_scale(c, a: Element) -> Element:
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    if c == 0:
-        return zero_element(a.space)
-    return Element(a.space, tuple((bv, c * x) for bv, x in a.coeffs))
+    if type(c) is not int:
+        c = _coeff(c)
+    return element(a.space, {bv: c * x for bv, x in a.coeffs})
 
 
 def elem_sum(space: SpaceExpr, elems) -> Element:

@@ -43,14 +43,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _rational(x) -> Fraction:
+def _rational(x) -> int | Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"bad rational {x!r}") from e
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     raise ConfigError(f"rationals must be integers or 'p/q' strings, got {x!r}")
 
 

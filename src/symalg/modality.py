@@ -10,8 +10,6 @@ repeated factors).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .spaces import (
     MonIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, split_pair,
     direct_sum, sym, enumerate_basis,
@@ -41,7 +39,7 @@ def _mult(m, bv):
 def _symf(m, bv):
     """S(f) on a monomial: apply f to each factor and expand multilinearly."""
     images = [apply_basis(m.f, p) for p in bv.parts]
-    acc = {(): Fraction(1)}
+    acc = {(): 1}
     for img in images:
         nxt = {}
         for prefix, c in acc.items():

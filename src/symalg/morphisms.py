@@ -10,7 +10,6 @@ check enumerates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .spaces import (
@@ -435,7 +434,7 @@ def linear_map_from_matrix(dom: SpaceExpr, cod: SpaceExpr, entries) -> LinearMap
             f"{len(rows)}x{len(rows[0]) if rows else 0}")
     images = []
     for j, dbv in enumerate(dbasis):
-        col = {cbasis[i]: Fraction(rows[i][j]) for i in range(len(cbasis))}
+        col = {cbasis[i]: rows[i][j] for i in range(len(cbasis))}
         images.append((dbv, element(cod, col)))
     return LinearMap(dom, cod, tuple(images))
 

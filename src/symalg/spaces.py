@@ -40,11 +40,17 @@ class Interned(type):
     Constructing a node whose class and fields equal an existing node's
     returns that existing node, so equal nodes are normally identical.
     `dict.setdefault` keeps that true when two threads build the same node.
+    Keyword arguments are put in field order first, so the lookup builds
+    no node.
     """
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
-            args = super().__call__(*args, **kwargs)._fields()
+            names = cls.__match_args__[len(args):]
+            if kwargs.keys() != set(names):
+                raise TypeError(f"{cls.__name__}() expects keywords {list(names)} after "
+                                f"{len(args)} positional arguments, got {sorted(kwargs)}")
+            args += tuple(kwargs[n] for n in names)
         key = (cls, *args)
         found = _TABLE.get(key)
         if found is not None:

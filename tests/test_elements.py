@@ -1,15 +1,17 @@
-"""Exact element arithmetic: vector-space axioms and bilinearity."""
+"""Exact element arithmetic: vector-space axioms, bilinearity and the
+canonical coefficient types."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from symalg.spaces import base, sym, tensor, monomial, GenIx
+from symalg.spaces import base, sym, tensor, monomial, join_pair, GenIx
 from symalg.elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
-    elem_add, elem_scale, elem_sum, elem_tensor,
+    elem_add, elem_scale, elem_sum, elem_combination, elem_tensor,
 )
+from symalg.morphisms import linear_map_from_matrix
 
 B2 = base("y", 2)
 S2 = sym(B2)
@@ -20,6 +22,8 @@ rationals = st.builds(Fraction, st.integers(-9, 9),
                       st.integers(1, 9))
 elems = st.dictionaries(monos, rationals, max_size=4).map(
     lambda d: element(S2, d))
+scalars = st.booleans() | st.integers(-9, 9) | rationals
+raw = st.dictionaries(monos, scalars, max_size=4)
 
 
 class TestInvariants:
@@ -78,3 +82,49 @@ class TestTensor:
     def test_lands_in_normalized_space(self):
         e = elem_tensor(singleton(S2, monomial([])), singleton(S2, monomial([])))
         assert e.space == tensor(S2, S2)
+
+
+def _reference(pairs) -> dict:
+    """The sum of (basis vector, coefficient) pairs on Fractions only, zeros dropped."""
+    out = {}
+    for bv, c in pairs:
+        out[bv] = out.get(bv, Fraction(0)) + Fraction(c)
+    return {bv: c for bv, c in out.items() if c}
+
+
+def _scaled(c, d: dict) -> list:
+    return [(bv, Fraction(c) * Fraction(x)) for bv, x in d.items()]
+
+
+def _check(e: Element, want: dict) -> None:
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for _, c in e.coeffs)
+    assert dict(e.coeffs) == want
+
+
+class TestCoefficients:
+    """Stored coefficients are ints when integral and Fractions otherwise."""
+
+    @given(raw, raw, scalars, scalars)
+    def test_canonical_and_exact(self, d1, d2, c1, c2):
+        p1, p2 = list(d1.items()), list(d2.items())
+        a, b = element(S2, d1), element(S2, p2)
+        _check(a, _reference(p1))
+        _check(b, _reference(p2))
+        _check(element(S2, p1 + p2), _reference(p1 + p2))
+        _check(elem_add(a, b), _reference(p1 + p2))
+        _check(elem_sum(S2, (a, b, a)), _reference(p1 + p2 + p1))
+        _check(elem_scale(c1, a), _reference(_scaled(c1, d1)))
+        _check(elem_combination(S2, ((c1, a), (c2, b))),
+               _reference(_scaled(c1, d1) + _scaled(c2, d2)))
+        _check(elem_tensor(a, b),
+               _reference((join_pair(S2, p, S2, q), Fraction(x) * Fraction(y))
+                          for p, x in p1 for q, y in p2))
+
+    def test_integral_results_are_stored_as_int(self):
+        x = monomial([GenIx(0)])
+        half = elem_scale(Fraction(1, 2), singleton(S2, x, 2))
+        assert half.coeffs == ((x, 1),) and type(half.coeffs[0][1]) is int
+        f = linear_map_from_matrix(B2, B2, [["3/1", "1/2"], [0, "5/7"]])
+        (_, col), _ = f.images
+        assert col.coeffs == ((GenIx(0), 3),) and type(col.coeffs[0][1]) is int

@@ -360,9 +360,7 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_config)
-# Inputs that an earlier loader crashed on or misread, pinned so they always
-# run (--laws below overrides the config's laws; test_non_numeric_setting_exit_two
-# checks a list-valued laws on its own):
+# Inputs that an earlier loader crashed on or misread, pinned so they always run:
 @example(config={"algebras": [{"name": [1], "rank": 1, "mult_table": [[[1]]], "unit": [1]}]})
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": ["1/0"]}]})
 @example(config={"budget": 10 ** 400})
@@ -370,5 +368,13 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(config))
-    assert main(["check", "--config", str(p), "--laws", "D1", "--bound", "1"]) in (0, 1, 2)
+    # The config's own laws are loaded when it has them; a glob that matches
+    # the whole registry is cheap at bound 1.
+    args = ["check", "--config", str(p), "--bound", "1"]
+    if "laws" not in config:
+        args += ["--laws", "D1"]
+    laws = config.get("laws")
+    # A laws value that is neither null nor a string is a config error.
+    expected = (2,) if laws is not None and not isinstance(laws, str) else (0, 1, 2)
+    assert main(args) in expected
     capsys.readouterr()

@@ -12,7 +12,9 @@ from symalg.spaces import (
     Base, Sum, Tensor, base, tensor, direct_sum, sym, enumerate_basis,
     BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
 )
-from symalg.morphisms import Id, Mu, SymF, TensorM, compose, linear_map_from_matrix
+from symalg.morphisms import (
+    Id, Matrix, Mu, SymF, TensorM, compose, inj, linear_map_from_matrix,
+)
 
 B1 = base("x", 1)
 B2 = base("y", 2)
@@ -62,6 +64,23 @@ class TestInterning:
     def test_keyword_construction_interns(self):
         assert Base(name="y", rank=2) is B2
         assert SumIx(branch=1, inner=GenIx(0)) is SumIx(1, GenIx(0))
+
+    def test_keyword_lookup_builds_no_node(self, monkeypatch):
+        m = inj(0, (B1, B2))
+        calls = []
+        real = Matrix._endpoints
+        monkeypatch.setattr(Matrix, "_endpoints", lambda self: calls.append(1) or real(self))
+        again = Matrix(entries=m.entries, dom_blocks=m.dom_blocks, cod_blocks=m.cod_blocks)
+        assert again is m and again is inj(0, (B1, B2))
+        assert calls == []
+
+    def test_bad_keywords_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Base(nme="y", rank=2)
+        with pytest.raises(TypeError):
+            Base(name="y")
+        with pytest.raises(TypeError):
+            Base("y", name="y")
 
     def test_morphisms_intern(self):
         f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
