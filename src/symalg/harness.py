@@ -49,7 +49,7 @@ def _rational(x) -> int | Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError(f"bad rational {x!r}") from e
-    if isinstance(x, int):
+    if type(x) is int:  # a JSON true/false is a bool, not a coefficient
         return x
     raise ConfigError(f"rationals must be integers or 'p/q' strings, got {x!r}")
 

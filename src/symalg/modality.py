@@ -5,14 +5,18 @@ monad unit embeds a vector as a degree-1 monomial, the monad
 multiplication multiplies out a monomial of monomials, the monoid
 multiplication merges multisets, and the deriving map sends a monomial to
 the sum of its partial derivatives (with integer multiplicities for
-repeated factors).
+repeated factors).  S(f) expands over multisets: it keys each product of
+image vectors by a count vector, so a degree-d monomial into a rank-n space
+makes at most C(n+d-1, d) states, not the n^d ordered tuples.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from .spaces import (
     MonIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, split_pair,
-    direct_sum, sym, enumerate_basis,
+    direct_sum, sym, enumerate_basis, order_key,
 )
 from .elements import (
     element, singleton, elem_combination, elem_sum, elem_tensor,
@@ -37,24 +41,24 @@ def _mult(m, bv):
 
 
 def _symf(m, bv):
-    """S(f) on a monomial: apply f to each factor and expand multilinearly."""
-    images = [apply_basis(m.f, p) for p in bv.parts]
-    acc = {(): 1}
+    """S(f) on a monomial: apply f to each factor and expand multilinearly,
+    keying each product by its count vector over the distinct image vectors."""
+    images = [apply_basis(m.f, p).coeffs for p in bv.parts]
+    vecs = sorted({fbv for img in images for fbv, _ in img}, key=order_key)
+    slot = {v: i for i, v in enumerate(vecs)}
+    acc = {(0,) * len(vecs): 1}
     for img in images:
+        steps = [(slot[fbv], fc) for fbv, fc in img]
         nxt = {}
-        for prefix, c in acc.items():
-            for fbv, fc in img.coeffs:
-                key = prefix + (fbv,)
+        for counts, c in acc.items():
+            for i, fc in steps:
+                key = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
                 x = c * fc
                 old = nxt.get(key)
                 nxt[key] = x if old is None else old + x
         acc = nxt  # empty when any factor image is zero
-    out = {}
-    for parts, c in acc.items():
-        mono = monomial(parts)
-        old = out.get(mono)
-        out[mono] = c if old is None else old + c
-    return element(m.cod(), out)
+    return element(m.cod(), {MonIx(tuple(chain.from_iterable(map(repeat, vecs, k)))): c
+                             for k, c in acc.items()})
 
 
 def _deriv(m, bv):

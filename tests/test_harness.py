@@ -251,6 +251,10 @@ class TestCLI:
         {"algebras": [{"name": "q", "rank": 1.5, "mult_table": [[[1]]], "unit": [1]}]},
         {"algebras": [{"name": "q", "rank": True, "mult_table": [[[1]]], "unit": [1]}]},
         {"algebras": [{"name": "q", "rank": "1", "mult_table": [[[1]]], "unit": [1]}]},
+        # A JSON boolean is not a rational coefficient.
+        {"algebras": [{"name": "q", "rank": 1, "mult_table": [[[1]]], "unit": [True]}]},
+        {"algebras": [{"name": "q", "rank": 1, "mult_table": [[[True]]], "unit": [1]}]},
+        {"derivations": [{"name": "d", "algebra": "rationals", "matrix": [[False]]}]},
     ])
     def test_malformed_algebra_section_exit_two(self, tmp_path, config):
         p = tmp_path / "bad.json"
@@ -316,7 +320,22 @@ def _mostly(valid, other=_json):
 
 _junk_keys = _mostly(st.just({}), st.dictionaries(st.text(max_size=4), _json,
                                                   min_size=1, max_size=1))
-_coefficient = st.integers(-1, 2) | st.sampled_from(["1", "1/2", "-3", "1/0", "x"])
+_coefficient = (st.integers(-1, 2) | st.sampled_from(["1", "1/2", "-3", "1/0", "x"])
+                | st.booleans())
+
+
+def _lists_a_bool(x) -> bool:
+    return isinstance(x, list) and any(isinstance(v, bool) or _lists_a_bool(v) for v in x)
+
+
+def _bool_coefficient(config) -> bool:
+    """Whether an algebra's unit or table, or a derivation's matrix, holds a
+    JSON boolean where a coefficient goes: the loader must reject that."""
+    return any(isinstance(entry, dict) and _lists_a_bool(entry.get(field))
+               for key, field in (("algebras", "unit"), ("algebras", "mult_table"),
+                                  ("derivations", "matrix"))
+               if isinstance(config.get(key), list)
+               for entry in config[key])
 
 
 def _vectors(n):
@@ -365,6 +384,7 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": ["1/0"]}]})
 @example(config={"budget": 10 ** 400})
 @example(config={"laws": ["D1"]})
+@example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": [True]}]})
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(config))
@@ -374,7 +394,9 @@ def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     if "laws" not in config:
         args += ["--laws", "D1"]
     laws = config.get("laws")
-    # A laws value that is neither null nor a string is a config error.
-    expected = (2,) if laws is not None and not isinstance(laws, str) else (0, 1, 2)
+    # A laws value that is neither null nor a string is a config error, and
+    # so is a boolean coefficient.
+    bad = (laws is not None and not isinstance(laws, str)) or _bool_coefficient(config)
+    expected = (2,) if bad else (0, 1, 2)
     assert main(args) in expected
     capsys.readouterr()

@@ -4,21 +4,22 @@ independent symbolic oracle (sympy polynomials)."""
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symalg.spaces import (
-    base, sym, tensor, direct_sum, monomial, enumerate_basis,
+    base, sym, tensor, direct_sum, monomial, enumerate_basis, order_key,
     GenIx, MonIx, SumIx, TensorIx, split_pair, decompose_sum,
 )
 from symalg.elements import singleton, element
 from symalg.morphisms import (
     Id, TensorM, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
-    Chi0Inv, apply, apply_basis, check_equal, compose,
+    Chi0Inv, ZeroM, apply, apply_basis, check_equal, compose,
     linear_map_from_matrix,
 )
 
 B1 = base("x", 1)
 B2 = base("y", 2)
+B3 = base("z", 3)
 
 XS = sympy.symbols("x0 x1 x2")
 YS = sympy.symbols("y0 y1 y2")
@@ -117,7 +118,108 @@ class TestMuMult:
                 == singleton(sym(B2), MonIx((GenIx(1),))))
 
 
+def symf_reference(f, mono):
+    """S(f) on a monomial by the ordered-tuple expansion: one term per
+    sequence of image basis vectors, merged into monomials only at the end.
+    An inner S(g) is expanded the same way."""
+    acc = {(): 1}
+    for p in mono.parts:
+        img = symf_reference(f.f, p) if isinstance(f, SymF) else apply_basis(f, p)
+        nxt = {}
+        for prefix, c in acc.items():
+            for fbv, fc in img.coeffs:
+                key = prefix + (fbv,)
+                nxt[key] = nxt.get(key, 0) + c * fc
+        acc = nxt
+    out = {}
+    for parts, c in acc.items():
+        mono = monomial(parts)
+        out[mono] = out.get(mono, 0) + c
+    return element(sym(f.cod()), out)
+
+
+def assert_canonical_sym_element(e):
+    """Sorted by order_key without repeats, no zero coefficient, an int
+    wherever the value is integral, and every monomial the interned one."""
+    keys = [order_key(bv) for bv, _ in e.coeffs]
+    assert keys == sorted(set(keys))
+    for bv, c in e.coeffs:
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert bv is monomial(bv.parts)
+
+
+SPACES = {1: B1, 2: B2, 3: B3}
+_entries = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+_shapes = st.sampled_from([(2, 2), (2, 3), (3, 1), (1, 2)])  # (dom rank, cod rank)
+
+
+@st.composite
+def _dense_map(draw):
+    n, k = draw(_shapes)
+    rows = draw(st.lists(st.lists(_entries, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return linear_map_from_matrix(SPACES[n], SPACES[k], rows)
+
+
+def _monomials(n, max_size):
+    return st.lists(st.integers(0, n - 1), max_size=max_size).map(
+        lambda ix: monomial([GenIx(i) for i in ix]))
+
+
+@st.composite
+def _map_and_monomial(draw):
+    f = draw(_dense_map())
+    return f, draw(_monomials(f.dom().rank, 6))
+
+
+@st.composite
+def _map_and_nested_monomial(draw):
+    f = draw(_dense_map())
+    inner = _monomials(f.dom().rank, 3)
+    return f, draw(st.lists(inner, max_size=3).map(monomial))
+
+
+ZERO_23 = linear_map_from_matrix(B2, B3, [[0, 0]] * 3)
+CANCEL = linear_map_from_matrix(B2, B2, [[1, 1], [1, -1]])  # y0+y1, y0-y1
+DEG6 = monomial([GenIx(0)] * 3 + [GenIx(1)] * 3)
+
+
 class TestSymF:
+    @given(_map_and_monomial())
+    @settings(max_examples=60, deadline=None)
+    @example((ZERO_23, DEG6))
+    @example((ZERO_23, MonIx(())))
+    @example((CANCEL, DEG6))
+    @example((linear_map_from_matrix(B3, B1, [[Fraction(1, 2), -1, Fraction(2, 3)]]),
+              monomial([GenIx(0), GenIx(1), GenIx(1), GenIx(2), GenIx(2), GenIx(2)])))
+    def test_multiset_expansion_matches_ordered_tuples(self, case):
+        f, mono = case
+        got = apply_basis(SymF(f), mono)
+        assert got == symf_reference(f, mono)
+        assert_canonical_sym_element(got)
+
+    @given(_map_and_nested_monomial())
+    @settings(max_examples=30, deadline=None)
+    def test_nested_expansion_matches_ordered_tuples(self, case):
+        f, mono = case
+        got = apply_basis(SymF(SymF(f)), mono)
+        assert got == symf_reference(SymF(f), mono)
+        assert_canonical_sym_element(got)
+        for bv, _ in got.coeffs:
+            assert all(p is monomial(p.parts) for p in bv.parts)
+
+    def test_zero_map_kills_all_but_the_empty_monomial(self):
+        for f in (ZERO_23, ZeroM(B2, B3)):
+            assert apply_basis(SymF(f), DEG6).is_zero()
+            assert apply_basis(SymF(f), MonIx(())) == singleton(sym(B3), MonIx(()))
+
+    def test_cross_terms_cancel(self):
+        # (y0 + y1)(y0 - y1) = y0^2 - y1^2
+        y0, y1 = GenIx(0), GenIx(1)
+        got = apply_basis(SymF(CANCEL), MonIx((y0, y1)))
+        assert got.coeffs == ((MonIx((y0, y0)), 1), (MonIx((y1, y1)), -1))
+
     @given(monos2, st.lists(st.integers(-2, 2), min_size=4, max_size=4))
     @settings(max_examples=40)
     def test_against_substitution_oracle(self, mono, flat):
