@@ -23,7 +23,9 @@ def _cmd_check(args) -> int:
             "mutate": args.mutate,
             "budget": args.budget,
         })
-    except ConfigError as e:
+        if args.json:
+            open(args.json, "a").close()  # an unwritable report path fails before the run
+    except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     report = run_suite(cfg)

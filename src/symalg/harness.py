@@ -33,7 +33,7 @@ from .derivations import (
     builtin_algebras, InvalidStructureError,
 )
 from .morphisms import linear_map_from_matrix
-from .laws import registry, LawContext, MUTATIONS
+from .laws import registry, LawContext, MUTATIONS, BUILTIN_DERIVATIONS
 
 CONFIG_SCHEMA = "symalg-config/1"
 REPORT_SCHEMA = "symalg-report/1"
@@ -207,10 +207,15 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
         algebras[alg.name] = alg
         extra_algs.append(alg)
     extra_ders = []
+    names = set(BUILTIN_DERIVATIONS)
     for entry in raw.get("derivations", []):
         if entry == "zero":
             continue  # the zero derivations of the built-ins always run
-        extra_ders.append(_load_derivation(entry, algebras))
+        name, der = _load_derivation(entry, algebras)
+        if name in names:
+            raise ConfigError(f"derivation name {name!r} already taken")
+        names.add(name)
+        extra_ders.append((name, der))
     cfg.extra_algebras = tuple(extra_algs)
     cfg.extra_derivations = tuple(extra_ders)
     return cfg

@@ -446,9 +446,12 @@ def arrow_laws():
 # Derivation, monoid-dictionary and tangent laws
 # ---------------------------------------------------------------------------
 
+#: Instance names of `builtin_derivations`, in its order.
+BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
+
+
 def _builtin_ders(bound, ctx=None):
-    names = ["d/dx", "deriving-map", "zero(Q)", "zero(dual)"]
-    out = list(zip(names, builtin_derivations(bound=bound)))
+    out = list(zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound)))
     if ctx is not None:
         out.extend(ctx.extra_derivations)
     return out

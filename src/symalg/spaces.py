@@ -25,8 +25,8 @@ from operator import attrgetter
 # Hash-consed nodes
 # ---------------------------------------------------------------------------
 
-#: Dataclass form of every expression node: immutable and slotted, compared
-#: by Node.__eq__ and hashed by the hash stored at construction.
+#: Dataclass form of every expression node: immutable and slotted.  eq=False
+#: keeps object's identity __eq__ and __hash__, which interning makes exact.
 node = dataclass(frozen=True, slots=True, eq=False)
 
 # The intern table: (class, *fields) -> the one node with those fields.  It
@@ -38,7 +38,7 @@ class Interned(type):
     """Metaclass of hash-consed nodes.
 
     Constructing a node whose class and fields equal an existing node's
-    returns that existing node, so equal nodes are normally identical.
+    returns that existing node, so equal nodes are identical.
     `dict.setdefault` keeps that true when two threads build the same node.
     Keyword arguments are put in field order first, so the lookup builds
     no node.
@@ -55,35 +55,21 @@ class Interned(type):
         found = _TABLE.get(key)
         if found is not None:
             return found
-        made = super().__call__(*args)
-        object.__setattr__(made, "_hash", hash(key))
-        return _TABLE.setdefault(key, made)
+        return _TABLE.setdefault(key, super().__call__(*args))
 
 
 class Node(metaclass=Interned):
-    """Base of expression nodes, which are interned; each stores its hash.
+    """Base of expression nodes, which are interned.
 
-    Equality is identity first, then structure, so a node that escaped
-    interning still compares equal to its twin.
+    Every constructor, copy and pickle goes through the intern table, so
+    equal nodes are one object: nodes hash and compare by identity, with
+    object's __hash__ and __eq__, in C.
     """
 
-    __slots__ = ("_hash",)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__match_args__)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented
-        return self._hash == other._hash and self._fields() == other._fields()
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from symalg.harness import (
     CONFIG_SCHEMA, REPORT_SCHEMA,
 )
 from symalg.derivations import builtin_algebras
-from symalg.laws import registry, list_laws, MUTATIONS, MUTATION_TARGETS
+from symalg.laws import registry, list_laws, MUTATIONS, MUTATION_TARGETS, BUILTIN_DERIVATIONS
 from symalg.cli import main
 
 
@@ -261,6 +261,21 @@ class TestCLI:
         p.write_text(json.dumps(config))
         assert main(["check", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("names", [["e", "e"], *([n] for n in BUILTIN_DERIVATIONS)])
+    def test_duplicate_derivation_name_exit_two(self, tmp_path, capsys, names):
+        # Two rows with one law and instance name would make the report key ambiguous.
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"derivations": [
+            {"name": n, "algebra": "rationals", "matrix": [[0]]} for n in names]}))
+        assert main(["check", "--config", str(p), "--laws", "D1"]) == 2
+        assert f"derivation name {names[-1]!r} already taken" in capsys.readouterr().err
+
+    def test_distinct_derivation_names_load(self, tmp_path):
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps({"derivations": [
+            {"name": n, "algebra": "rationals", "matrix": [[0]]} for n in ("e", "f")]}))
+        assert [n for n, _ in load_config(str(p)).extra_derivations] == ["e", "f"]
+
     @pytest.mark.parametrize("unit", [[1, 0], [], "1"])
     def test_unit_vector_not_of_rank_length_exit_two(self, tmp_path, capsys, unit):
         p = tmp_path / "bad.json"
@@ -280,6 +295,14 @@ class TestCLI:
         p.write_text(json.dumps(config))
         assert main(["check", "--config", str(p)]) == 2
         assert "name must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_report_path_exit_two(self, tmp_path, capsys, where):
+        path = tmp_path / "nonexistent" / "r.json" if where == "missing-dir" else tmp_path
+        assert main(["check", "--laws", "D1", "--bound", "1", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # it fails before the run
+        assert err.startswith("config error: ") and str(path) in err
 
     def test_json_report_written(self, tmp_path):
         out = tmp_path / "report.json"
@@ -385,6 +408,7 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 @example(config={"budget": 10 ** 400})
 @example(config={"laws": ["D1"]})
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": [True]}]})
+@example(config={"derivations": [{"name": "e", "algebra": "rationals", "matrix": [[0]]}] * 2})
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(config))

@@ -1,7 +1,8 @@
-"""The hash-consed expression kernel: interning, stored order keys, and
-equality that stays structural."""
+"""The hash-consed expression kernel: interning on every construction path,
+stored order keys, and identity hashing and equality."""
 
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -9,11 +10,11 @@ import threading
 import pytest
 
 from symalg.spaces import (
-    Base, Sum, Tensor, base, tensor, direct_sum, sym, enumerate_basis,
+    Node, Base, Sum, Tensor, base, tensor, direct_sum, sym, enumerate_basis,
     BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
 )
 from symalg.morphisms import (
-    Id, Matrix, Mu, SymF, TensorM, compose, inj, linear_map_from_matrix,
+    Compose, Id, Matrix, Mu, SymF, TensorM, compose, inj, linear_map_from_matrix,
 )
 
 B1 = base("x", 1)
@@ -101,15 +102,33 @@ class TestInterning:
         with pytest.raises(ValueError):
             Sum((direct_sum(B1, B2), B2))
 
-    def test_equality_stays_structural(self):
-        # A twin that escaped the table still equals, and hashes like, the
-        # interned node.
-        twin = type.__call__(GenIx, 5)
-        object.__setattr__(twin, "_hash", hash(GenIx(5)))
-        assert twin is not GenIx(5)
-        assert twin == GenIx(5) and GenIx(5) == twin
-        assert {GenIx(5): "found"}[twin] == "found"
-        assert twin != GenIx(6)
+    def test_every_construction_path_interns(self):
+        f = linear_map_from_matrix(B2, B1, ((1, 2),))
+        for x in (MonIx((GenIx(0), GenIx(0))), tensor(sym(B1), B2), compose(f, Id(B1))):
+            assert isinstance(x, (MonIx, Tensor, Compose))
+            fields = {name: getattr(x, name) for name in x.__match_args__}
+            assert type(x)(*fields.values()) is x
+            assert type(x)(**fields) is x
+            assert copy.copy(x) is x
+            assert copy.deepcopy(x) is x
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(x, protocol)) is x
+            assert dataclasses.replace(x) is x
+        g = GenIx(0)
+        assert dataclasses.replace(SumIx(1, g), branch=2) is SumIx(2, g)
+
+    def test_nodes_hash_and_compare_in_c(self):
+        # Interning makes identity exact; a Python-level __hash__ or __eq__
+        # (say from a dataclass with eq=True) would only slow every lookup.
+        seen, todo = [], [Node]
+        while todo:
+            cls = todo.pop()
+            seen.append(cls)
+            todo.extend(cls.__subclasses__())
+        assert {GenIx, Tensor, Compose, Mu, SymF}.issubset(seen)
+        for cls in seen:
+            assert cls.__hash__ is object.__hash__, cls
+            assert cls.__eq__ is object.__eq__, cls
 
     def test_racing_threads_get_one_instance(self):
         n_threads, n_nodes = 8, 300
