@@ -157,9 +157,10 @@ class LinearMap(MorExpr):
 
     def _endpoints(self):
         _require(is_sym_free(self.dom_space), "LinearMap requires a Sym-free domain")
-        covered = {bv for bv, _ in self.images}
+        covered = [bv for bv, _ in self.images]
         full = set(enumerate_basis(self.dom_space, 0))
-        _require(covered == full, "LinearMap images must cover the domain basis exactly")
+        _require(len(covered) == len(full) and set(covered) == full,
+                 "LinearMap needs exactly one image per domain basis vector")
         for _, img in self.images:
             _require(img.space == self.cod_space, "LinearMap image in wrong space")
         return self.dom_space, self.cod_space

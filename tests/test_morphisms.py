@@ -10,6 +10,7 @@ from symalg.spaces import (
     enumerate_basis,
 )
 from symalg.elements import element, singleton, zero_element, elem_add, elem_scale
+from symalg.tangent import kleisli_map
 from symalg import morphisms
 from symalg.morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
@@ -30,6 +31,13 @@ class TestEndpoints:
     def test_linear_map_requires_full_coverage(self):
         with pytest.raises(EndpointMismatchError):
             linear_map_from_matrix(B2, B1, ((1,),))
+
+    def test_linear_map_requires_one_image_per_basis_vector(self):
+        e = singleton(B1, GenIx(0), 1)
+        with pytest.raises(EndpointMismatchError):
+            LinearMap(B1, B1, ((GenIx(0), e), (GenIx(0), elem_scale(5, e))))
+        with pytest.raises(EndpointMismatchError):
+            kleisli_map(B1, B1, [(GenIx(0), singleton(sym(B1), monomial([]), 1))] * 2)
 
     def test_check_equal_requires_same_endpoints(self):
         with pytest.raises(EndpointMismatchError):
