@@ -69,20 +69,19 @@ def induced_monoid(alg: SAlgebra):
 
 
 def s_algebra(name: str, carrier: SpaceExpr, nu: MorExpr,
-              bound: int | None = None) -> SAlgebra:
-    b = VALIDATE_BOUND if bound is None else bound
-    _require("algebra.unit", compose(Eta(carrier), nu), Id(carrier), b)
-    _require("algebra.assoc", compose(Mu(carrier), nu), compose(SymF(nu), nu), b)
+              bound: int = VALIDATE_BOUND) -> SAlgebra:
+    _require("algebra.unit", compose(Eta(carrier), nu), Id(carrier), bound)
+    _require("algebra.assoc", compose(Mu(carrier), nu), compose(SymF(nu), nu), bound)
     return SAlgebra(name, carrier, nu)
 
 
 def free_algebra(v: SpaceExpr, name: str = "free",
-                 bound: int | None = None) -> SAlgebra:
+                 bound: int = VALIDATE_BOUND) -> SAlgebra:
     return s_algebra(name, sym(v), Mu(v), bound=bound)
 
 
 def table_algebra(name: str, carrier: SpaceExpr, mult_table, unit_elem: Element,
-                  bound: int | None = None) -> SAlgebra:
+                  bound: int = VALIDATE_BOUND) -> SAlgebra:
     """Algebra presented by a rank x rank multiplication table.
 
     The structure map folds the table over a monomial's factors.  The
@@ -90,17 +89,16 @@ def table_algebra(name: str, carrier: SpaceExpr, mult_table, unit_elem: Element,
     exhaustively (the carrier is finite rank) along with the algebra
     diagrams.
     """
-    b = VALIDATE_BOUND if bound is None else bound
     nu = TableNu(carrier, tuple(tuple(r) for r in mult_table), unit_elem)
     alg = SAlgebra(name, nu.carrier, nu)
     m, u = alg.mult(), alg.unit()
     a = alg.carrier
-    _require("table.comm", compose(Sigma(a, a), m), m, b)
-    _require("table.unit", compose(TensorM(u, Id(a)), m), Id(a), b)
+    _require("table.comm", compose(Sigma(a, a), m), m, bound)
+    _require("table.unit", compose(TensorM(u, Id(a)), m), Id(a), bound)
     _require("table.assoc",
              compose(TensorM(m, Id(a)), m),
-             compose(TensorM(Id(a), m), m), b)
-    return s_algebra(name, a, nu, bound=b)
+             compose(TensorM(Id(a), m), m), bound)
+    return s_algebra(name, a, nu, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +113,14 @@ class AModule:
 
 
 def a_module(algebra: SAlgebra, carrier: SpaceExpr, alpha: MorExpr,
-             bound: int | None = None) -> AModule:
-    b = VALIDATE_BOUND if bound is None else bound
+             bound: int = VALIDATE_BOUND) -> AModule:
     a = algebra.carrier
     m, u = algebra.mult(), algebra.unit()
     _require("module.unit",
-             compose(TensorM(u, Id(carrier)), alpha), Id(carrier), b)
+             compose(TensorM(u, Id(carrier)), alpha), Id(carrier), bound)
     _require("module.assoc",
              compose(TensorM(m, Id(carrier)), alpha),
-             compose(TensorM(Id(a), alpha), alpha), b)
+             compose(TensorM(Id(a), alpha), alpha), bound)
     return AModule(algebra, carrier, alpha)
 
 
@@ -135,16 +132,15 @@ class Derivation:
 
 
 def derivation(algebra: SAlgebra, module: AModule, d: MorExpr,
-               bound: int | None = None) -> Derivation:
+               bound: int = VALIDATE_BOUND) -> Derivation:
     """Validate the constant rule and the Leibniz rule."""
-    b = VALIDATE_BOUND if bound is None else bound
     a, mcar = algebra.carrier, module.carrier
     m, u = algebra.mult(), algebra.unit()
     al = module.alpha
-    _require("derivation.constant", compose(u, d), ZeroM(UNIT, mcar), b)
+    _require("derivation.constant", compose(u, d), ZeroM(UNIT, mcar), bound)
     leib = Add(compose(TensorM(Id(a), d), al),
                compose(Sigma(a, a), TensorM(Id(a), d), al))
-    _require("derivation.leibniz", compose(m, d), leib, b)
+    _require("derivation.leibniz", compose(m, d), leib, bound)
     return Derivation(algebra, module, d)
 
 
@@ -174,19 +170,18 @@ def _mubar_style(a0: SpaceExpr, a1: SpaceExpr, tail: MorExpr) -> MorExpr:
 
 
 def sbar_algebra(obj: ArrowObj, nu0: MorExpr, nu1: MorExpr,
-                 bound: int | None = None) -> SBarAlgebra:
-    b = VALIDATE_BOUND if bound is None else bound
+                 bound: int = VALIDATE_BOUND) -> SBarAlgebra:
     a0, a1 = obj.a0, obj.a1
     phi = obj.phi
     _require("sbar.square",
              compose(Deriv(a0), TensorM(Id(sym(a0)), phi), nu1),
-             compose(nu0, phi), b)
-    _require("sbar.unit0", compose(Eta(a0), nu0), Id(a0), b)
-    _require("sbar.unit1", compose(TensorM(UnitM(a0), Id(a1)), nu1), Id(a1), b)
-    _require("sbar.assoc0", compose(Mu(a0), nu0), compose(SymF(nu0), nu0), b)
+             compose(nu0, phi), bound)
+    _require("sbar.unit0", compose(Eta(a0), nu0), Id(a0), bound)
+    _require("sbar.unit1", compose(TensorM(UnitM(a0), Id(a1)), nu1), Id(a1), bound)
+    _require("sbar.assoc0", compose(Mu(a0), nu0), compose(SymF(nu0), nu0), bound)
     _require("sbar.assoc1",
              compose(_mubar_style(a0, a1, Mult(a0)), nu1),
-             compose(TensorM(SymF(nu0), nu1), nu1), b)
+             compose(TensorM(SymF(nu0), nu1), nu1), bound)
     return SBarAlgebra(obj, nu0, nu1)
 
 
@@ -204,25 +199,23 @@ def sbar_algebra_aux_checks(sba: SBarAlgebra, weight_bound: int):
     return [("sbar.aux.evaluated-unit", aux1), ("sbar.aux.mult-action", aux2)]
 
 
-def algebra_to_derivation(sba: SBarAlgebra, bound: int | None = None) -> Derivation:
+def algebra_to_derivation(sba: SBarAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
     """Read an algebra of the lifted monad as a chain-rule derivation."""
-    b = VALIDATE_BOUND if bound is None else bound
     obj = sba.obj
-    alg = s_algebra("from-sbar", obj.a0, sba.nu0, bound=b)
+    alg = s_algebra("from-sbar", obj.a0, sba.nu0, bound=bound)
     alpha = compose(TensorM(Eta(obj.a0), Id(obj.a1)), sba.nu1)
-    module = a_module(alg, obj.a1, alpha, bound=b)
-    return derivation(alg, module, obj.phi, bound=b)
+    module = a_module(alg, obj.a1, alpha, bound=bound)
+    return derivation(alg, module, obj.phi, bound=bound)
 
 
-def derivation_to_algebra(d: Derivation, bound: int | None = None) -> SBarAlgebra:
+def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlgebra:
     """Read a chain-rule derivation as an algebra of the lifted monad."""
-    b = VALIDATE_BOUND if bound is None else bound
-    v = is_s_derivation(d, b)
+    v = is_s_derivation(d, bound)
     if not v.ok:
         raise InvalidStructureError("derivation.chain-rule", v)
     a, mcar = d.algebra.carrier, d.module.carrier
     nu1 = compose(TensorM(d.algebra.nu, Id(mcar)), d.module.alpha)
-    return sbar_algebra(ArrowObj(d.d), d.algebra.nu, nu1, bound=b)
+    return sbar_algebra(ArrowObj(d.d), d.algebra.nu, nu1, bound=bound)
 
 
 def roundtrip_alpha(d: Derivation, weight_bound: int) -> Verdict:
@@ -330,21 +323,19 @@ def m2_redundancy(mon: ArrowMonoid, weight_bound: int) -> Verdict:
 
 
 def arrow_monoid(obj: ArrowObj, m0: MorExpr, m1: MorExpr, m2: MorExpr,
-                 u0: MorExpr, bound: int | None = None) -> ArrowMonoid:
-    b = VALIDATE_BOUND if bound is None else bound
+                 u0: MorExpr, bound: int = VALIDATE_BOUND) -> ArrowMonoid:
     mon = ArrowMonoid(obj, m0, m1, m2, u0)
-    for name, v in monoid_checks(mon, b):
+    for name, v in monoid_checks(mon, bound):
         if not v.ok:
             raise InvalidStructureError(name, v)
-    v = m2_redundancy(mon, b)
+    v = m2_redundancy(mon, bound)
     if not v.ok:
         raise InvalidStructureError("monoid.m2-redundancy", v)
     return mon
 
 
-def derivation_to_monoid(d: Derivation, bound: int | None = None) -> ArrowMonoid:
+def derivation_to_monoid(d: Derivation, bound: int = VALIDATE_BOUND) -> ArrowMonoid:
     """A plain derivation is a commutative monoid for the box product."""
-    b = VALIDATE_BOUND if bound is None else bound
     a, mcar = d.algebra.carrier, d.module.carrier
     alpha = d.module.alpha
     return arrow_monoid(ArrowObj(d.d),
@@ -352,24 +343,23 @@ def derivation_to_monoid(d: Derivation, bound: int | None = None) -> ArrowMonoid
                         alpha,
                         compose(Sigma(mcar, a), alpha),
                         d.algebra.unit(),
-                        bound=b)
+                        bound=bound)
 
 
 def monoid_to_derivation(mon: ArrowMonoid, algebra: SAlgebra,
-                         bound: int | None = None) -> Derivation:
+                         bound: int = VALIDATE_BOUND) -> Derivation:
     """Read a box-product monoid over a compatible algebra as a derivation.
 
     The monoid only carries the induced multiplication and unit, so the
     caller names the algebra; its induced monoid must match (m0, u0).
     """
-    b = VALIDATE_BOUND if bound is None else bound
-    _require("monoid.matches-mult", algebra.mult(), mon.m0, b)
-    _require("monoid.matches-unit", algebra.unit(), mon.u0, b)
-    v = m2_redundancy(mon, b)
+    _require("monoid.matches-mult", algebra.mult(), mon.m0, bound)
+    _require("monoid.matches-unit", algebra.unit(), mon.u0, bound)
+    v = m2_redundancy(mon, bound)
     if not v.ok:
         raise InvalidStructureError("monoid.m2-redundancy", v)
-    module = a_module(algebra, mon.obj.a1, mon.m1, bound=b)
-    return derivation(algebra, module, mon.obj.phi, bound=b)
+    module = a_module(algebra, mon.obj.a1, mon.m1, bound=bound)
+    return derivation(algebra, module, mon.obj.phi, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +398,7 @@ def builtin_algebras():
     return [rational_algebra(), dual_numbers(), square_zero_extension()]
 
 
-def formal_derivative(bound: int | None = None) -> Derivation:
+def formal_derivative(bound: int = VALIDATE_BOUND) -> Derivation:
     """d/dx on polynomials in one variable, acting into themselves."""
     v = base("x", 1)
     alg = free_algebra(v, name="poly-x", bound=bound)
@@ -418,7 +408,7 @@ def formal_derivative(bound: int | None = None) -> Derivation:
     return derivation(alg, module, d, bound=bound)
 
 
-def deriving_map_derivation(v: SpaceExpr, bound: int | None = None) -> Derivation:
+def deriving_map_derivation(v: SpaceExpr, bound: int = VALIDATE_BOUND) -> Derivation:
     """The deriving map itself, as a derivation into S(V) (x) V."""
     alg = free_algebra(v, name="free", bound=bound)
     module = a_module(alg, tensor(sym(v), v),
@@ -426,7 +416,7 @@ def deriving_map_derivation(v: SpaceExpr, bound: int | None = None) -> Derivatio
     return derivation(alg, module, Deriv(v), bound=bound)
 
 
-def zero_derivation(alg: SAlgebra, bound: int | None = None) -> Derivation:
+def zero_derivation(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
     """The zero map, a derivation of any algebra into itself."""
     a = alg.carrier
     module = a_module(alg, a, compose(TensorM(Eta(a), Eta(a)), Mult(a), alg.nu),
@@ -434,7 +424,7 @@ def zero_derivation(alg: SAlgebra, bound: int | None = None) -> Derivation:
     return derivation(alg, module, ZeroM(a, a), bound=bound)
 
 
-def builtin_derivations(bound: int | None = None):
+def builtin_derivations(bound: int = VALIDATE_BOUND):
     return [
         formal_derivative(bound=bound),
         deriving_map_derivation(base("x", 1), bound=bound),

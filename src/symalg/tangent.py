@@ -21,7 +21,7 @@ from .morphisms import (
     SymF, Eta, Deriv, Chi, apply_basis, compose, sum_map, proj,
 )
 from .derivations import (
-    SAlgebra, AModule, Derivation, s_algebra, a_module, derivation,
+    SAlgebra, AModule, Derivation, VALIDATE_BOUND, s_algebra, a_module, derivation,
 )
 
 
@@ -47,7 +47,7 @@ def tangent_structure_map(alg: SAlgebra) -> MorExpr:
                   cod_blocks=(a, a))
 
 
-def tangent_algebra(alg: SAlgebra, bound: int | None = None) -> TangentData:
+def tangent_algebra(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> TangentData:
     aa = direct_sum(alg.carrier, alg.carrier)
     tan = s_algebra("tangent-" + alg.name, aa, tangent_structure_map(alg),
                     bound=bound)
@@ -72,7 +72,7 @@ def tangent_module_action(module: AModule) -> MorExpr:
                   cod_blocks=(m, m))
 
 
-def tangent_derivation(d: Derivation, bound: int | None = None) -> Derivation:
+def tangent_derivation(d: Derivation, bound: int = VALIDATE_BOUND) -> Derivation:
     """diag(D, D) between the doubled algebra and the doubled module."""
     tan = tangent_algebra(d.algebra, bound=bound).tangent
     mm = direct_sum(d.module.carrier, d.module.carrier)
