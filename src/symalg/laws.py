@@ -1,11 +1,15 @@
-"""Named law registry: every algebraic law as a checkable obligation.
+"""Named law registry: every algebraic law is one entry of the ordered table ``_LAWS``.
 
-Each law has a stable string name, a human-readable anchor, and a runner
-that returns one verdict per instance.  Laws whose domain nests the
-symmetric algebra twice (or worse) are flagged deep and run at a reduced
-bound, since their basis grows quickly.
+Each entry has a stable name, an anchor, ``instances(bound, ctx)`` giving its
+``(instance_name, x)`` pairs and ``check(x, bound, ctx)`` deciding one of them.
+A law that is one equation is ``_eq(name, anchor, instances, build)``, where
+``build(x, ctx)`` returns ``(lhs, rhs)``: two maps, or two arrow morphisms
+compared componentwise.  Only the derivation families, ``tangent.algebra``
+and ``kleisli.power-rule`` are not one equation and have their own check.
+Deep laws, whose domain nests the symmetric algebra twice or more, run one
+bound lower, since their basis grows quickly.
 
-Mutation names accepted by the runners (each breaks one construction on
+Mutation names accepted by the checks (each breaks one construction on
 purpose, to prove the checks are not vacuous):
 
 - ``leibniz-drop``: drop one summand of the Leibniz law's right side.
@@ -22,7 +26,10 @@ purpose, to prove the checks are not vacuous):
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .spaces import (
     UNIT, ZERO, GenIx, base, tensor, direct_sum, sym, monomial, build_sum, rank,
@@ -34,7 +41,7 @@ from .morphisms import (
     linear_map_from_matrix,
 )
 from .arrow import (
-    ArrowObj, id_arrow, zero_arrow, compose_arrow, add_arrow,
+    ArrowObj, ArrowMor, id_arrow, zero_arrow, compose_arrow, add_arrow,
     arrow_check, sum_obj, zero_obj, sbar_obj, sbar_mor, etabar, mubar,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
@@ -63,6 +70,9 @@ MUTATION_TARGETS = {
     "chi-split-swap": ("seely.iso.l", "seely.iso.r"),
 }
 
+#: Instance names of `builtin_derivations`, in its order.
+BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
+
 
 @dataclass
 class LawContext:
@@ -79,19 +89,62 @@ class LawContext:
 class Law:
     name: str
     anchor: str
-    deep: bool
-    runner: object  # (bound, ctx) -> list[(instance_name, Verdict)]
+    instances: Callable  # (bound, ctx) -> [(instance_name, x)]
+    check: Callable      # (x, bound, ctx) -> Verdict
+    deep: bool = False
 
     def run(self, bound: int, ctx: LawContext):
         b = max(1, bound - 1) if self.deep else bound
-        return self.runner(b, ctx)
+        return [(n, self.check(x, b, ctx)) for n, x in self.instances(b, ctx)]
 
 
-def default_base_spaces():
+def _merge(v0: Verdict, v1: Verdict) -> Verdict:
+    """Two verdicts as one: it passes iff both pass."""
+    bad = v0 if not v0.ok else v1
+    if not bad.ok:
+        return bad
+    return Verdict("equal", v0.tested_count + v1.tested_count, v0.weight_bound)
+
+
+def _decide(lhs, rhs, bound: int) -> Verdict:
+    """lhs = rhs as maps, or componentwise as arrow morphisms."""
+    if isinstance(lhs, ArrowMor):
+        return _merge(*arrow_check(lhs, rhs, bound))
+    return check_equal(lhs, rhs, bound)
+
+
+def _eq(name, anchor, instances, build, deep=False) -> Law:
+    """The law lhs = rhs on every instance x, where build(x, ctx) = (lhs, rhs)."""
+    return Law(name, anchor, instances,
+               lambda x, bound, ctx: _decide(*build(x, ctx), bound), deep)
+
+
+#: Two objects a law takes together: base spaces (Seely) or arrows (box).
+_Pair = namedtuple("_Pair", "p q")
+
+
+def _bases(bound, ctx):
     return [("B1", base("a", 1)), ("B2", base("b", 2)), ("B3", base("c", 3))]
 
 
-def default_arrows():
+def _seeded_maps(bound, ctx):
+    """Random maps with entries in -2..2, drawn from one rng in instance order."""
+    rng = ctx.rng()
+    b1, b2 = base("a", 1), base("b", 2)
+    out = []
+    for n, x, y in [("f:B1->B2", b1, b2), ("f:B2->B2", b2, b2)]:
+        entries = [[rng.randint(-2, 2) for _ in range(rank(x))] for _ in range(rank(y))]
+        out.append((n, linear_map_from_matrix(x, y, entries)))
+    return out
+
+
+def _seely_pairs(bound, ctx):
+    b1, b2 = base("a", 1), base("b", 2)
+    return [("(B1,B1)", _Pair(b1, b1)), ("(B1,B2)", _Pair(b1, b2)),
+            ("(B2,B2)", _Pair(b2, b2))]
+
+
+def _arrows(bound, ctx):
     b1, b2 = base("a", 1), base("b", 2)
     return [
         ("id(B1)", ArrowObj(Id(b1))),
@@ -102,15 +155,25 @@ def default_arrows():
     ]
 
 
-def _random_map(rng, a, b):
-    entries = [[rng.randint(-2, 2) for _ in range(rank(a))] for _ in range(rank(b))]
-    return linear_map_from_matrix(a, b, entries)
+#: The lifted monoid of an arrow o: its object sbar(o), multiplication and unit.
+_LiftedMonoid = namedtuple("_LiftedMonoid", "sb m u")
 
 
-def _on_bases(fn):
-    def run(bound, ctx):
-        return [(n, fn(a, bound, ctx)) for n, a in default_base_spaces()]
-    return run
+def _lifted_monoids(bound, ctx):
+    return [(n, _LiftedMonoid(sbar_obj(o), mbar(o), ubar(o))) for n, o in _arrows(bound, ctx)]
+
+
+def _box_pairs(bound, ctx):
+    arrows = dict(_arrows(bound, ctx))
+    return [("(id1,swap)", _Pair(arrows["id(B1)"], arrows["swap(B2)"])),
+            ("(rect,id1)", _Pair(arrows["rect(B2,B1)"], arrows["id(B1)"])),
+            ("(zero,zero)", _Pair(arrows["zero(B1,B2)"], arrows["zero(B1,B2)"]))]
+
+
+def _derivations(bound, ctx):
+    """The built-in derivations, validated at `bound`, then the config's."""
+    builtin = zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound))
+    return list(builtin) + list(ctx.extra_derivations)
 
 
 def _d2_rhs(a, drop: bool):
@@ -121,158 +184,11 @@ def _d2_rhs(a, drop: bool):
     return t1 if drop else Add(t1, t2)
 
 
-def base_laws():
-    laws = []
-
-    def law(name, anchor, fn, deep=False):
-        laws.append(Law(name, anchor, deep, fn))
-
-    law("D1", "derivative of the constant monomial vanishes",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(UnitM(a), Deriv(a)), ZeroM(UNIT, tensor(sym(a), a)), b)))
-
-    def d2(a, b, ctx):
-        lhs = compose(Mult(a), Deriv(a))
-        rhs = _d2_rhs(a, ctx.mutation == "leibniz-drop")
-        return check_equal(lhs, rhs, b)
-    law("D2", "Leibniz product rule for the deriving map", _on_bases(d2))
-
-    law("D3", "derivative of a generator is the generator",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(Eta(a), Deriv(a)), TensorM(UnitM(a), Id(a)), b)))
-
-    law("D4", "chain rule: derivative commutes with substitution",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(Mu(a), Deriv(a)),
-            compose(Deriv(sym(a)), TensorM(Mu(a), Deriv(a)),
-                    TensorM(Mult(a), Id(a))), b)), deep=True)
-
-    law("D5", "interchange: the two mixed second derivatives agree",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(Deriv(a), TensorM(Deriv(a), Id(a)),
-                    TensorM(Id(sym(a)), Sigma(a, a))),
-            compose(Deriv(a), TensorM(Deriv(a), Id(a))), b)))
-
-    law("monad.unit.l", "substitution after the outer unit is the identity",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(Eta(sym(a)), Mu(a)), Id(sym(a)), b)))
-    law("monad.unit.r", "substitution after the inner unit is the identity",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(SymF(Eta(a)), Mu(a)), Id(sym(a)), b)))
-    law("monad.assoc", "substitution is associative",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(SymF(Mu(a)), Mu(a)), compose(Mu(sym(a)), Mu(a)), b)),
-        deep=True)
-
-    def monoid(a):
-        sa = sym(a)
-        return sa, Mult(a), UnitM(a)
-
-    law("monoid.assoc", "polynomial multiplication is associative",
-        _on_bases(lambda a, b, c: (lambda sa, m, u: check_equal(
-            compose(TensorM(m, Id(sa)), m),
-            compose(TensorM(Id(sa), m), m), b))(*monoid(a))))
-    law("monoid.unit.l", "multiplying by the empty monomial on the left",
-        _on_bases(lambda a, b, c: (lambda sa, m, u: check_equal(
-            compose(TensorM(u, Id(sa)), m), Id(sa), b))(*monoid(a))))
-    law("monoid.unit.r", "multiplying by the empty monomial on the right",
-        _on_bases(lambda a, b, c: (lambda sa, m, u: check_equal(
-            compose(TensorM(Id(sa), u), m), Id(sa), b))(*monoid(a))))
-    law("monoid.comm", "polynomial multiplication is commutative",
-        _on_bases(lambda a, b, c: (lambda sa, m, u: check_equal(
-            compose(Sigma(sa, sa), m), m, b))(*monoid(a))))
-
-    law("monoidmorph.mult", "substitution preserves multiplication",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(Mult(sym(a)), Mu(a)),
-            compose(TensorM(Mu(a), Mu(a)), Mult(a)), b)), deep=True)
-    law("monoidmorph.unit", "substitution preserves the unit",
-        _on_bases(lambda a, b, c: check_equal(
-            compose(UnitM(sym(a)), Mu(a)), UnitM(a), b)), deep=True)
-
-    def nat(name, anchor, square, deep=False):
-        def run(bound, ctx):
-            rng = ctx.rng()
-            b1, b2 = base("a", 1), base("b", 2)
-            out = []
-            for iname, (x, y) in [("f:B1->B2", (b1, b2)), ("f:B2->B2", (b2, b2))]:
-                f = _random_map(rng, x, y)
-                out.append((iname, square(f, x, y, bound)))
-            return out
-        law(name, anchor, run, deep=deep)
-
-    nat("nat.eta", "the degree-1 embedding is natural",
-        lambda f, x, y, b: check_equal(
-            compose(f, Eta(y)), compose(Eta(x), SymF(f)), b))
-    nat("nat.mu", "substitution is natural",
-        lambda f, x, y, b: check_equal(
-            compose(Mu(x), SymF(f)), compose(SymF(SymF(f)), Mu(y)), b),
-        deep=True)
-    nat("nat.m", "multiplication is natural",
-        lambda f, x, y, b: check_equal(
-            compose(Mult(x), SymF(f)),
-            compose(TensorM(SymF(f), SymF(f)), Mult(y)), b))
-    nat("nat.u", "the unit is natural",
-        lambda f, x, y, b: check_equal(
-            compose(UnitM(x), SymF(f)), UnitM(y), b))
-    nat("nat.d", "the deriving map is natural",
-        lambda f, x, y, b: check_equal(
-            compose(Deriv(x), TensorM(SymF(f), f)),
-            compose(SymF(f), Deriv(y)), b))
-
-    def seely_pairs():
-        b1, b2 = base("a", 1), base("b", 2)
-        return [("(B1,B1)", b1, b1), ("(B1,B2)", b1, b2), ("(B2,B2)", b2, b2)]
-
-    def chi_inv(a, bb, ctx):
-        inv = ChiInv(a, bb)
-        if ctx.mutation == "chi-split-swap" and a == bb:
-            inv = compose(inv, Sigma(sym(a), sym(bb)))
-        return inv
-
-    def seely_l(bound, ctx):
-        out = []
-        for n, a, bb in seely_pairs():
-            v = check_equal(compose(Chi(a, bb), chi_inv(a, bb, ctx)),
-                            Id(tensor(sym(a), sym(bb))), bound)
-            out.append((n, v))
-        return out
-
-    def seely_r(bound, ctx):
-        out = []
-        for n, a, bb in seely_pairs():
-            v = check_equal(compose(chi_inv(a, bb, ctx), Chi(a, bb)),
-                            Id(sym(direct_sum(a, bb))), bound)
-            out.append((n, v))
-        return out
-
-    law("seely.iso.l", "merging then splitting monomials is the identity", seely_l)
-    law("seely.iso.r", "splitting then merging monomials is the identity", seely_r)
-    law("seely0.iso.l", "the empty-space comparison is invertible, one way",
-        lambda bound, ctx: [("I", check_equal(
-            compose(UnitM(ZERO), Chi0Inv()), Id(UNIT), bound))])
-    law("seely0.iso.r", "the empty-space comparison is invertible, other way",
-        lambda bound, ctx: [("S(0)", check_equal(
-            compose(Chi0Inv(), UnitM(ZERO)), Id(sym(ZERO)), bound))])
-    return laws
-
-
-# ---------------------------------------------------------------------------
-# Arrow-level laws
-# ---------------------------------------------------------------------------
-
-def _merge(v0: Verdict, v1: Verdict) -> Verdict:
-    """An arrow law passes iff both component verdicts pass."""
-    bad = v0 if not v0.ok else v1
-    if not bad.ok:
-        return bad
-    return Verdict("equal", v0.tested_count + v1.tested_count, v0.weight_bound)
-
-
-def _on_arrows(fn):
-    def run(bound, ctx):
-        return [(n, _merge(*fn(o, bound, ctx))) for n, o in default_arrows()]
-    return run
+def _chi_inv(pair, ctx):
+    inv = ChiInv(pair.p, pair.q)
+    if ctx.mutation == "chi-split-swap" and pair.p == pair.q:
+        inv = compose(inv, Sigma(sym(pair.p), sym(pair.q)))
+    return inv
 
 
 def _dbar(o, ctx):
@@ -285,326 +201,74 @@ def _mubar(o, ctx):
     return mubar(o, skip_mult=(ctx.mutation == "mubar-mult-skip"))
 
 
-def arrow_laws():
-    laws = []
-
-    def law(name, anchor, fn, deep=False):
-        laws.append(Law(name, anchor, deep, fn))
-
-    law("arrow.monad.unit.l", "lifted monad: outer unit then multiplication",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(_mubar(o, c), etabar(sbar_obj(o))),
-            id_arrow(sbar_obj(o)), b)))
-    law("arrow.monad.unit.r", "lifted monad: inner unit then multiplication",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(_mubar(o, c), sbar_mor(etabar(o))),
-            id_arrow(sbar_obj(o)), b)))
-    law("arrow.monad.assoc", "lifted monad: multiplication is associative",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(_mubar(o, c), sbar_mor(_mubar(o, c))),
-            compose_arrow(_mubar(o, c), _mubar(sbar_obj(o), c)), b)),
-        deep=True)
-
-    def with_monoid(fn):
-        def g(o, b, c):
-            sb = sbar_obj(o)
-            return fn(o, sb, mbar(o), ubar(o), b, c)
-        return g
-
-    law("arrow.monoid.assoc", "lifted multiplication is associative",
-        _on_arrows(with_monoid(lambda o, sb, m, u, b, c: arrow_check(
-            compose_arrow(m, boxtimes_mor(m, id_arrow(sb))),
-            compose_arrow(m, boxtimes_mor(id_arrow(sb), m)), b))))
-    law("arrow.monoid.unit.l", "lifted multiplication: left unit",
-        _on_arrows(with_monoid(lambda o, sb, m, u, b, c: arrow_check(
-            compose_arrow(m, boxtimes_mor(u, id_arrow(sb))),
-            id_arrow(sb), b))))
-    law("arrow.monoid.unit.r", "lifted multiplication: right unit",
-        _on_arrows(with_monoid(lambda o, sb, m, u, b, c: arrow_check(
-            compose_arrow(m, boxtimes_mor(id_arrow(sb), u)),
-            id_arrow(sb), b))))
-    law("arrow.monoid.comm", "lifted multiplication is commutative",
-        _on_arrows(with_monoid(lambda o, sb, m, u, b, c: arrow_check(
-            compose_arrow(m, boxtimes_sigma(sb, sb)), m, b))))
-
-    law("arrow.monoidmorph.mult",
-        "lifted substitution preserves multiplication",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(mbar(o), boxtimes_mor(mubar(o), mubar(o))),
-            compose_arrow(mubar(o), mbar(sbar_obj(o))), b)), deep=True)
-    law("arrow.monoidmorph.unit", "lifted substitution preserves the unit",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(mubar(o), ubar(sbar_obj(o))), ubar(o), b)),
-        deep=True)
-
-    law("arrow.D1", "lifted derivative of the constant vanishes",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(_dbar(o, c), ubar(o)),
-            zero_arrow(boxtimes_unit(), boxtimes_obj(sbar_obj(o), o)), b)))
-
-    def ad2(o, b, c):
-        sb = sbar_obj(o)
-        d = _dbar(o, c)
-        t1 = boxtimes_mor(id_arrow(sb), d)
-        t2 = compose_arrow(boxtimes_mor(id_arrow(sb), boxtimes_sigma(o, sb)),
-                           boxtimes_mor(d, id_arrow(sb)))
-        rhs = compose_arrow(boxtimes_mor(mbar(o), id_arrow(o)),
-                            add_arrow(t1, t2))
-        return arrow_check(compose_arrow(d, mbar(o)), rhs, b)
-    law("arrow.D2", "lifted Leibniz product rule", _on_arrows(ad2))
-
-    law("arrow.D3", "lifted derivative of a generator",
-        _on_arrows(lambda o, b, c: arrow_check(
-            compose_arrow(_dbar(o, c), etabar(o)),
-            boxtimes_mor(ubar(o), id_arrow(o)), b)))
-
-    def ad4(o, b, c):
-        d = _dbar(o, c)
-        lhs = compose_arrow(d, mubar(o))
-        rhs = compose_arrow(
-            boxtimes_mor(mbar(o), id_arrow(o)),
-            compose_arrow(boxtimes_mor(mubar(o), d), _dbar(sbar_obj(o), c)))
-        return arrow_check(lhs, rhs, b)
-    law("arrow.D4", "lifted chain rule", _on_arrows(ad4), deep=True)
-
-    def ad5(o, b, c):
-        sb = sbar_obj(o)
-        d = _dbar(o, c)
-        inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
-        lhs = compose_arrow(
-            boxtimes_mor(id_arrow(sb), boxtimes_sigma(o, o)), inner)
-        return arrow_check(lhs, inner, b)
-    law("arrow.D5", "lifted interchange of second derivatives", _on_arrows(ad5))
-
-    def box_samples():
-        arrows = dict(default_arrows())
-        return [("(id1,swap)", arrows["id(B1)"], arrows["swap(B2)"]),
-                ("(rect,id1)", arrows["rect(B2,B1)"], arrows["id(B1)"]),
-                ("(zero,zero)", arrows["zero(B1,B2)"], arrows["zero(B1,B2)"])]
-
-    def box_assoc(bound, ctx):
-        out = []
-        for n, p, q in box_samples():
-            r = p
-            lhs = boxtimes_obj(boxtimes_obj(p, q), r).phi
-            rhs = boxtimes_obj(p, boxtimes_obj(q, r)).phi
-            out.append((n, check_equal(lhs, rhs, bound)))
-        return out
-    law("arrow.box.assoc", "box product is strictly associative", box_assoc)
-
-    def box_unit(side):
-        def run(bound, ctx):
-            out = []
-            for n, p, q in box_samples():
-                if side == "l":
-                    lhs = boxtimes_obj(boxtimes_unit(), q).phi
-                    rhs = q.phi
-                else:
-                    lhs = boxtimes_obj(p, boxtimes_unit()).phi
-                    rhs = p.phi
-                out.append((n, check_equal(lhs, rhs, bound)))
-            return out
-        return run
-    law("arrow.box.unit.l", "box product: strict left unit", box_unit("l"))
-    law("arrow.box.unit.r", "box product: strict right unit", box_unit("r"))
-
-    def box_invol(bound, ctx):
-        out = []
-        for n, p, q in box_samples():
-            lhs = compose_arrow(boxtimes_sigma(q, p), boxtimes_sigma(p, q))
-            out.append((n, _merge(*arrow_check(
-                lhs, id_arrow(boxtimes_obj(p, q)), bound))))
-        return out
-    law("arrow.box.sym.invol", "box symmetry is an involution", box_invol)
-
-    def arrow_seely_law(direction):
-        def run(bound, ctx):
-            out = []
-            for n, p, q in box_samples():
-                chi = arrow_seely(p, q)
-                inv = arrow_seely_inv(p, q)
-                if direction == "l":
-                    lhs = compose_arrow(chi, inv)
-                    rhs = id_arrow(sbar_obj(sum_obj(p, q)))
-                else:
-                    lhs = compose_arrow(inv, chi)
-                    rhs = id_arrow(boxtimes_obj(sbar_obj(p), sbar_obj(q)))
-                out.append((n, _merge(*arrow_check(lhs, rhs, bound))))
-            return out
-        return run
-    law("arrow.seely.iso.l", "lifted storage comparison, merge then split",
-        arrow_seely_law("l"))
-    law("arrow.seely.iso.r", "lifted storage comparison, split then merge",
-        arrow_seely_law("r"))
-    law("arrow.seely0", "lifted nullary comparison equals the lifted unit",
-        lambda bound, ctx: [("0", _merge(*arrow_check(
-            arrow_seely0(), ubar(zero_obj()), bound)))])
-    return laws
+def _monoid(d, bound, ctx) -> ArrowMonoid:
+    mon = derivation_to_monoid(d, bound=bound)
+    if ctx.mutation == "m2-drop":
+        mon = ArrowMonoid(mon.obj, mon.m0, mon.m1,
+                          ZeroM(mon.m2.dom(), mon.m2.cod()), mon.u0)
+    return mon
 
 
-# ---------------------------------------------------------------------------
-# Derivation, monoid-dictionary and tangent laws
-# ---------------------------------------------------------------------------
-
-#: Instance names of `builtin_derivations`, in its order.
-BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
-
-
-def _builtin_ders(bound, ctx=None):
-    out = list(zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound)))
-    if ctx is not None:
-        out.extend(ctx.extra_derivations)
-    return out
+def _arrow_d2(o, ctx):
+    sb = sbar_obj(o)
+    d = _dbar(o, ctx)
+    t1 = boxtimes_mor(id_arrow(sb), d)
+    t2 = compose_arrow(boxtimes_mor(id_arrow(sb), boxtimes_sigma(o, sb)),
+                       boxtimes_mor(d, id_arrow(sb)))
+    rhs = compose_arrow(boxtimes_mor(mbar(o), id_arrow(o)), add_arrow(t1, t2))
+    return compose_arrow(d, mbar(o)), rhs
 
 
-def structure_laws():
-    laws = []
+def _arrow_d5(o, ctx):
+    d = _dbar(o, ctx)
+    inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
+    lhs = compose_arrow(boxtimes_mor(id_arrow(sbar_obj(o)), boxtimes_sigma(o, o)), inner)
+    return lhs, inner
 
-    def law(name, anchor, fn, deep=False):
-        laws.append(Law(name, anchor, deep, fn))
 
-    law("deriv.chain-rule", "built-in derivations satisfy the chain rule",
-        lambda b, c: [(n, is_s_derivation(d, b)) for n, d in _builtin_ders(b, c)])
+def _dual_table(x, ctx):
+    tan = tangent_algebra(rational_algebra()).tangent
+    dual = dual_numbers()
+    j = linear_map_from_matrix(tan.carrier, dual.carrier, ((1, 0), (0, 1)))
+    return compose(tan.mult(), j), compose(TensorM(j, j), dual.mult())
 
-    def leibniz_of(d, b):
-        alg, mod = d.algebra, d.module
-        a = alg.carrier
-        m = alg.mult()
-        leib = Add(compose(TensorM(Id(a), d.d), mod.alpha),
-                   compose(Sigma(a, a), TensorM(Id(a), d.d), mod.alpha))
-        return check_equal(compose(m, d.d), leib, b)
 
-    def implication(b, c):
-        out = []
-        for n, d in _builtin_ders(b, c):
-            strong = is_s_derivation(d, b)
-            if strong.ok:
-                out.append((n, leibniz_of(d, b)))
-            else:
-                out.append((n, strong))
-        return out
-    law("deriv.implies.leibniz",
-        "every chain-rule derivation obeys the plain Leibniz rule",
-        implication)
+def _implies_leibniz(d, bound, ctx):
+    """The plain Leibniz rule, decided once the chain rule holds."""
+    strong = is_s_derivation(d, bound)
+    if not strong.ok:
+        return strong
+    a, alpha = d.algebra.carrier, d.module.alpha
+    leibniz = Add(compose(TensorM(Id(a), d.d), alpha),
+                  compose(Sigma(a, a), TensorM(Id(a), d.d), alpha))
+    return check_equal(compose(d.algebra.mult(), d.d), leibniz, bound)
 
-    law("deriv.roundtrip.alpha",
-        "module action survives derivation -> algebra -> derivation",
-        lambda b, c: [(n, roundtrip_alpha(d, b)) for n, d in _builtin_ders(b, c)])
-    law("deriv.roundtrip.nu1",
-        "evaluation survives algebra -> derivation -> algebra",
-        lambda b, c: [(n, roundtrip_nu1(derivation_to_algebra(d, bound=b), b))
-                      for n, d in _builtin_ders(b, c)])
 
-    def aux(which):
-        def run(b, c):
-            out = []
-            for n, d in _builtin_ders(b, c):
-                sba = derivation_to_algebra(d, bound=b)
-                checks = dict(sbar_algebra_aux_checks(sba, b))
-                out.append((n, checks[which]))
-            return out
-        return run
-    law("sbar.aux.evaluated-unit",
-        "derived diagram: evaluate, re-embed, act equals act", aux("sbar.aux.evaluated-unit"))
-    law("sbar.aux.mult-action",
-        "derived diagram: acting by a product equals acting twice", aux("sbar.aux.mult-action"))
+def _aux_check(key, d, bound, ctx):
+    """One of the `sbar_algebra_aux_checks` of the algebra of d."""
+    return dict(sbar_algebra_aux_checks(derivation_to_algebra(d, bound=bound), bound))[key]
 
-    def mon_of(d, c, b):
-        mon = derivation_to_monoid(d, bound=b)
-        if c.mutation == "m2-drop":
-            mon = ArrowMonoid(mon.obj, mon.m0, mon.m1,
-                              ZeroM(mon.m2.dom(), mon.m2.cod()), mon.u0)
-        return mon
 
-    def monoid_family(check_name):
-        def run(b, c):
-            out = []
-            for n, d in _builtin_ders(b, c):
-                mon = mon_of(d, c, b)
-                checks = dict(monoid_checks(mon, b))
-                v0 = checks[check_name + ".0"]
-                v1 = checks[check_name + ".1"]
-                out.append((n, _merge(v0, v1)))
-            return out
-        return run
-    for check_name, anchor in [
-        ("monoid.assoc", "box monoid from a derivation: associativity"),
-        ("monoid.unit.l", "box monoid from a derivation: left unit"),
-        ("monoid.unit.r", "box monoid from a derivation: right unit"),
-        ("monoid.comm", "box monoid from a derivation: commutativity"),
-    ]:
-        law("boxmonoid." + check_name.split(".", 1)[1], anchor,
-            monoid_family(check_name))
+def _box_monoid(key0, key1, d, bound, ctx):
+    """Two of the `monoid_checks` of the box monoid of d, as one verdict."""
+    checks = dict(monoid_checks(_monoid(d, bound, ctx), bound))
+    return _merge(checks[key0], checks[key1])
 
-    def monoid_squares(b, c):
-        out = []
-        for n, d in _builtin_ders(b, c):
-            mon = mon_of(d, c, b)
-            checks = dict(monoid_checks(mon, b))
-            out.append((n, _merge(checks["monoid.square.mult"],
-                                  checks["monoid.square.unit"])))
-        return out
-    law("boxmonoid.squares",
-        "box monoid structure maps are arrow morphisms", monoid_squares)
 
-    law("monoid.m2-redundancy",
-        "the second multiplication component is forced by symmetry",
-        lambda b, c: [(n, m2_redundancy(mon_of(d, c, b), b))
-                      for n, d in _builtin_ders(b, c)])
+def _dict_roundtrip(d, bound, ctx):
+    mon = derivation_to_monoid(d, bound=bound)
+    back = monoid_to_derivation(mon, d.algebra, bound=bound)
+    return _merge(check_equal(back.d, d.d, bound),
+                  check_equal(back.module.alpha, d.module.alpha, bound))
 
-    def dict_roundtrip(b, c):
-        out = []
-        for n, d in _builtin_ders(b, c):
-            mon = derivation_to_monoid(d, bound=b)
-            back = monoid_to_derivation(mon, d.algebra, bound=b)
-            v = _merge(check_equal(back.d, d.d, b),
-                       check_equal(back.module.alpha, d.module.alpha, b))
-            out.append((n, v))
-        return out
-    law("monoid.dict.roundtrip",
-        "derivation -> monoid -> derivation is the identity", dict_roundtrip)
 
-    def tangent_alg_law(b, c):
-        out = []
-        for alg in list(builtin_algebras()) + list(c.extra_algebras):
-            nub = tangent_structure_map(alg)
-            aa = direct_sum(alg.carrier, alg.carrier)
-            v = _merge(check_equal(compose(Eta(aa), nub), Id(aa), b),
-                       check_equal(compose(Mu(aa), nub),
-                                   compose(SymF(nub), nub), max(1, b - 1)))
-            out.append((alg.name, v))
-        return out
-    law("tangent.algebra",
-        "the doubled structure map is again an algebra", tangent_alg_law)
-
-    def tangent_table(b, c):
-        tan = tangent_algebra(rational_algebra()).tangent
-        dual = dual_numbers()
-        j = linear_map_from_matrix(tan.carrier, dual.carrier, ((1, 0), (0, 1)))
-        return [("rank-1", check_equal(compose(tan.mult(), j),
-                                       compose(TensorM(j, j), dual.mult()), b))]
-    law("tangent.dual-table",
-        "tangent of the rank-1 algebra is exactly dual numbers", tangent_table)
-
-    def tangent_chain(b, c):
-        out = []
-        for n, d in [("d/dx", formal_derivative(bound=b)),
-                     ("zero(Q)", zero_derivation(rational_algebra(), bound=b))]:
-            out.append((n, is_s_derivation(tangent_derivation(d, bound=b), b)))
-        return out
-    law("tangent.chain-rule",
-        "the doubled derivation satisfies the chain rule", tangent_chain, deep=True)
-
-    law("kleisli.power-rule",
-        "the Kleisli differential reproduces the power rule",
-        lambda b, c: [(f"x^{k}", power_rule_check(k, k, b)) for k in range(1, 5)])
-
-    def additivity(b, c):
-        f, g = monomial_power_map(2), monomial_power_map(3)
-        return [("x^2+x^3", check_equal(kleisli_diff(Add(f, g)),
-                                         Add(kleisli_diff(f), kleisli_diff(g)), b))]
-    law("kleisli.additivity", "the Kleisli differential is additive", additivity)
-    return laws
+def _tangent_algebra(alg, bound, ctx):
+    """Unit law at `bound`; the associativity law nests S twice, so one lower."""
+    nub = tangent_structure_map(alg)
+    aa = direct_sum(alg.carrier, alg.carrier)
+    return _merge(check_equal(compose(Eta(aa), nub), Id(aa), bound),
+                  check_equal(compose(Mu(aa), nub), compose(SymF(nub), nub),
+                              max(1, bound - 1)))
 
 
 def power_rule_check(k: int, coeff, bound: int) -> Verdict:
@@ -618,11 +282,184 @@ def power_rule_check(k: int, coeff, bound: int) -> Verdict:
     return check_equal(df, want, bound)
 
 
+_LAWS = (
+    _eq("D1", "derivative of the constant monomial vanishes", _bases,
+        lambda a, ctx: (compose(UnitM(a), Deriv(a)), ZeroM(UNIT, tensor(sym(a), a)))),
+    _eq("D2", "Leibniz product rule for the deriving map", _bases,
+        lambda a, ctx: (compose(Mult(a), Deriv(a)),
+                        _d2_rhs(a, ctx.mutation == "leibniz-drop"))),
+    _eq("D3", "derivative of a generator is the generator", _bases,
+        lambda a, ctx: (compose(Eta(a), Deriv(a)), TensorM(UnitM(a), Id(a)))),
+    _eq("D4", "chain rule: derivative commutes with substitution", _bases,
+        lambda a, ctx: (compose(Mu(a), Deriv(a)),
+                        compose(Deriv(sym(a)), TensorM(Mu(a), Deriv(a)),
+                                TensorM(Mult(a), Id(a)))), deep=True),
+    _eq("D5", "interchange: the two mixed second derivatives agree", _bases,
+        lambda a, ctx: (compose(Deriv(a), TensorM(Deriv(a), Id(a)),
+                                TensorM(Id(sym(a)), Sigma(a, a))),
+                        compose(Deriv(a), TensorM(Deriv(a), Id(a))))),
+    _eq("monad.unit.l", "substitution after the outer unit is the identity", _bases,
+        lambda a, ctx: (compose(Eta(sym(a)), Mu(a)), Id(sym(a)))),
+    _eq("monad.unit.r", "substitution after the inner unit is the identity", _bases,
+        lambda a, ctx: (compose(SymF(Eta(a)), Mu(a)), Id(sym(a)))),
+    _eq("monad.assoc", "substitution is associative", _bases,
+        lambda a, ctx: (compose(SymF(Mu(a)), Mu(a)), compose(Mu(sym(a)), Mu(a))),
+        deep=True),
+    _eq("monoid.assoc", "polynomial multiplication is associative", _bases,
+        lambda a, ctx: (compose(TensorM(Mult(a), Id(sym(a))), Mult(a)),
+                        compose(TensorM(Id(sym(a)), Mult(a)), Mult(a)))),
+    _eq("monoid.unit.l", "multiplying by the empty monomial on the left", _bases,
+        lambda a, ctx: (compose(TensorM(UnitM(a), Id(sym(a))), Mult(a)), Id(sym(a)))),
+    _eq("monoid.unit.r", "multiplying by the empty monomial on the right", _bases,
+        lambda a, ctx: (compose(TensorM(Id(sym(a)), UnitM(a)), Mult(a)), Id(sym(a)))),
+    _eq("monoid.comm", "polynomial multiplication is commutative", _bases,
+        lambda a, ctx: (compose(Sigma(sym(a), sym(a)), Mult(a)), Mult(a))),
+    _eq("monoidmorph.mult", "substitution preserves multiplication", _bases,
+        lambda a, ctx: (compose(Mult(sym(a)), Mu(a)),
+                        compose(TensorM(Mu(a), Mu(a)), Mult(a))), deep=True),
+    _eq("monoidmorph.unit", "substitution preserves the unit", _bases,
+        lambda a, ctx: (compose(UnitM(sym(a)), Mu(a)), UnitM(a)), deep=True),
+
+    _eq("nat.eta", "the degree-1 embedding is natural", _seeded_maps,
+        lambda f, ctx: (compose(f, Eta(f.cod())), compose(Eta(f.dom()), SymF(f)))),
+    _eq("nat.mu", "substitution is natural", _seeded_maps,
+        lambda f, ctx: (compose(Mu(f.dom()), SymF(f)), compose(SymF(SymF(f)), Mu(f.cod()))),
+        deep=True),
+    _eq("nat.m", "multiplication is natural", _seeded_maps,
+        lambda f, ctx: (compose(Mult(f.dom()), SymF(f)),
+                        compose(TensorM(SymF(f), SymF(f)), Mult(f.cod())))),
+    _eq("nat.u", "the unit is natural", _seeded_maps,
+        lambda f, ctx: (compose(UnitM(f.dom()), SymF(f)), UnitM(f.cod()))),
+    _eq("nat.d", "the deriving map is natural", _seeded_maps,
+        lambda f, ctx: (compose(Deriv(f.dom()), TensorM(SymF(f), f)),
+                        compose(SymF(f), Deriv(f.cod())))),
+
+    _eq("seely.iso.l", "merging then splitting monomials is the identity", _seely_pairs,
+        lambda pair, ctx: (compose(Chi(pair.p, pair.q), _chi_inv(pair, ctx)),
+                           Id(tensor(sym(pair.p), sym(pair.q))))),
+    _eq("seely.iso.r", "splitting then merging monomials is the identity", _seely_pairs,
+        lambda pair, ctx: (compose(_chi_inv(pair, ctx), Chi(pair.p, pair.q)),
+                           Id(sym(direct_sum(pair.p, pair.q))))),
+    _eq("seely0.iso.l", "the empty-space comparison is invertible, one way",
+        lambda bound, ctx: [("I", None)],
+        lambda x, ctx: (compose(UnitM(ZERO), Chi0Inv()), Id(UNIT))),
+    _eq("seely0.iso.r", "the empty-space comparison is invertible, other way",
+        lambda bound, ctx: [("S(0)", None)],
+        lambda x, ctx: (compose(Chi0Inv(), UnitM(ZERO)), Id(sym(ZERO)))),
+
+    _eq("arrow.monad.unit.l", "lifted monad: outer unit then multiplication", _arrows,
+        lambda o, ctx: (compose_arrow(_mubar(o, ctx), etabar(sbar_obj(o))),
+                        id_arrow(sbar_obj(o)))),
+    _eq("arrow.monad.unit.r", "lifted monad: inner unit then multiplication", _arrows,
+        lambda o, ctx: (compose_arrow(_mubar(o, ctx), sbar_mor(etabar(o))),
+                        id_arrow(sbar_obj(o)))),
+    _eq("arrow.monad.assoc", "lifted monad: multiplication is associative", _arrows,
+        lambda o, ctx: (compose_arrow(_mubar(o, ctx), sbar_mor(_mubar(o, ctx))),
+                        compose_arrow(_mubar(o, ctx), _mubar(sbar_obj(o), ctx))),
+        deep=True),
+    _eq("arrow.monoid.assoc", "lifted multiplication is associative", _lifted_monoids,
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.m, id_arrow(x.sb))),
+                        compose_arrow(x.m, boxtimes_mor(id_arrow(x.sb), x.m)))),
+    _eq("arrow.monoid.unit.l", "lifted multiplication: left unit", _lifted_monoids,
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.u, id_arrow(x.sb))), id_arrow(x.sb))),
+    _eq("arrow.monoid.unit.r", "lifted multiplication: right unit", _lifted_monoids,
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(id_arrow(x.sb), x.u)), id_arrow(x.sb))),
+    _eq("arrow.monoid.comm", "lifted multiplication is commutative", _lifted_monoids,
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_sigma(x.sb, x.sb)), x.m)),
+    _eq("arrow.monoidmorph.mult", "lifted substitution preserves multiplication", _arrows,
+        lambda o, ctx: (compose_arrow(mbar(o), boxtimes_mor(mubar(o), mubar(o))),
+                        compose_arrow(mubar(o), mbar(sbar_obj(o)))), deep=True),
+    _eq("arrow.monoidmorph.unit", "lifted substitution preserves the unit", _arrows,
+        lambda o, ctx: (compose_arrow(mubar(o), ubar(sbar_obj(o))), ubar(o)), deep=True),
+    _eq("arrow.D1", "lifted derivative of the constant vanishes", _arrows,
+        lambda o, ctx: (compose_arrow(_dbar(o, ctx), ubar(o)),
+                        zero_arrow(boxtimes_unit(), boxtimes_obj(sbar_obj(o), o)))),
+    _eq("arrow.D2", "lifted Leibniz product rule", _arrows, _arrow_d2),
+    _eq("arrow.D3", "lifted derivative of a generator", _arrows,
+        lambda o, ctx: (compose_arrow(_dbar(o, ctx), etabar(o)),
+                        boxtimes_mor(ubar(o), id_arrow(o)))),
+    _eq("arrow.D4", "lifted chain rule", _arrows,
+        lambda o, ctx: (compose_arrow(_dbar(o, ctx), mubar(o)),
+                        compose_arrow(boxtimes_mor(mbar(o), id_arrow(o)),
+                                      compose_arrow(boxtimes_mor(mubar(o), _dbar(o, ctx)),
+                                                    _dbar(sbar_obj(o), ctx)))), deep=True),
+    _eq("arrow.D5", "lifted interchange of second derivatives", _arrows, _arrow_d5),
+
+    _eq("arrow.box.assoc", "box product is strictly associative", _box_pairs,
+        lambda pair, ctx: (boxtimes_obj(boxtimes_obj(pair.p, pair.q), pair.p).phi,
+                           boxtimes_obj(pair.p, boxtimes_obj(pair.q, pair.p)).phi)),
+    _eq("arrow.box.unit.l", "box product: strict left unit", _box_pairs,
+        lambda pair, ctx: (boxtimes_obj(boxtimes_unit(), pair.q).phi, pair.q.phi)),
+    _eq("arrow.box.unit.r", "box product: strict right unit", _box_pairs,
+        lambda pair, ctx: (boxtimes_obj(pair.p, boxtimes_unit()).phi, pair.p.phi)),
+    _eq("arrow.box.sym.invol", "box symmetry is an involution", _box_pairs,
+        lambda pair, ctx: (compose_arrow(boxtimes_sigma(pair.q, pair.p),
+                                         boxtimes_sigma(pair.p, pair.q)),
+                           id_arrow(boxtimes_obj(pair.p, pair.q)))),
+    _eq("arrow.seely.iso.l", "lifted storage comparison, merge then split", _box_pairs,
+        lambda pair, ctx: (compose_arrow(arrow_seely(*pair), arrow_seely_inv(*pair)),
+                           id_arrow(sbar_obj(sum_obj(*pair))))),
+    _eq("arrow.seely.iso.r", "lifted storage comparison, split then merge", _box_pairs,
+        lambda pair, ctx: (compose_arrow(arrow_seely_inv(*pair), arrow_seely(*pair)),
+                           id_arrow(boxtimes_obj(sbar_obj(pair.p), sbar_obj(pair.q))))),
+    _eq("arrow.seely0", "lifted nullary comparison equals the lifted unit",
+        lambda bound, ctx: [("0", None)],
+        lambda x, ctx: (arrow_seely0(), ubar(zero_obj()))),
+
+    Law("deriv.chain-rule", "built-in derivations satisfy the chain rule", _derivations,
+        lambda d, bound, ctx: is_s_derivation(d, bound)),
+    Law("deriv.implies.leibniz", "every chain-rule derivation obeys the plain Leibniz rule",
+        _derivations, _implies_leibniz),
+    Law("deriv.roundtrip.alpha", "module action survives derivation -> algebra -> derivation",
+        _derivations, lambda d, bound, ctx: roundtrip_alpha(d, bound)),
+    Law("deriv.roundtrip.nu1", "evaluation survives algebra -> derivation -> algebra",
+        _derivations,
+        lambda d, bound, ctx: roundtrip_nu1(derivation_to_algebra(d, bound=bound), bound)),
+    Law("sbar.aux.evaluated-unit", "derived diagram: evaluate, re-embed, act equals act",
+        _derivations, partial(_aux_check, "sbar.aux.evaluated-unit")),
+    Law("sbar.aux.mult-action", "derived diagram: acting by a product equals acting twice",
+        _derivations, partial(_aux_check, "sbar.aux.mult-action")),
+    Law("boxmonoid.assoc", "box monoid from a derivation: associativity", _derivations,
+        partial(_box_monoid, "monoid.assoc.0", "monoid.assoc.1")),
+    Law("boxmonoid.unit.l", "box monoid from a derivation: left unit", _derivations,
+        partial(_box_monoid, "monoid.unit.l.0", "monoid.unit.l.1")),
+    Law("boxmonoid.unit.r", "box monoid from a derivation: right unit", _derivations,
+        partial(_box_monoid, "monoid.unit.r.0", "monoid.unit.r.1")),
+    Law("boxmonoid.comm", "box monoid from a derivation: commutativity", _derivations,
+        partial(_box_monoid, "monoid.comm.0", "monoid.comm.1")),
+    Law("boxmonoid.squares", "box monoid structure maps are arrow morphisms", _derivations,
+        partial(_box_monoid, "monoid.square.mult", "monoid.square.unit")),
+    Law("monoid.m2-redundancy", "the second multiplication component is forced by symmetry",
+        _derivations, lambda d, bound, ctx: m2_redundancy(_monoid(d, bound, ctx), bound)),
+    Law("monoid.dict.roundtrip", "derivation -> monoid -> derivation is the identity",
+        _derivations, _dict_roundtrip),
+
+    Law("tangent.algebra", "the doubled structure map is again an algebra",
+        lambda bound, ctx: [(alg.name, alg)
+                            for alg in [*builtin_algebras(), *ctx.extra_algebras]],
+        _tangent_algebra),
+    _eq("tangent.dual-table", "tangent of the rank-1 algebra is exactly dual numbers",
+        lambda bound, ctx: [("rank-1", None)], _dual_table),
+    Law("tangent.chain-rule", "the doubled derivation satisfies the chain rule",
+        lambda bound, ctx: [("d/dx", formal_derivative(bound=bound)),
+                            ("zero(Q)", zero_derivation(rational_algebra(), bound=bound))],
+        lambda d, bound, ctx: is_s_derivation(tangent_derivation(d, bound=bound), bound),
+        deep=True),
+    Law("kleisli.power-rule", "the Kleisli differential reproduces the power rule",
+        lambda bound, ctx: [(f"x^{k}", k) for k in range(1, 5)],
+        lambda k, bound, ctx: power_rule_check(k, k, bound)),
+    _eq("kleisli.additivity", "the Kleisli differential is additive",
+        lambda bound, ctx: [("x^2+x^3", None)],
+        lambda x, ctx: (kleisli_diff(Add(monomial_power_map(2), monomial_power_map(3))),
+                        Add(kleisli_diff(monomial_power_map(2)),
+                            kleisli_diff(monomial_power_map(3))))),
+)
+
+
 def registry():
     """All laws, keyed by stable name, in a stable order."""
-    laws = base_laws() + arrow_laws() + structure_laws()
     out = {}
-    for law in laws:
+    for law in _LAWS:
         if law.name in out:
             raise ValueError(f"duplicate law name {law.name}")
         out[law.name] = law
