@@ -18,8 +18,9 @@ from .morphisms import (
     check_equal, compose, sum_map, inj, proj,
 )
 
-#: Weight bound used when validating commuting squares at construction.
-SQUARE_CHECK_BOUND = 2
+#: Weight bound at which constructions validate their defining equations:
+#: commuting squares here, structure axioms in derivations.py.
+VALIDATE_BOUND = 2
 
 
 class InvalidArrowError(ValueError):
@@ -56,11 +57,17 @@ def arrow_mor(src: ArrowObj, dst: ArrowObj, f0: MorExpr, f1: MorExpr,
         raise InvalidArrowError("f0 endpoints do not match the arrow objects")
     if f1.dom() != src.a1 or f1.cod() != dst.a1:
         raise InvalidArrowError("f1 endpoints do not match the arrow objects")
+    m = ArrowMor(src, dst, f0, f1)
     if check:
-        v = check_equal(Compose(f1, src.phi), Compose(dst.phi, f0), SQUARE_CHECK_BOUND)
+        v = check_equal(*commuting_square(m), VALIDATE_BOUND)
         if not v.ok:
             raise InvalidArrowError(f"square does not commute at {v.witness}", v)
-    return ArrowMor(src, dst, f0, f1)
+    return m
+
+
+def commuting_square(m: ArrowMor):
+    """The equation making m an arrow morphism: f1 . src.phi = dst.phi . f0."""
+    return Compose(m.f1, m.src.phi), Compose(m.dst.phi, m.f0)
 
 
 def id_arrow(o: ArrowObj) -> ArrowMor:

@@ -7,6 +7,9 @@ nu on all of S(A).  Chain-rule derivations are the same thing as algebras
 of the lifted monad on the arrow category, and plain derivations are the
 same thing as commutative monoids for the box product; both dictionaries
 are implemented here with their round-trip checks.
+
+Each structure states its axioms once, as an ordered table ``{diagram name:
+(lhs, rhs)}`` that the factories validate and the law registry decides.
 """
 
 from __future__ import annotations
@@ -16,17 +19,14 @@ from dataclasses import dataclass
 from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, GenIx
 from .elements import Element, singleton, zero_element
 from .morphisms import (
-    MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
+    MorExpr, Id, TensorM, Add, ZeroM, Sigma, Matrix,
     SymF, Eta, Mu, Mult, UnitM, Deriv, TableNu,
     Verdict, check_equal, compose, linear_map_from_matrix,
 )
 from .arrow import (
-    ArrowObj, ArrowMor, id_arrow, compose_arrow,
+    VALIDATE_BOUND, ArrowObj, ArrowMor, id_arrow, compose_arrow, commuting_square,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit, arrow_check,
 )
-
-#: Weight bound used by the validating factories below.
-VALIDATE_BOUND = 2
 
 
 class InvalidStructureError(ValueError):
@@ -38,10 +38,37 @@ class InvalidStructureError(ValueError):
         self.verdict = verdict
 
 
-def _require(diagram: str, lhs: MorExpr, rhs: MorExpr, bound: int) -> None:
-    v = check_equal(lhs, rhs, bound)
-    if not v.ok:
-        raise InvalidStructureError(diagram, v)
+# ---------------------------------------------------------------------------
+# Deciding equations: each side is a map, or both are arrow morphisms
+# ---------------------------------------------------------------------------
+
+def both(v0: Verdict, v1: Verdict) -> Verdict:
+    """Two verdicts as one: the first failure, else equal over both's tests."""
+    bad = v0 if not v0.ok else v1
+    if not bad.ok:
+        return bad
+    return Verdict("equal", v0.tested_count + v1.tested_count, v0.weight_bound)
+
+
+def decide(lhs, rhs, bound: int) -> Verdict:
+    """lhs = rhs as maps, or componentwise as arrow morphisms."""
+    if isinstance(lhs, ArrowMor):
+        return both(*arrow_check(lhs, rhs, bound))
+    return check_equal(lhs, rhs, bound)
+
+
+def decide_all(equations: dict, bound: int, names=None):
+    """(name, verdict) of each equation in `names` (default: all), in table order, lazily."""
+    for name, (lhs, rhs) in equations.items():
+        if names is None or name in names:
+            yield name, decide(lhs, rhs, bound)
+
+
+def _validate(equations: dict, bound: int, names=None) -> None:
+    """Raise InvalidStructureError naming the first equation that fails."""
+    for name, v in decide_all(equations, bound, names):
+        if not v.ok:
+            raise InvalidStructureError(name, v)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +91,29 @@ class SAlgebra:
         return compose(UnitM(self.carrier), self.nu)
 
 
-def induced_monoid(alg: SAlgebra):
-    return alg.mult(), alg.unit()
+def table_axioms(alg: SAlgebra) -> dict:
+    """The induced multiplication is commutative, unital and associative."""
+    a, m, u = alg.carrier, alg.mult(), alg.unit()
+    return {
+        "table.comm": (compose(Sigma(a, a), m), m),
+        "table.unit": (compose(TensorM(u, Id(a)), m), Id(a)),
+        "table.assoc": (compose(TensorM(m, Id(a)), m), compose(TensorM(Id(a), m), m)),
+    }
+
+
+def algebra_axioms(alg: SAlgebra) -> dict:
+    a, nu = alg.carrier, alg.nu
+    return {
+        "algebra.unit": (compose(Eta(a), nu), Id(a)),
+        "algebra.assoc": (compose(Mu(a), nu), compose(SymF(nu), nu)),
+    }
 
 
 def s_algebra(name: str, carrier: SpaceExpr, nu: MorExpr,
               bound: int = VALIDATE_BOUND) -> SAlgebra:
-    _require("algebra.unit", compose(Eta(carrier), nu), Id(carrier), bound)
-    _require("algebra.assoc", compose(Mu(carrier), nu), compose(SymF(nu), nu), bound)
-    return SAlgebra(name, carrier, nu)
+    alg = SAlgebra(name, carrier, nu)
+    _validate(algebra_axioms(alg), bound)
+    return alg
 
 
 def free_algebra(v: SpaceExpr, name: str = "free",
@@ -86,19 +127,12 @@ def table_algebra(name: str, carrier: SpaceExpr, mult_table, unit_elem: Element,
 
     The structure map folds the table over a monomial's factors.  The
     table must be commutative, associative and unital; this is checked
-    exhaustively (the carrier is finite rank) along with the algebra
-    diagrams.
+    exhaustively (the carrier is finite rank) before the algebra diagrams.
     """
     nu = TableNu(carrier, tuple(tuple(r) for r in mult_table), unit_elem)
     alg = SAlgebra(name, nu.carrier, nu)
-    m, u = alg.mult(), alg.unit()
-    a = alg.carrier
-    _require("table.comm", compose(Sigma(a, a), m), m, bound)
-    _require("table.unit", compose(TensorM(u, Id(a)), m), Id(a), bound)
-    _require("table.assoc",
-             compose(TensorM(m, Id(a)), m),
-             compose(TensorM(Id(a), m), m), bound)
-    return s_algebra(name, a, nu, bound=bound)
+    _validate({**table_axioms(alg), **algebra_axioms(alg)}, bound)
+    return alg
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +146,20 @@ class AModule:
     alpha: MorExpr  # A (x) M -> M
 
 
+def module_axioms(module: AModule) -> dict:
+    a, c, al = module.algebra.carrier, module.carrier, module.alpha
+    m, u = module.algebra.mult(), module.algebra.unit()
+    return {
+        "module.unit": (compose(TensorM(u, Id(c)), al), Id(c)),
+        "module.assoc": (compose(TensorM(m, Id(c)), al), compose(TensorM(Id(a), al), al)),
+    }
+
+
 def a_module(algebra: SAlgebra, carrier: SpaceExpr, alpha: MorExpr,
              bound: int = VALIDATE_BOUND) -> AModule:
-    a = algebra.carrier
-    m, u = algebra.mult(), algebra.unit()
-    _require("module.unit",
-             compose(TensorM(u, Id(carrier)), alpha), Id(carrier), bound)
-    _require("module.assoc",
-             compose(TensorM(m, Id(carrier)), alpha),
-             compose(TensorM(Id(a), alpha), alpha), bound)
-    return AModule(algebra, carrier, alpha)
+    module = AModule(algebra, carrier, alpha)
+    _validate(module_axioms(module), bound)
+    return module
 
 
 @dataclass(frozen=True)
@@ -131,25 +169,36 @@ class Derivation:
     d: MorExpr  # A -> M
 
 
+def derivation_axioms(d: Derivation) -> dict:
+    """The constant and Leibniz rules, then the chain rule, which makes D
+    compatible with nu on all of S(A): D . nu = alpha . (nu (x) D) . d."""
+    a, nu, al = d.algebra.carrier, d.algebra.nu, d.module.alpha
+    leibniz = Add(compose(TensorM(Id(a), d.d), al),
+                  compose(Sigma(a, a), TensorM(Id(a), d.d), al))
+    return {
+        "derivation.constant": (compose(d.algebra.unit(), d.d), ZeroM(UNIT, d.module.carrier)),
+        "derivation.leibniz": (compose(d.algebra.mult(), d.d), leibniz),
+        "derivation.chain-rule": (compose(nu, d.d), compose(Deriv(a), TensorM(nu, d.d), al)),
+    }
+
+
 def derivation(algebra: SAlgebra, module: AModule, d: MorExpr,
                bound: int = VALIDATE_BOUND) -> Derivation:
     """Validate the constant rule and the Leibniz rule."""
-    a, mcar = algebra.carrier, module.carrier
-    m, u = algebra.mult(), algebra.unit()
-    al = module.alpha
-    _require("derivation.constant", compose(u, d), ZeroM(UNIT, mcar), bound)
-    leib = Add(compose(TensorM(Id(a), d), al),
-               compose(Sigma(a, a), TensorM(Id(a), d), al))
-    _require("derivation.leibniz", compose(m, d), leib, bound)
-    return Derivation(algebra, module, d)
+    der = Derivation(algebra, module, d)
+    _validate(derivation_axioms(der), bound,
+              names=("derivation.constant", "derivation.leibniz"))
+    return der
 
 
-def is_s_derivation(d: Derivation, weight_bound: int) -> Verdict:
-    """Chain-rule diagram: D . nu = alpha . (nu (x) D) . d on S(A)."""
-    a = d.algebra.carrier
-    lhs = compose(d.algebra.nu, d.d)
-    rhs = compose(Deriv(a), TensorM(d.algebra.nu, d.d), d.module.alpha)
-    return check_equal(lhs, rhs, weight_bound)
+def derivation_map_axioms(src: Derivation, dst: Derivation, f0: MorExpr, f1: MorExpr) -> dict:
+    """The three squares making (f0, f1) a map of chain-rule derivations."""
+    return {
+        "dermor.algebra": (compose(src.algebra.nu, f0), compose(SymF(f0), dst.algebra.nu)),
+        "dermor.module": (compose(src.module.alpha, f1),
+                          compose(TensorM(f0, f1), dst.module.alpha)),
+        "dermor.square": commuting_square(ArrowMor(ArrowObj(src.d), ArrowObj(dst.d), f0, f1)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -163,40 +212,42 @@ class SBarAlgebra:
     nu1: MorExpr  # S(A0) (x) A1 -> A1
 
 
-def _mubar_style(a0: SpaceExpr, a1: SpaceExpr, tail: MorExpr) -> MorExpr:
-    """(tail (x) 1) . (mu (x) 1 (x) 1) with tail: S (x) S -> S-like."""
-    return compose(TensorM(Mu(a0), Id(tensor(sym(a0), a1))),
-                   TensorM(tail, Id(a1)))
+def sbar_axioms(sba: SBarAlgebra) -> dict:
+    """The five defining diagrams, then two derived ones that every valid
+    algebra of the lifted monad obeys."""
+    a0, a1, phi = sba.obj.a0, sba.obj.a1, sba.obj.phi
+    nu0, nu1 = sba.nu0, sba.nu1
+    sa = sym(a0)
+    return {
+        "sbar.square": (compose(Deriv(a0), TensorM(Id(sa), phi), nu1), compose(nu0, phi)),
+        "sbar.unit0": (compose(Eta(a0), nu0), Id(a0)),
+        "sbar.unit1": (compose(TensorM(UnitM(a0), Id(a1)), nu1), Id(a1)),
+        "sbar.assoc0": (compose(Mu(a0), nu0), compose(SymF(nu0), nu0)),
+        "sbar.assoc1": (compose(TensorM(Mu(a0), Id(tensor(sa, a1))),
+                                TensorM(Mult(a0), Id(a1)), nu1),
+                        compose(TensorM(SymF(nu0), nu1), nu1)),
+        "sbar.aux.evaluated-unit": (compose(TensorM(nu0, Id(a1)), TensorM(Eta(a0), Id(a1)), nu1),
+                                    nu1),
+        "sbar.aux.mult-action": (compose(TensorM(Mult(a0), Id(a1)), nu1),
+                                 compose(TensorM(Id(sa), nu1), nu1)),
+    }
 
 
 def sbar_algebra(obj: ArrowObj, nu0: MorExpr, nu1: MorExpr,
                  bound: int = VALIDATE_BOUND) -> SBarAlgebra:
-    a0, a1 = obj.a0, obj.a1
-    phi = obj.phi
-    _require("sbar.square",
-             compose(Deriv(a0), TensorM(Id(sym(a0)), phi), nu1),
-             compose(nu0, phi), bound)
-    _require("sbar.unit0", compose(Eta(a0), nu0), Id(a0), bound)
-    _require("sbar.unit1", compose(TensorM(UnitM(a0), Id(a1)), nu1), Id(a1), bound)
-    _require("sbar.assoc0", compose(Mu(a0), nu0), compose(SymF(nu0), nu0), bound)
-    _require("sbar.assoc1",
-             compose(_mubar_style(a0, a1, Mult(a0)), nu1),
-             compose(TensorM(SymF(nu0), nu1), nu1), bound)
-    return SBarAlgebra(obj, nu0, nu1)
+    sba = SBarAlgebra(obj, nu0, nu1)
+    eqs = sbar_axioms(sba)
+    _validate(eqs, bound, names=list(eqs)[:5])  # the two aux diagrams follow from these
+    return sba
 
 
-def sbar_algebra_aux_checks(sba: SBarAlgebra, weight_bound: int):
-    """Two derived diagrams every valid algebra of the lifted monad obeys."""
-    a0, a1 = sba.obj.a0, sba.obj.a1
-    nu0, nu1 = sba.nu0, sba.nu1
-    sa = sym(a0)
-    aux1 = check_equal(
-        compose(TensorM(nu0, Id(a1)), TensorM(Eta(a0), Id(a1)), nu1),
-        nu1, weight_bound)
-    aux2 = check_equal(
-        compose(TensorM(Mult(a0), Id(a1)), nu1),
-        compose(TensorM(Id(sa), nu1), nu1), weight_bound)
-    return [("sbar.aux.evaluated-unit", aux1), ("sbar.aux.mult-action", aux2)]
+def sbar_map_axioms(src: SBarAlgebra, dst: SBarAlgebra, f0: MorExpr, f1: MorExpr) -> dict:
+    """The squares making (f0, f1) a map of lifted-monad algebras."""
+    return {
+        "sbarmor.nu0": (compose(src.nu0, f0), compose(SymF(f0), dst.nu0)),
+        "sbarmor.nu1": (compose(src.nu1, f1), compose(TensorM(SymF(f0), f1), dst.nu1)),
+        "sbarmor.square": commuting_square(ArrowMor(src.obj, dst.obj, f0, f1)),
+    }
 
 
 def algebra_to_derivation(sba: SBarAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
@@ -210,59 +261,9 @@ def algebra_to_derivation(sba: SBarAlgebra, bound: int = VALIDATE_BOUND) -> Deri
 
 def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlgebra:
     """Read a chain-rule derivation as an algebra of the lifted monad."""
-    v = is_s_derivation(d, bound)
-    if not v.ok:
-        raise InvalidStructureError("derivation.chain-rule", v)
-    a, mcar = d.algebra.carrier, d.module.carrier
-    nu1 = compose(TensorM(d.algebra.nu, Id(mcar)), d.module.alpha)
+    _validate(derivation_axioms(d), bound, names=("derivation.chain-rule",))
+    nu1 = compose(TensorM(d.algebra.nu, Id(d.module.carrier)), d.module.alpha)
     return sbar_algebra(ArrowObj(d.d), d.algebra.nu, nu1, bound=bound)
-
-
-def roundtrip_alpha(d: Derivation, weight_bound: int) -> Verdict:
-    """alpha survives the derivation -> algebra -> derivation round trip."""
-    back = algebra_to_derivation(derivation_to_algebra(d, bound=weight_bound),
-                                 bound=weight_bound)
-    return check_equal(back.module.alpha, d.module.alpha, weight_bound)
-
-
-def roundtrip_nu1(sba: SBarAlgebra, weight_bound: int) -> Verdict:
-    """nu1 survives the algebra -> derivation -> algebra round trip."""
-    back = derivation_to_algebra(algebra_to_derivation(sba, bound=weight_bound),
-                                 bound=weight_bound)
-    return check_equal(back.nu1, sba.nu1, weight_bound)
-
-
-def derivation_morphism_checks(src: Derivation, dst: Derivation,
-                               f0: MorExpr, f1: MorExpr, weight_bound: int):
-    """The three squares making (f0, f1) a map of chain-rule derivations."""
-    a, a2 = src.algebra.carrier, dst.algebra.carrier
-    m1, m2 = src.module.carrier, dst.module.carrier
-    return [
-        ("dermor.algebra",
-         check_equal(compose(src.algebra.nu, f0),
-                     compose(SymF(f0), dst.algebra.nu), weight_bound)),
-        ("dermor.module",
-         check_equal(compose(src.module.alpha, f1),
-                     compose(TensorM(f0, f1), dst.module.alpha), weight_bound)),
-        ("dermor.square",
-         check_equal(compose(src.d, f1), compose(f0, dst.d), weight_bound)),
-    ]
-
-
-def sbar_morphism_checks(src: SBarAlgebra, dst: SBarAlgebra,
-                         f0: MorExpr, f1: MorExpr, weight_bound: int):
-    """The squares making (f0, f1) a map of lifted-monad algebras."""
-    return [
-        ("sbarmor.nu0",
-         check_equal(compose(src.nu0, f0),
-                     compose(SymF(f0), dst.nu0), weight_bound)),
-        ("sbarmor.nu1",
-         check_equal(compose(src.nu1, f1),
-                     compose(TensorM(SymF(f0), f1), dst.nu1), weight_bound)),
-        ("sbarmor.square",
-         check_equal(compose(src.obj.phi, f1),
-                     compose(f0, dst.obj.phi), weight_bound)),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -277,60 +278,33 @@ class ArrowMonoid:
     m2: MorExpr  # A1 (x) A0 -> A1
     u0: MorExpr  # I -> A0
 
-    def mult_mor(self) -> ArrowMor:
-        src = boxtimes_obj(self.obj, self.obj)
-        a0, a1 = self.obj.a0, self.obj.a1
-        f1 = Matrix(entries=((self.m1, self.m2),),
-                    dom_blocks=(tensor(a0, a1), tensor(a1, a0)),
-                    cod_blocks=(a1,))
-        return ArrowMor(src, self.obj, self.m0, f1)
 
-    def unit_mor(self) -> ArrowMor:
-        return ArrowMor(boxtimes_unit(), self.obj,
-                        self.u0, ZeroM(ZERO, self.obj.a1))
-
-
-def monoid_checks(mon: ArrowMonoid, weight_bound: int):
-    """The six commutative-monoid diagrams for a box-product monoid."""
+def monoid_axioms(mon: ArrowMonoid) -> dict:
+    """The multiplication mm and unit um are arrow morphisms, the
+    commutative-monoid diagrams, and m2 is m1 after the symmetry swap."""
     o = mon.obj
-    a0, a1 = o.a0, o.a1
-    mm, um = mon.mult_mor(), mon.unit_mor()
-    square_m = check_equal(Compose(mm.f1, mm.src.phi),
-                           Compose(o.phi, mm.f0), weight_bound)
-    square_u = check_equal(Compose(um.f1, um.src.phi),
-                           Compose(o.phi, um.f0), weight_bound)
+    f1 = Matrix(entries=((mon.m1, mon.m2),),
+                dom_blocks=(tensor(o.a0, o.a1), tensor(o.a1, o.a0)),
+                cod_blocks=(o.a1,))
+    mm = ArrowMor(boxtimes_obj(o, o), o, mon.m0, f1)
+    um = ArrowMor(boxtimes_unit(), o, mon.u0, ZeroM(ZERO, o.a1))
     one = id_arrow(o)
-    checks = [("monoid.square.mult", square_m), ("monoid.square.unit", square_u)]
-    pairs = [
-        ("monoid.assoc",
-         compose_arrow(mm, boxtimes_mor(mm, one)),
-         compose_arrow(mm, boxtimes_mor(one, mm))),
-        ("monoid.unit.l", compose_arrow(mm, boxtimes_mor(um, one)), one),
-        ("monoid.unit.r", compose_arrow(mm, boxtimes_mor(one, um)), one),
-        ("monoid.comm", compose_arrow(mm, boxtimes_sigma(o, o)), mm),
-    ]
-    for name, lhs, rhs in pairs:
-        v0, v1 = arrow_check(lhs, rhs, weight_bound)
-        checks.append((name + ".0", v0))
-        checks.append((name + ".1", v1))
-    return checks
-
-
-def m2_redundancy(mon: ArrowMonoid, weight_bound: int) -> Verdict:
-    """m2 is forced: it must equal m1 after the symmetry swap."""
-    a0, a1 = mon.obj.a0, mon.obj.a1
-    return check_equal(mon.m2, compose(Sigma(a1, a0), mon.m1), weight_bound)
+    return {
+        "monoid.square.mult": commuting_square(mm),
+        "monoid.square.unit": commuting_square(um),
+        "monoid.assoc": (compose_arrow(mm, boxtimes_mor(mm, one)),
+                         compose_arrow(mm, boxtimes_mor(one, mm))),
+        "monoid.unit.l": (compose_arrow(mm, boxtimes_mor(um, one)), one),
+        "monoid.unit.r": (compose_arrow(mm, boxtimes_mor(one, um)), one),
+        "monoid.comm": (compose_arrow(mm, boxtimes_sigma(o, o)), mm),
+        "monoid.m2-redundancy": (mon.m2, compose(Sigma(o.a1, o.a0), mon.m1)),
+    }
 
 
 def arrow_monoid(obj: ArrowObj, m0: MorExpr, m1: MorExpr, m2: MorExpr,
                  u0: MorExpr, bound: int = VALIDATE_BOUND) -> ArrowMonoid:
     mon = ArrowMonoid(obj, m0, m1, m2, u0)
-    for name, v in monoid_checks(mon, bound):
-        if not v.ok:
-            raise InvalidStructureError(name, v)
-    v = m2_redundancy(mon, bound)
-    if not v.ok:
-        raise InvalidStructureError("monoid.m2-redundancy", v)
+    _validate(monoid_axioms(mon), bound)
     return mon
 
 
@@ -353,11 +327,9 @@ def monoid_to_derivation(mon: ArrowMonoid, algebra: SAlgebra,
     The monoid only carries the induced multiplication and unit, so the
     caller names the algebra; its induced monoid must match (m0, u0).
     """
-    _require("monoid.matches-mult", algebra.mult(), mon.m0, bound)
-    _require("monoid.matches-unit", algebra.unit(), mon.u0, bound)
-    v = m2_redundancy(mon, bound)
-    if not v.ok:
-        raise InvalidStructureError("monoid.m2-redundancy", v)
+    _validate({"monoid.matches-mult": (algebra.mult(), mon.m0),
+               "monoid.matches-unit": (algebra.unit(), mon.u0),
+               "monoid.m2-redundancy": monoid_axioms(mon)["monoid.m2-redundancy"]}, bound)
     module = a_module(algebra, mon.obj.a1, mon.m1, bound=bound)
     return derivation(algebra, module, mon.obj.phi, bound=bound)
 
@@ -419,8 +391,7 @@ def deriving_map_derivation(v: SpaceExpr, bound: int = VALIDATE_BOUND) -> Deriva
 def zero_derivation(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
     """The zero map, a derivation of any algebra into itself."""
     a = alg.carrier
-    module = a_module(alg, a, compose(TensorM(Eta(a), Eta(a)), Mult(a), alg.nu),
-                      bound=bound)
+    module = a_module(alg, a, alg.mult(), bound=bound)
     return derivation(alg, module, ZeroM(a, a), bound=bound)
 
 

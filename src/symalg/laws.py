@@ -4,8 +4,13 @@ Each entry has a stable name, an anchor, ``instances(bound, ctx)`` giving its
 ``(instance_name, x)`` pairs and ``check(x, bound, ctx)`` deciding one of them.
 A law that is one equation is ``_eq(name, anchor, instances, build)``, where
 ``build(x, ctx)`` returns ``(lhs, rhs)``: two maps, or two arrow morphisms
-compared componentwise.  Only the derivation families, ``tangent.algebra``
-and ``kleisli.power-rule`` are not one equation and have their own check.
+compared componentwise, decided by ``derivations.decide``.  The structure
+laws take their equation from an axiom table of derivations.py, over
+derivations that a ``LawContext`` builds, with their S-bar algebras and box
+monoids, once per run and bound.  Five laws are not one equation and have
+their own check: ``deriv.implies.leibniz`` (Leibniz once the chain rule
+holds), ``boxmonoid.squares`` and ``monoid.dict.roundtrip`` (two equations
+each), ``tangent.algebra`` (two bounds) and ``kleisli.power-rule``.
 Deep laws, whose domain nests the symmetric algebra twice or more, run one
 bound lower, since their basis grows quickly.
 
@@ -27,8 +32,8 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from .spaces import (
@@ -41,17 +46,16 @@ from .morphisms import (
     linear_map_from_matrix,
 )
 from .arrow import (
-    ArrowObj, ArrowMor, id_arrow, zero_arrow, compose_arrow, add_arrow,
-    arrow_check, sum_obj, zero_obj, sbar_obj, sbar_mor, etabar, mubar,
+    ArrowObj, id_arrow, zero_arrow, compose_arrow, add_arrow,
+    sum_obj, zero_obj, sbar_obj, sbar_mor, etabar, mubar,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
 from .derivations import (
-    ArrowMonoid, builtin_algebras, builtin_derivations, is_s_derivation,
-    roundtrip_alpha, roundtrip_nu1, derivation_to_algebra,
-    derivation_to_monoid, monoid_to_derivation, monoid_checks, m2_redundancy,
-    sbar_algebra_aux_checks, formal_derivative, zero_derivation,
-    rational_algebra, dual_numbers,
+    SAlgebra, Derivation, both, decide, algebra_axioms, derivation_axioms,
+    sbar_axioms, monoid_axioms, builtin_algebras, builtin_derivations,
+    derivation_to_algebra, algebra_to_derivation, derivation_to_monoid,
+    monoid_to_derivation, rational_algebra, dual_numbers,
 )
 from .tangent import (
     tangent_structure_map, tangent_algebra, tangent_derivation,
@@ -74,12 +78,36 @@ MUTATION_TARGETS = {
 BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
 
 
+@dataclass(frozen=True)
+class _Derived:
+    """A derivation validated at `bound`, and what the dictionaries make of it, built once."""
+    d: Derivation
+    bound: int
+    mutation: str | None
+
+    @cached_property
+    def sba(self):
+        return derivation_to_algebra(self.d, bound=self.bound)
+
+    @cached_property
+    def mon(self):
+        return derivation_to_monoid(self.d, bound=self.bound)
+
+    @cached_property
+    def box(self):
+        """mon as the box-monoid laws see it: m2-drop zeroes its forced m2."""
+        if self.mutation != "m2-drop":
+            return self.mon
+        return replace(self.mon, m2=ZeroM(self.mon.m2.dom(), self.mon.m2.cod()))
+
+
 @dataclass
 class LawContext:
     mutation: str | None = None
     seed: int = 0
     extra_algebras: tuple = ()    # (SAlgebra, ...) from a user config
     extra_derivations: tuple = () # ((name, Derivation), ...) from a user config
+    derived: dict = field(default_factory=dict, init=False, repr=False)  # bound -> family
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
@@ -98,25 +126,10 @@ class Law:
         return [(n, self.check(x, b, ctx)) for n, x in self.instances(b, ctx)]
 
 
-def _merge(v0: Verdict, v1: Verdict) -> Verdict:
-    """Two verdicts as one: it passes iff both pass."""
-    bad = v0 if not v0.ok else v1
-    if not bad.ok:
-        return bad
-    return Verdict("equal", v0.tested_count + v1.tested_count, v0.weight_bound)
-
-
-def _decide(lhs, rhs, bound: int) -> Verdict:
-    """lhs = rhs as maps, or componentwise as arrow morphisms."""
-    if isinstance(lhs, ArrowMor):
-        return _merge(*arrow_check(lhs, rhs, bound))
-    return check_equal(lhs, rhs, bound)
-
-
 def _eq(name, anchor, instances, build, deep=False) -> Law:
     """The law lhs = rhs on every instance x, where build(x, ctx) = (lhs, rhs)."""
     return Law(name, anchor, instances,
-               lambda x, bound, ctx: _decide(*build(x, ctx), bound), deep)
+               lambda x, bound, ctx: decide(*build(x, ctx), bound), deep)
 
 
 #: Two objects a law takes together: base spaces (Seely) or arrows (box).
@@ -171,9 +184,12 @@ def _box_pairs(bound, ctx):
 
 
 def _derivations(bound, ctx):
-    """The built-in derivations, validated at `bound`, then the config's."""
-    builtin = zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound))
-    return list(builtin) + list(ctx.extra_derivations)
+    """The built-in derivations, then the config's, built once per run and bound."""
+    if bound not in ctx.derived:
+        ders = [*zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound)),
+                *ctx.extra_derivations]
+        ctx.derived[bound] = [(n, _Derived(d, bound, ctx.mutation)) for n, d in ders]
+    return ctx.derived[bound]
 
 
 def _d2_rhs(a, drop: bool):
@@ -201,14 +217,6 @@ def _mubar(o, ctx):
     return mubar(o, skip_mult=(ctx.mutation == "mubar-mult-skip"))
 
 
-def _monoid(d, bound, ctx) -> ArrowMonoid:
-    mon = derivation_to_monoid(d, bound=bound)
-    if ctx.mutation == "m2-drop":
-        mon = ArrowMonoid(mon.obj, mon.m0, mon.m1,
-                          ZeroM(mon.m2.dom(), mon.m2.cod()), mon.u0)
-    return mon
-
-
 def _arrow_d2(o, ctx):
     sb = sbar_obj(o)
     d = _dbar(o, ctx)
@@ -233,42 +241,32 @@ def _dual_table(x, ctx):
     return compose(tan.mult(), j), compose(TensorM(j, j), dual.mult())
 
 
-def _implies_leibniz(d, bound, ctx):
+def _implies_leibniz(x, bound, ctx):
     """The plain Leibniz rule, decided once the chain rule holds."""
-    strong = is_s_derivation(d, bound)
-    if not strong.ok:
-        return strong
-    a, alpha = d.algebra.carrier, d.module.alpha
-    leibniz = Add(compose(TensorM(Id(a), d.d), alpha),
-                  compose(Sigma(a, a), TensorM(Id(a), d.d), alpha))
-    return check_equal(compose(d.algebra.mult(), d.d), leibniz, bound)
+    eqs = derivation_axioms(x.d)
+    strong = decide(*eqs["derivation.chain-rule"], bound)
+    return decide(*eqs["derivation.leibniz"], bound) if strong.ok else strong
 
 
-def _aux_check(key, d, bound, ctx):
-    """One of the `sbar_algebra_aux_checks` of the algebra of d."""
-    return dict(sbar_algebra_aux_checks(derivation_to_algebra(d, bound=bound), bound))[key]
+def _squares(x, bound, ctx):
+    """Both structure maps of the box monoid are arrow morphisms."""
+    eqs = monoid_axioms(x.box)
+    return both(decide(*eqs["monoid.square.mult"], bound),
+                decide(*eqs["monoid.square.unit"], bound))
 
 
-def _box_monoid(key0, key1, d, bound, ctx):
-    """Two of the `monoid_checks` of the box monoid of d, as one verdict."""
-    checks = dict(monoid_checks(_monoid(d, bound, ctx), bound))
-    return _merge(checks[key0], checks[key1])
-
-
-def _dict_roundtrip(d, bound, ctx):
-    mon = derivation_to_monoid(d, bound=bound)
-    back = monoid_to_derivation(mon, d.algebra, bound=bound)
-    return _merge(check_equal(back.d, d.d, bound),
-                  check_equal(back.module.alpha, d.module.alpha, bound))
+def _dict_roundtrip(x, bound, ctx):
+    back = monoid_to_derivation(x.mon, x.d.algebra, bound=bound)
+    return both(check_equal(back.d, x.d.d, bound),
+                check_equal(back.module.alpha, x.d.module.alpha, bound))
 
 
 def _tangent_algebra(alg, bound, ctx):
     """Unit law at `bound`; the associativity law nests S twice, so one lower."""
-    nub = tangent_structure_map(alg)
     aa = direct_sum(alg.carrier, alg.carrier)
-    return _merge(check_equal(compose(Eta(aa), nub), Id(aa), bound),
-                  check_equal(compose(Mu(aa), nub), compose(SymF(nub), nub),
-                              max(1, bound - 1)))
+    eqs = algebra_axioms(SAlgebra("tangent-" + alg.name, aa, tangent_structure_map(alg)))
+    return both(decide(*eqs["algebra.unit"], bound),
+                decide(*eqs["algebra.assoc"], max(1, bound - 1)))
 
 
 def power_rule_check(k: int, coeff, bound: int) -> Verdict:
@@ -406,31 +404,32 @@ _LAWS = (
         lambda bound, ctx: [("0", None)],
         lambda x, ctx: (arrow_seely0(), ubar(zero_obj()))),
 
-    Law("deriv.chain-rule", "built-in derivations satisfy the chain rule", _derivations,
-        lambda d, bound, ctx: is_s_derivation(d, bound)),
+    _eq("deriv.chain-rule", "built-in derivations satisfy the chain rule", _derivations,
+        lambda x, ctx: derivation_axioms(x.d)["derivation.chain-rule"]),
     Law("deriv.implies.leibniz", "every chain-rule derivation obeys the plain Leibniz rule",
         _derivations, _implies_leibniz),
-    Law("deriv.roundtrip.alpha", "module action survives derivation -> algebra -> derivation",
-        _derivations, lambda d, bound, ctx: roundtrip_alpha(d, bound)),
-    Law("deriv.roundtrip.nu1", "evaluation survives algebra -> derivation -> algebra",
-        _derivations,
-        lambda d, bound, ctx: roundtrip_nu1(derivation_to_algebra(d, bound=bound), bound)),
-    Law("sbar.aux.evaluated-unit", "derived diagram: evaluate, re-embed, act equals act",
-        _derivations, partial(_aux_check, "sbar.aux.evaluated-unit")),
-    Law("sbar.aux.mult-action", "derived diagram: acting by a product equals acting twice",
-        _derivations, partial(_aux_check, "sbar.aux.mult-action")),
-    Law("boxmonoid.assoc", "box monoid from a derivation: associativity", _derivations,
-        partial(_box_monoid, "monoid.assoc.0", "monoid.assoc.1")),
-    Law("boxmonoid.unit.l", "box monoid from a derivation: left unit", _derivations,
-        partial(_box_monoid, "monoid.unit.l.0", "monoid.unit.l.1")),
-    Law("boxmonoid.unit.r", "box monoid from a derivation: right unit", _derivations,
-        partial(_box_monoid, "monoid.unit.r.0", "monoid.unit.r.1")),
-    Law("boxmonoid.comm", "box monoid from a derivation: commutativity", _derivations,
-        partial(_box_monoid, "monoid.comm.0", "monoid.comm.1")),
+    _eq("deriv.roundtrip.alpha", "module action survives derivation -> algebra -> derivation",
+        _derivations, lambda x, ctx: (algebra_to_derivation(x.sba, bound=x.bound).module.alpha,
+                                      x.d.module.alpha)),
+    _eq("deriv.roundtrip.nu1", "evaluation survives algebra -> derivation -> algebra",
+        _derivations, lambda x, ctx: (derivation_to_algebra(algebra_to_derivation(
+            x.sba, bound=x.bound), bound=x.bound).nu1, x.sba.nu1)),
+    _eq("sbar.aux.evaluated-unit", "derived diagram: evaluate, re-embed, act equals act",
+        _derivations, lambda x, ctx: sbar_axioms(x.sba)["sbar.aux.evaluated-unit"]),
+    _eq("sbar.aux.mult-action", "derived diagram: acting by a product equals acting twice",
+        _derivations, lambda x, ctx: sbar_axioms(x.sba)["sbar.aux.mult-action"]),
+    _eq("boxmonoid.assoc", "box monoid from a derivation: associativity", _derivations,
+        lambda x, ctx: monoid_axioms(x.box)["monoid.assoc"]),
+    _eq("boxmonoid.unit.l", "box monoid from a derivation: left unit", _derivations,
+        lambda x, ctx: monoid_axioms(x.box)["monoid.unit.l"]),
+    _eq("boxmonoid.unit.r", "box monoid from a derivation: right unit", _derivations,
+        lambda x, ctx: monoid_axioms(x.box)["monoid.unit.r"]),
+    _eq("boxmonoid.comm", "box monoid from a derivation: commutativity", _derivations,
+        lambda x, ctx: monoid_axioms(x.box)["monoid.comm"]),
     Law("boxmonoid.squares", "box monoid structure maps are arrow morphisms", _derivations,
-        partial(_box_monoid, "monoid.square.mult", "monoid.square.unit")),
-    Law("monoid.m2-redundancy", "the second multiplication component is forced by symmetry",
-        _derivations, lambda d, bound, ctx: m2_redundancy(_monoid(d, bound, ctx), bound)),
+        _squares),
+    _eq("monoid.m2-redundancy", "the second multiplication component is forced by symmetry",
+        _derivations, lambda x, ctx: monoid_axioms(x.box)["monoid.m2-redundancy"]),
     Law("monoid.dict.roundtrip", "derivation -> monoid -> derivation is the identity",
         _derivations, _dict_roundtrip),
 
@@ -440,11 +439,11 @@ _LAWS = (
         _tangent_algebra),
     _eq("tangent.dual-table", "tangent of the rank-1 algebra is exactly dual numbers",
         lambda bound, ctx: [("rank-1", None)], _dual_table),
-    Law("tangent.chain-rule", "the doubled derivation satisfies the chain rule",
-        lambda bound, ctx: [("d/dx", formal_derivative(bound=bound)),
-                            ("zero(Q)", zero_derivation(rational_algebra(), bound=bound))],
-        lambda d, bound, ctx: is_s_derivation(tangent_derivation(d, bound=bound), bound),
-        deep=True),
+    _eq("tangent.chain-rule", "the doubled derivation satisfies the chain rule",
+        lambda bound, ctx: [(n, x) for n, x in _derivations(bound, ctx)
+                            if n in ("d/dx", "zero(Q)")],
+        lambda x, ctx: derivation_axioms(tangent_derivation(x.d, bound=x.bound))[
+            "derivation.chain-rule"], deep=True),
     Law("kleisli.power-rule", "the Kleisli differential reproduces the power rule",
         lambda bound, ctx: [(f"x^{k}", k) for k in range(1, 5)],
         lambda k, bound, ctx: power_rule_check(k, k, bound)),

@@ -22,7 +22,7 @@ from .elements import (
     element, singleton, elem_combination, elem_sum, elem_tensor,
 )
 from .morphisms import (
-    SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0Inv, TableNu,
+    SymF, Eta, Mu, Mult, UnitM, Deriv, ChiInv, Chi0Inv, TableNu,
     RULES, apply_basis,
 )
 
@@ -71,21 +71,6 @@ def _deriv(m, bv):
     return elem_sum(m.cod(), pieces)
 
 
-def _chi(m, bv):
-    """p (x) q -> the product monomial over a (+) b, generators embedded."""
-    p, q = split_pair(bv, sym(m.a), sym(m.b))
-    ab = direct_sum(m.a, m.b)
-    off = len(terms(m.a))
-    parts = []
-    for g in p.parts:
-        i, inner = decompose_sum(g, m.a)
-        parts.append(build_sum(ab, i, inner))
-    for g in q.parts:
-        j, inner = decompose_sum(g, m.b)
-        parts.append(build_sum(ab, off + j, inner))
-    return singleton(m.cod(), monomial(parts))
-
-
 def _chi_inv(m, bv):
     """Split a monomial over a (+) b into its a-part (x) b-part."""
     ab = direct_sum(m.a, m.b)
@@ -119,7 +104,6 @@ RULES.update({
     Mult: _mult,
     SymF: _symf,
     Deriv: _deriv,
-    Chi: _chi,
     ChiInv: _chi_inv,
     Chi0Inv: lambda m, bv: singleton(m.cod(), UNIT_IX),
     TableNu: _table_fold,

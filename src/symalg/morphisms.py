@@ -221,15 +221,6 @@ class Deriv(MorExpr):
 
 
 @node
-class Chi(MorExpr):
-    a: SpaceExpr
-    b: SpaceExpr
-
-    def _endpoints(self):
-        return tensor(sym(self.a), sym(self.b)), sym(direct_sum(self.a, self.b))
-
-
-@node
 class ChiInv(MorExpr):
     a: SpaceExpr
     b: SpaceExpr
@@ -411,6 +402,13 @@ def inj(i: int, summands: tuple) -> Matrix:
     return Matrix(entries=tuple((Id(s) if k == i else ZeroM(s, t),)
                                 for k, t in enumerate(summands)),
                   dom_blocks=(s,), cod_blocks=summands)
+
+
+def Chi(a: SpaceExpr, b: SpaceExpr) -> MorExpr:
+    """The Seely map S(a) (x) S(b) -> S(a (+) b): embed the generators of
+    each factor, then multiply the two monomials."""
+    return compose(TensorM(SymF(inj(0, (a, b))), SymF(inj(1, (a, b)))),
+                   Mult(direct_sum(a, b)))
 
 
 def proj(i: int, summands: tuple) -> Matrix:

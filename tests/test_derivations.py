@@ -8,25 +8,32 @@ import sympy
 from symalg.spaces import base, sym, GenIx, MonIx, enumerate_basis
 from symalg.elements import singleton, zero_element, element
 from symalg.morphisms import (
-    Id, ZeroM, Sigma, TensorM, SymF, Mult, apply, apply_basis, check_equal,
+    Id, ZeroM, TensorM, SymF, Mult, TableNu, apply, apply_basis, check_equal,
     compose, linear_map_from_matrix, Add,
 )
 from symalg.arrow import ArrowObj
 from symalg.derivations import (
-    InvalidStructureError, SAlgebra, ArrowMonoid,
+    VALIDATE_BOUND, InvalidStructureError, SAlgebra, AModule, Derivation,
+    SBarAlgebra, ArrowMonoid, arrow_monoid,
     s_algebra, free_algebra, table_algebra, a_module, derivation,
-    induced_monoid, is_s_derivation,
-    sbar_algebra, sbar_algebra_aux_checks,
-    algebra_to_derivation, derivation_to_algebra,
-    roundtrip_alpha, roundtrip_nu1,
-    derivation_morphism_checks, sbar_morphism_checks,
-    derivation_to_monoid, monoid_to_derivation, monoid_checks, m2_redundancy,
+    sbar_algebra, algebra_to_derivation, derivation_to_algebra,
+    derivation_to_monoid, monoid_to_derivation,
+    decide_all, table_axioms, algebra_axioms, module_axioms, derivation_axioms,
+    derivation_map_axioms, sbar_axioms, sbar_map_axioms, monoid_axioms,
     rational_algebra, dual_numbers, square_zero_extension,
     builtin_algebras, builtin_derivations,
     formal_derivative, deriving_map_derivation, zero_derivation,
 )
 
 B1 = base("x", 1)
+
+
+def holds(equations, bound, names=None):
+    return all(v.ok for _, v in decide_all(equations, bound, names))
+
+
+def chain_rule(d, bound):
+    return holds(derivation_axioms(d), bound, names=("derivation.chain-rule",))
 
 
 class TestAlgebras:
@@ -36,7 +43,7 @@ class TestAlgebras:
 
     def test_free_algebra_induced_monoid_is_mult(self):
         alg = free_algebra(B1)
-        m, u = induced_monoid(alg)
+        m, u = alg.mult(), alg.unit()
         assert check_equal(m, Mult(B1), 2).ok
 
     def test_dual_numbers_nilpotent(self):
@@ -74,7 +81,7 @@ class TestAlgebras:
 class TestDerivations:
     def test_builtins_are_chain_rule_derivations(self):
         for d in builtin_derivations():
-            assert is_s_derivation(d, 3).ok
+            assert chain_rule(d, 3)
 
     def test_formal_derivative_matches_sympy(self):
         d = formal_derivative()
@@ -95,30 +102,30 @@ class TestDerivations:
 
     def test_zero_derivation_passes_trivially(self):
         d = zero_derivation(rational_algebra())
-        assert is_s_derivation(d, 3).ok
+        assert chain_rule(d, 3)
 
     def test_deriving_map_is_chain_rule_derivation(self):
         d = deriving_map_derivation(base("v", 2))
-        assert is_s_derivation(d, 3).ok
+        assert chain_rule(d, 3)
 
 
 class TestAlgebraDictionary:
     def test_round_trips_on_builtins(self):
         for d in builtin_derivations():
-            assert roundtrip_alpha(d, 2).ok
             sba = derivation_to_algebra(d)
-            assert roundtrip_nu1(sba, 2).ok
+            back = algebra_to_derivation(sba)
+            assert check_equal(back.module.alpha, d.module.alpha, 2).ok
+            assert check_equal(derivation_to_algebra(back).nu1, sba.nu1, 2).ok
 
     def test_aux_diagrams_hold(self):
         for d in builtin_derivations():
             sba = derivation_to_algebra(d)
-            for name, v in sbar_algebra_aux_checks(sba, 2):
+            for name, v in decide_all(sbar_axioms(sba), 2):
                 assert v.ok, name
 
     def test_non_derivation_rejected(self):
         alg = free_algebra(B1)
         module = a_module(alg, sym(B1), Mult(B1))
-        from symalg.derivations import Derivation
         fake = Derivation(alg, module, Id(sym(B1)))  # identity is not a derivation
         with pytest.raises(InvalidStructureError):
             derivation_to_algebra(fake)
@@ -134,10 +141,8 @@ class TestAlgebraDictionary:
             ("wrong-second-leg", SymF(double), SymF(double), False),
         ]
         for name, f0, f1, expect in cases:
-            der = all(v.ok for _, v in
-                      derivation_morphism_checks(d, d, f0, f1, 2))
-            alg = all(v.ok for _, v in
-                      sbar_morphism_checks(sba, sba, f0, f1, 2))
+            der = holds(derivation_map_axioms(d, d, f0, f1), 2)
+            alg = holds(sbar_map_axioms(sba, sba, f0, f1), 2)
             assert der == alg == expect, name
 
 
@@ -145,7 +150,7 @@ class TestMonoidDictionary:
     def test_six_diagrams_pass(self):
         for d in builtin_derivations():
             mon = derivation_to_monoid(d)
-            for name, v in monoid_checks(mon, 2):
+            for name, v in decide_all(monoid_axioms(mon), 2):
                 assert v.ok, name
 
     def test_round_trip_is_identity(self):
@@ -157,24 +162,121 @@ class TestMonoidDictionary:
 
     def test_m2_redundancy_holds(self):
         for d in builtin_derivations():
-            assert m2_redundancy(derivation_to_monoid(d), 2).ok
+            assert holds(monoid_axioms(derivation_to_monoid(d)), 2,
+                         names=("monoid.m2-redundancy",))
 
     def test_mutated_m2_rejected_naming_the_diagram(self):
         d = formal_derivative()
         mon = derivation_to_monoid(d)
         bad = ArrowMonoid(mon.obj, mon.m0, mon.m1,
                           ZeroM(mon.m2.dom(), mon.m2.cod()), mon.u0)
-        from symalg.derivations import arrow_monoid
         with pytest.raises(InvalidStructureError) as exc:
             arrow_monoid(bad.obj, bad.m0, bad.m1, bad.m2, bad.u0)
-        assert "m2-redundancy" in exc.value.diagram or "monoid" in exc.value.diagram
+        assert exc.value.diagram == "monoid.square.mult"
 
     def test_chain_rule_implies_leibniz_on_samples(self):
         # the stronger condition always comes with the plain one
         for d in builtin_derivations():
-            if is_s_derivation(d, 2).ok:
-                alg, mod = d.algebra, d.module
-                a = alg.carrier
-                leib = Add(compose(TensorM(Id(a), d.d), mod.alpha),
-                           compose(Sigma(a, a), TensorM(Id(a), d.d), mod.alpha))
-                assert check_equal(compose(alg.mult(), d.d), leib, 2).ok
+            if chain_rule(d, 2):
+                assert holds(derivation_axioms(d), 2, names=("derivation.leibniz",))
+
+
+# ---------------------------------------------------------------------------
+# Each validating factory names the first failing equation of its table
+# ---------------------------------------------------------------------------
+# A case returns (call, table): the factory call on a broken input, and the
+# equations that factory validates, in its order.
+
+PLAIN = ("derivation.constant", "derivation.leibniz")
+
+
+def _doubled(f):
+    return Add(f, f)
+
+
+def _case_table_algebra():
+    d = base("bad", 2)
+    one, eps = singleton(d, GenIx(0)), singleton(d, GenIx(1))
+    table = ((eps, eps), (eps, zero_element(d)))
+    alg = SAlgebra("bad", d, TableNu(d, table, one))
+    return (lambda: table_algebra("bad", d, table, one),
+            {**table_axioms(alg), **algebra_axioms(alg)})
+
+
+def _case_s_algebra():
+    from symalg.spaces import ZERO
+    from symalg.morphisms import Chi0Inv, Deriv
+    eval_at_zero = compose(SymF(ZeroM(B1, ZERO)), Chi0Inv())
+    nu = _doubled(compose(Deriv(B1), TensorM(eval_at_zero, Id(B1))))
+    return (lambda: s_algebra("broken", B1, nu),
+            algebra_axioms(SAlgebra("broken", B1, nu)))
+
+
+def _case_a_module():
+    alg = free_algebra(B1)
+    alpha = _doubled(Mult(B1))
+    return (lambda: a_module(alg, sym(B1), alpha),
+            module_axioms(AModule(alg, sym(B1), alpha)))
+
+
+def _case_derivation():
+    alg = free_algebra(B1)
+    module = a_module(alg, sym(B1), Mult(B1))
+    bad = SymF(linear_map_from_matrix(B1, B1, ((2,),)))
+    eqs = derivation_axioms(Derivation(alg, module, bad))
+    return (lambda: derivation(alg, module, bad),
+            {k: eqs[k] for k in PLAIN})
+
+
+def _case_sbar_algebra():
+    sba = derivation_to_algebra(formal_derivative())
+    nu1 = _doubled(sba.nu1)
+    eqs = sbar_axioms(SBarAlgebra(sba.obj, sba.nu0, nu1))
+    return (lambda: sbar_algebra(sba.obj, sba.nu0, nu1),
+            {k: eqs[k] for k in list(eqs)[:5]})
+
+
+def _m2_dropped(mon):
+    return ArrowMonoid(mon.obj, mon.m0, mon.m1, ZeroM(mon.m2.dom(), mon.m2.cod()), mon.u0)
+
+
+def _case_arrow_monoid():
+    bad = _m2_dropped(derivation_to_monoid(formal_derivative()))
+    return (lambda: arrow_monoid(bad.obj, bad.m0, bad.m1, bad.m2, bad.u0),
+            monoid_axioms(bad))
+
+
+def _case_monoid_to_derivation():
+    d = formal_derivative()
+    m2_dropped = _m2_dropped(derivation_to_monoid(d))
+    bad = ArrowMonoid(m2_dropped.obj, _doubled(m2_dropped.m0), m2_dropped.m1,
+                      m2_dropped.m2, m2_dropped.u0)
+    alg = d.algebra
+    module = AModule(alg, bad.obj.a1, bad.m1)
+    eqs = derivation_axioms(Derivation(alg, module, bad.obj.phi))
+    table = {"monoid.matches-mult": (alg.mult(), bad.m0),
+             "monoid.matches-unit": (alg.unit(), bad.u0),
+             "monoid.m2-redundancy": monoid_axioms(bad)["monoid.m2-redundancy"],
+             **module_axioms(module), **{k: eqs[k] for k in PLAIN}}
+    return lambda: monoid_to_derivation(bad, alg), table
+
+
+FACTORY_CASES = {
+    "table_algebra": _case_table_algebra,
+    "s_algebra": _case_s_algebra,
+    "a_module": _case_a_module,
+    "derivation": _case_derivation,
+    "sbar_algebra": _case_sbar_algebra,
+    "arrow_monoid": _case_arrow_monoid,
+    "monoid_to_derivation": _case_monoid_to_derivation,
+}
+
+
+@pytest.mark.parametrize("factory", list(FACTORY_CASES))
+def test_factory_raises_first_failing_key_of_its_table(factory):
+    call, table = FACTORY_CASES[factory]()
+    failing = [name for name, v in decide_all(table, VALIDATE_BOUND) if not v.ok]
+    assert len(failing) >= 2  # so the table order decides which one is named
+    with pytest.raises(InvalidStructureError) as exc:
+        call()
+    assert exc.value.diagram == failing[0]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from symalg.harness import (
 from symalg.derivations import builtin_algebras
 from symalg.laws import registry, list_laws, MUTATIONS, MUTATION_TARGETS, BUILTIN_DERIVATIONS
 from symalg.cli import main
+from symalg import laws, morphisms
 
 
 class TestRegistry:
@@ -173,6 +175,32 @@ class TestRunner:
         report = strip_timing(run_suite(load_config(None, {"bound": bound})))
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == REPORT_DIGESTS[bound]
+
+    def test_default_run_builds_each_family_once_per_bound(self, monkeypatch):
+        # The derivation families are built once for the law bound and once
+        # for the deep laws' bound - 1, not once per law, and each law
+        # decides only the equations it names.
+        calls = {"builtin_derivations": 0, "check_equal": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(laws, "builtin_derivations",
+                            counted("builtin_derivations", laws.builtin_derivations))
+        check_equal = morphisms.check_equal
+        wrapped = counted("check_equal", check_equal)
+        for name, mod in list(sys.modules.items()):
+            if name == "symalg" or name.startswith("symalg."):
+                for attr, value in list(vars(mod).items()):
+                    if value is check_equal:
+                        monkeypatch.setattr(mod, attr, wrapped)
+        report = run_suite(SuiteConfig(bound=3))
+        assert report["summary"]["checks"] == 212
+        assert calls["builtin_derivations"] <= 2
+        assert calls["check_equal"] <= 700
 
     def test_budget_aborts_politely(self):
         cfg = SuiteConfig(bound=3, laws="*", budget=1e-9)
