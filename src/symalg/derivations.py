@@ -15,6 +15,7 @@ Each structure states its axioms once, as an ordered table ``{diagram name:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, GenIx
 from .elements import Element, singleton, zero_element
@@ -338,6 +339,10 @@ def monoid_to_derivation(mon: ArrowMonoid, algebra: SAlgebra,
 # Built-in instances
 # ---------------------------------------------------------------------------
 
+# The built-in table algebras are fixed: each is built and validated once
+# per process.
+
+@cache
 def rational_algebra() -> SAlgebra:
     """Rank 1: the rationals with nu = evaluate every monomial at 1."""
     q = base("q", 1)
@@ -345,6 +350,7 @@ def rational_algebra() -> SAlgebra:
     return table_algebra("rationals", q, ((e,),), e)
 
 
+@cache
 def dual_numbers() -> SAlgebra:
     """Rank 2: basis (1, eps) with eps * eps = 0."""
     d = base("dual", 2)
@@ -355,6 +361,7 @@ def dual_numbers() -> SAlgebra:
     return table_algebra("dual-numbers", d, table, one)
 
 
+@cache
 def square_zero_extension() -> SAlgebra:
     """Rank 3: scalars plus a rank-2 ideal whose products all vanish."""
     c = base("sqz", 3)

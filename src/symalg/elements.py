@@ -103,9 +103,19 @@ def elem_combination(space: SpaceExpr, pairs) -> Element:
     return element(space, out)
 
 
+def _product(x, y):
+    """x * y as a canonical exact rational."""
+    c = x * y
+    return c if type(c) is int else _coeff(c)
+
+
 def elem_tensor(a: Element, b: Element) -> Element:
     """Bilinear tensor product, landing in the normalized tensor space."""
     # join_pair is injective, so no two pairs land on the same basis vector.
-    out = {join_pair(a.space, bva, b.space, bvb): ca * cb
-           for bva, ca in a.coeffs for bvb, cb in b.coeffs}
-    return element(tensor(a.space, b.space), out)
+    items = tuple((join_pair(a.space, bva, b.space, bvb), _product(ca, cb))
+                  for bva, ca in a.coeffs for bvb, cb in b.coeffs)
+    space = tensor(a.space, b.space)
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        # With one factor fixed, join_pair keeps the other's global order.
+        return Element(space, items)
+    return element(space, dict(items))

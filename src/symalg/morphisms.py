@@ -9,6 +9,7 @@ check enumerates).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -273,6 +274,13 @@ def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
     return fn(m, bv)
 
 
+def _compose(m, bv):
+    img = apply_basis(m.f, bv)
+    if len(img.coeffs) == 1 and img.coeffs[0][1] == 1:
+        return apply_basis(m.g, img.coeffs[0][0])  # shared, not rebuilt
+    return apply(m.g, img)
+
+
 def _tensor(m, bv):
     bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
     return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
@@ -283,29 +291,44 @@ def _sigma(m, bv):
     return elem_tensor(singleton(m.b, bvb), singleton(m.a, bva))
 
 
+@lru_cache(maxsize=None)
+def _matrix_layout(m):
+    """What _matrix needs, computed once per Matrix node.
+
+    Returns (where, columns): where[k] is (j, t) for term k of the domain,
+    term t of dom block j; columns[j] lists (entry, cod block, offset of the
+    block's first term in the codomain) for the nonzero entries of column j.
+    """
+    where = tuple((j, t) for j, block in enumerate(m.dom_blocks)
+                  for t in range(len(terms(block))))
+    offsets = itertools.accumulate((len(terms(b)) for b in m.cod_blocks), initial=0)
+    rows = tuple(zip(m.entries, m.cod_blocks, offsets))
+    columns = tuple(tuple((row[j], block, offset) for row, block, offset in rows
+                          if not isinstance(row[j], ZeroM))
+                    for j in range(len(m.dom_blocks)))
+    return where, columns
+
+
 def _matrix(m, bv):
+    where, columns = _matrix_layout(m)
     k, inner = decompose_sum(bv, m.dom())
-    for j, block in enumerate(m.dom_blocks):  # the block holding term k
-        width = len(terms(block))
-        if k < width:
-            break
-        k -= width
-    else:
+    if not 0 <= k < len(where):
         raise ValueError("term index out of range for block structure")
-    x = build_sum(m.dom_blocks[j], k, inner)
+    j, t = where[k]
+    x = build_sum(m.dom_blocks[j], t, inner)
     cod = m.cod()
-    out = {}
-    offset = 0
-    for row, block in zip(m.entries, m.cod_blocks):
-        entry = row[j]
-        if not isinstance(entry, ZeroM):
-            # Each row writes only into its own block of codomain terms,
-            # so no two rows write the same basis vector.
-            for rbv, c in apply_basis(entry, x).coeffs:
-                t, rinner = decompose_sum(rbv, block)
-                out[build_sum(cod, offset + t, rinner)] = c
-        offset += len(terms(block))
-    return element(cod, out)
+    column = columns[j]
+    if len(column) == 1 and column[0][1] is cod:  # already an element of cod
+        return apply_basis(column[0][0], x)
+    # Each row writes only into its own block of codomain terms, so no two
+    # rows write the same basis vector, and shifting one block's branches
+    # keeps their order.
+    items = []
+    for entry, block, offset in column:
+        for rbv, c in apply_basis(entry, x).coeffs:
+            r, rinner = decompose_sum(rbv, block)
+            items.append((build_sum(cod, offset + r, rinner), c))
+    return Element(cod, tuple(items)) if len(column) == 1 else element(cod, dict(items))
 
 
 def _linear_map(m, bv):
@@ -320,7 +343,7 @@ def _linear_map(m, bv):
 #: Sym primitives.
 RULES = {
     Id: lambda m, bv: singleton(m.space, bv),
-    Compose: lambda m, bv: apply(m.g, apply_basis(m.f, bv)),
+    Compose: _compose,
     ZeroM: lambda m, bv: zero_element(m.cod_space),
     Add: lambda m, bv: elem_add(apply_basis(m.f, bv), apply_basis(m.g, bv)),
     TensorM: _tensor,

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symalg.spaces import base, sym, tensor, monomial, join_pair, GenIx
+from symalg.spaces import (
+    UNIT, base, sym, tensor, direct_sum, monomial, join_pair, enumerate_basis, GenIx,
+)
 from symalg.elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
     elem_add, elem_scale, elem_sum, elem_combination, elem_tensor,
@@ -128,3 +130,39 @@ class TestCoefficients:
         f = linear_map_from_matrix(B2, B2, [["3/1", "1/2"], [0, "5/7"]])
         (_, col), _ = f.images
         assert col.coeffs == ((GenIx(0), 3),) and type(col.coeffs[0][1]) is int
+
+
+#: Spaces of mixed weight: sums, tensors and Sym layers, nested.
+MIXED = (B2, S2, direct_sum(UNIT, B2), direct_sum(B2, S2), tensor(B2, S2),
+         sym(direct_sum(UNIT, B2)), tensor(direct_sum(UNIT, S2), B2))
+nonzero = st.integers(-3, 3).filter(bool) | rationals.filter(bool)
+
+
+@st.composite
+def mixed_elements(draw, max_size):
+    space = draw(st.sampled_from(MIXED))
+    basis = enumerate_basis(space, 2)
+    return element(space, draw(st.dictionaries(st.sampled_from(basis), nonzero,
+                                                min_size=1, max_size=max_size)))
+
+
+class TestTensorOneTermSide:
+    """elem_tensor builds a product with a one-term factor without sorting."""
+
+    @given(mixed_elements(1), mixed_elements(5))
+    def test_matches_the_sorted_reference(self, one, many):
+        for a, b in ((one, many), (many, one)):
+            pairs = [(join_pair(a.space, p, b.space, q), Fraction(x) * Fraction(y))
+                     for p, x in a.coeffs for q, y in b.coeffs]
+            got = elem_tensor(a, b)
+            assert got.space == tensor(a.space, b.space)
+            assert got.coeffs == element(got.space, dict(pairs)).coeffs  # same order
+            _check(got, _reference(pairs))
+
+    def test_integral_product_of_fractions_is_an_int(self):
+        x = monomial([GenIx(0)])
+        half = singleton(S2, x, Fraction(1, 2))
+        two = elem_add(singleton(B2, GenIx(0), 2), singleton(B2, GenIx(1), 4))
+        got = elem_tensor(half, two)
+        assert [c for _, c in got.coeffs] == [1, 2]
+        assert all(type(c) is int for _, c in got.coeffs)

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -129,6 +131,75 @@ REPORT_DIGESTS = {
 }
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_process(code: str, *args: str) -> str:
+    """Run code in a new interpreter, with no cache warmed; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+#: Counts the table_algebra calls of a default run at bound 3.
+_COUNT_TABLE_ALGEBRAS = """
+from symalg import derivations
+from symalg.harness import load_config, run_suite
+
+calls = []
+table_algebra = derivations.table_algebra
+
+def counted(*args, **kwargs):
+    calls.append(args[0])
+    return table_algebra(*args, **kwargs)
+
+derivations.table_algebra = counted
+run_suite(load_config(None, {"bound": 3}))
+print(len(calls))
+"""
+
+#: Checks every Element built by a bound-2 run of the config in argv[1],
+#: unmutated and under m2-drop; prints how many were built and the bad ones.
+_CHECK_ELEMENTS = """
+import json, sys
+from fractions import Fraction
+from symalg.elements import Element
+from symalg.harness import load_config, run_suite
+from symalg.spaces import order_key
+
+built, bad = [0], []
+init = Element.__init__
+
+def checked(self, space, coeffs):
+    init(self, space, coeffs)
+    built[0] += 1
+    keys = [order_key(bv) for bv, _ in coeffs]
+    if (any(k >= k2 for k, k2 in zip(keys, keys[1:]))
+            or not all(type(c) is int and c != 0
+                       or type(c) is Fraction and c.denominator > 1
+                       for _, c in coeffs)):
+        bad.append(repr(coeffs))
+
+Element.__init__ = checked
+for mutate in (None, "m2-drop"):
+    run_suite(load_config(sys.argv[1], {"bound": 2, "mutate": mutate}))
+print(json.dumps({"built": built[0], "bad": bad[:3]}))
+"""
+
+#: The dual numbers on the basis (2, eps): the unit is 1/2 of the first
+#: basis vector, so tensor products meet Fractions whose product is integral.
+_SCALED_DUAL = {
+    "algebras": [{"name": "dual2", "rank": 2,
+                  "mult_table": [[[2, 0], [0, 2]], [[0, 2], [0, 0]]],
+                  "unit": ["1/2", 0]}],
+    "derivations": [{"name": "eps-scaling", "algebra": "dual2",
+                     "matrix": [[0, 0], [0, 1]]}],
+}
+
+
 class TestRunner:
     def test_report_schema_fields(self):
         report = run_suite(SuiteConfig(bound=2, laws="D1"))
@@ -201,6 +272,19 @@ class TestRunner:
         assert report["summary"]["checks"] == 212
         assert calls["builtin_derivations"] <= 2
         assert calls["check_equal"] <= 700
+
+    def test_builtin_table_algebras_are_built_once_per_process(self):
+        # rationals, dual numbers and the square-zero extension, once each.
+        assert int(_fresh_process(_COUNT_TABLE_ALGEBRAS)) <= 3
+
+    def test_element_invariant_holds_for_every_built_element(self, tmp_path):
+        # Fast paths build elements without element(): their keys must still
+        # be strictly sorted, with no zero and no integral Fraction.
+        p = tmp_path / "scaled_dual.json"
+        p.write_text(json.dumps(_SCALED_DUAL))
+        out = json.loads(_fresh_process(_CHECK_ELEMENTS, str(p)))
+        assert out["built"] > 10_000
+        assert out["bad"] == []
 
     def test_budget_aborts_politely(self):
         cfg = SuiteConfig(bound=3, laws="*", budget=1e-9)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symalg.spaces import (
-    node, UNIT, ZERO, base, sym, tensor, direct_sum, monomial, GenIx, MonIx,
-    enumerate_basis,
+    node, UNIT, ZERO, base, sym, tensor, direct_sum, monomial, GenIx, MonIx, SumIx,
+    Sum, enumerate_basis, terms,
 )
 from symalg.elements import element, singleton, zero_element, elem_add, elem_scale
 from symalg.tangent import kleisli_map
@@ -107,6 +107,87 @@ class TestSymmetryAndBiproducts:
             lhs = compose(inj(i, blocks), s)
             rhs = compose(h, inj(i, blocks))
             assert check_equal(lhs, rhs, 1).ok
+
+
+class TestComposeSharing:
+    """Compose returns g's image of w itself when f sends bv to 1*w."""
+
+    def test_unit_coefficient_image_is_shared(self):
+        f = Sigma(B2, B3)
+        g = linear_map_from_matrix(tensor(B3, B2), B1, ((1, 2, 3, 4, 5, 6),))
+        for bv in enumerate_basis(f.dom(), 0):
+            ((w, c),) = apply_basis(f, bv).coeffs
+            assert c == 1
+            assert apply_basis(Compose(g, f), bv) is apply_basis(g, w)
+
+    @pytest.mark.parametrize("column", [(3, 0), (0, 0), (1, -2)],
+                             ids=["coefficient-3", "zero-image", "two-terms"])
+    def test_other_images_go_through_apply(self, column):
+        f = linear_map_from_matrix(B1, B2, tuple((c,) for c in column))
+        g = linear_map_from_matrix(B2, B3, ((1, 2), (0, 5), (7, 0)))
+        got = apply_basis(Compose(g, f), GenIx(0))
+        assert got == apply(g, apply_basis(f, GenIx(0)))
+        assert got.space == B3
+
+
+def _embed(blocks, j, x):
+    """x, a basis vector of blocks[j], as one of direct_sum(*blocks)."""
+    if not isinstance(direct_sum(*blocks), Sum):
+        return x
+    offset = sum(len(terms(b)) for b in blocks[:j])
+    if isinstance(blocks[j], Sum):
+        return SumIx(offset + x.branch, x.inner)
+    return SumIx(offset, x)
+
+
+def _matrix_reference(m, bound):
+    """{domain basis vector: image}, built block by block from the entries."""
+    out = {}
+    for j, dblock in enumerate(m.dom_blocks):
+        for x in enumerate_basis(dblock, bound):
+            image = {_embed(m.cod_blocks, i, y): c
+                     for i, row in enumerate(m.entries)
+                     for y, c in apply_basis(row[j], x).coeffs}
+            out[_embed(m.dom_blocks, j, x)] = element(m.cod(), image)
+    return out
+
+
+S1 = direct_sum(UNIT, B2)  # a Sum block
+T1 = tensor(direct_sum(B1, B2), B3)  # a Sum block of tensor terms
+DENSE = Matrix(  # every entry nonzero; the first cod block has weight-1 images
+    entries=((Eta(B2), compose(linear_map_from_matrix(S1, B2, ((1, 2, 0), (0, 1, 3))), Eta(B2)),
+              compose(linear_map_from_matrix(T1, B2, ((1, 0) * 4 + (1,), (0, 3) * 4 + (0,))),
+                      Eta(B2))),
+             (linear_map_from_matrix(B2, S1, ((1, 2), (3, 0), (0, -1))), Id(S1),
+              linear_map_from_matrix(T1, S1, ((1,) * 9, (0, 2) * 4 + (0,), (5,) + (0,) * 8)))),
+    dom_blocks=(B2, S1, T1), cod_blocks=(sym(B2), S1))
+
+
+class TestMatrixLayout:
+    @pytest.mark.parametrize("m", [
+        inj(0, (S1, T1)), inj(1, (S1, T1)), inj(1, (B1, sym(B2), S1)),
+        proj(0, (S1, T1)), proj(1, (S1, T1)), proj(2, (B1, sym(B2), S1)),
+        sum_map(Id(S1), Sigma(direct_sum(B1, B2), B3)),
+        sum_map(linear_map_from_matrix(B1, B2, ((1,), (2,))), Id(sym(B2))),
+        DENSE,
+    ], ids=["inj0", "inj1", "inj-sym", "proj0", "proj1", "proj-sym",
+            "sum-sigma", "sum-sym", "dense-2x3"])
+    def test_equals_blockwise_reference(self, m):
+        want = _matrix_reference(m, 2)
+        assert sorted(want, key=lambda bv: bv.key()) == enumerate_basis(m.dom(), 2)
+        for bv, image in want.items():
+            got = apply_basis(m, bv)
+            assert got.space == m.cod()
+            assert got.coeffs == image.coeffs
+
+    @pytest.mark.parametrize("m, bv", [
+        (inj(0, (S1, T1)), SumIx(2, GenIx(0))),
+        (proj(1, (S1, T1)), SumIx(9, GenIx(0))),
+        (DENSE, SumIx(6, GenIx(0))),
+    ])
+    def test_out_of_range_branch_raises(self, m, bv):
+        with pytest.raises(ValueError):
+            apply_basis(m, bv)
 
 
 class TestChecker:
