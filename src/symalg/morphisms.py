@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .spaces import (
-    Node, node, SpaceExpr, BasisVector, UNIT, ZERO,
+    Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx,
     tensor, direct_sum, sym, terms, is_sym_free, rank,
-    enumerate_basis, decompose_sum, build_sum, split_pair,
+    enumerate_basis, decompose_sum, build_sum, split_pair, pair_layout, pair_parts,
+    term_parts, term_vector, is_basis_vector,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
@@ -259,9 +260,14 @@ class TableNu(MorExpr):
 
 def apply(m: MorExpr, v: Element) -> Element:
     """Evaluate m on v, exactly."""
-    if v.space != m.dom():
+    if v.space != m.dom() or not all(is_basis_vector(bv, v.space) for bv, _ in v.coeffs):
         raise SpaceMismatchError(
-            f"element lives in {v.space!r}, morphism expects {m.dom()!r}")
+            f"{v!r} in {v.space!r} is not an element of {m.dom()!r}")
+    return _apply(m, v)
+
+
+def _apply(m, v):
+    """apply for an element already known to lie in m's domain."""
     return elem_combination(m.cod(), ((c, apply_basis(m, bv)) for bv, c in v.coeffs))
 
 
@@ -278,17 +284,65 @@ def _compose(m, bv):
     img = apply_basis(m.f, bv)
     if len(img.coeffs) == 1 and img.coeffs[0][1] == 1:
         return apply_basis(m.g, img.coeffs[0][0])  # shared, not rebuilt
-    return apply(m.g, img)
+    return _apply(m.g, img)
+
+
+@lru_cache(maxsize=None)
+def _tensor_layout(m):
+    """What _tensor needs, computed once per TensorM node.
+
+    Returns (side, domain layout, codomain layout): side is "f" for
+    f (x) Id(b), "g" for Id(a) (x) g and None when neither side is an Id;
+    the layouts are pair_layout of the domain pair and of the codomain pair.
+    """
+    side = "f" if isinstance(m.g, Id) else "g" if isinstance(m.f, Id) else None
+    return (side, pair_layout(m.f.dom(), m.g.dom()),
+            pair_layout(m.f.cod(), m.g.cod()))
 
 
 def _tensor(m, bv):
-    bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
-    return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
+    side, dom, (cod, nb, rows) = _tensor_layout(m)
+    if side is None:
+        bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
+        return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
+    # A whiskering: evaluate the acting side's factor only and put the Id
+    # side's parts back beside each term of its image.  With one side fixed
+    # the codomain's order follows the image's, so no sort is needed.
+    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
+    cod_sum = isinstance(cod, Sum)
+    items = []
+    if side == "f":
+        keep = parts[na:]
+        x = term_vector(parts[:na])
+        img = apply_basis(m.f, SumIx(i, x) if isinstance(m.f.dom(), Sum) else x)
+        for y, c in img.coeffs:
+            r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
+            k = r * nb + j
+            out = term_vector(term_parts(inner, rows[k][2]) + keep)
+            items.append((SumIx(k, out) if cod_sum else out, c))
+    else:
+        keep = parts[:na]
+        x = term_vector(parts[na:])
+        img = apply_basis(m.g, SumIx(j, x) if isinstance(m.g.dom(), Sum) else x)
+        for y, c in img.coeffs:
+            r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
+            k = i * nb + r
+            out = term_vector(keep + term_parts(inner, rows[k][3]))
+            items.append((SumIx(k, out) if cod_sum else out, c))
+    return Element(cod, tuple(items))
+
+
+@lru_cache(maxsize=None)
+def _sigma_layout(m):
+    """pair_layout of Sigma(a, b)'s domain pair and of its codomain pair."""
+    return pair_layout(m.a, m.b), pair_layout(m.b, m.a)
 
 
 def _sigma(m, bv):
-    bva, bvb = split_pair(bv, m.a, m.b)
-    return elem_tensor(singleton(m.b, bvb), singleton(m.a, bva))
+    dom, (cod, na_terms, _) = _sigma_layout(m)
+    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
+    out = term_vector(parts[na:] + parts[:na])
+    return Element(cod, ((build_sum(cod, j * na_terms + i, out), 1),))
 
 
 @lru_cache(maxsize=None)

@@ -344,7 +344,7 @@ def build_sum(space: SpaceExpr, index: int, inner: BasisVector) -> BasisVector:
 
 
 @lru_cache(maxsize=None)
-def _pair_layout(a: SpaceExpr, b: SpaceExpr):
+def pair_layout(a: SpaceExpr, b: SpaceExpr):
     """What split_pair and join_pair need, computed once per pair of spaces.
 
     Returns (tensor(a, b), number of terms of b, rows), where row k is
@@ -358,7 +358,7 @@ def _pair_layout(a: SpaceExpr, b: SpaceExpr):
     return big, len(terms(b)), rows
 
 
-def _term_parts(bv: BasisVector, term: SpaceExpr) -> tuple:
+def term_parts(bv: BasisVector, term: SpaceExpr) -> tuple:
     """Split a term-level basis vector into one index per tensor factor."""
     if isinstance(term, Tensor):
         if isinstance(bv, TensorIx) and len(bv.parts) == len(term.factors):
@@ -370,37 +370,62 @@ def _term_parts(bv: BasisVector, term: SpaceExpr) -> tuple:
     raise ValueError(f"{bv!r} is not a basis vector of the term {term!r}")
 
 
-def _term_vector(parts: tuple) -> BasisVector:
+def term_vector(parts: tuple) -> BasisVector:
     """The term-level basis vector with one index per factor."""
     if len(parts) >= 2:
         return TensorIx(parts)
     return parts[0] if parts else UNIT_IX
 
 
-def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
-    """Split a basis vector of tensor(a, b) into basis vectors of a and b."""
-    big, _, rows = _pair_layout(a, b)
+def pair_parts(bv: BasisVector, layout):
+    """Split a basis vector of tensor(a, b), where layout is pair_layout(a, b),
+    into its row of the layout and its index per tensor factor."""
+    big, _, rows = layout
     k, inner = decompose_sum(bv, big)
     if not 0 <= k < len(rows):
         raise ValueError(f"branch {k} out of range for {big!r}")
-    i, j, _, _, term_k, na = rows[k]
-    parts = _term_parts(inner, term_k)
-    bva, bvb = _term_vector(parts[:na]), _term_vector(parts[na:])
+    row = rows[k]
+    return row, term_parts(inner, row[4])
+
+
+def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
+    """Split a basis vector of tensor(a, b) into basis vectors of a and b."""
+    (i, j, _, _, _, na), parts = pair_parts(bv, pair_layout(a, b))
+    bva, bvb = term_vector(parts[:na]), term_vector(parts[na:])
     return (SumIx(i, bva) if isinstance(a, Sum) else bva,
             SumIx(j, bvb) if isinstance(b, Sum) else bvb)
 
 
 def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) -> BasisVector:
     """Inverse of split_pair."""
-    big, nb, rows = _pair_layout(a, b)
+    big, nb, rows = pair_layout(a, b)
     i, inner_a = decompose_sum(bva, a)
     j, inner_b = decompose_sum(bvb, b)
     k = i * nb + j
     if not (0 <= j < nb and 0 <= k < len(rows)):
         raise ValueError(f"branches ({i}, {j}) out of range for {a!r} and {b!r}")
     _, _, term_a, term_b, _, _ = rows[k]
-    inner = _term_vector(_term_parts(inner_a, term_a) + _term_parts(inner_b, term_b))
+    inner = term_vector(term_parts(inner_a, term_a) + term_parts(inner_b, term_b))
     return SumIx(k, inner) if isinstance(big, Sum) else inner
+
+
+def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
+    """Whether bv is a basis vector of space, of any weight."""
+    if isinstance(space, Sum):
+        return (isinstance(bv, SumIx) and isinstance(bv.branch, int)
+                and 0 <= bv.branch < len(space.summands)
+                and is_basis_vector(bv.inner, space.summands[bv.branch]))
+    if isinstance(space, Tensor):
+        return (isinstance(bv, TensorIx) and len(bv.parts) == len(space.factors)
+                and all(map(is_basis_vector, bv.parts, space.factors)))
+    if isinstance(space, Sym):
+        return (isinstance(bv, MonIx)
+                and all(is_basis_vector(p, space.inner) for p in bv.parts)
+                and all(p._key <= q._key for p, q in zip(bv.parts, bv.parts[1:])))
+    if isinstance(space, Base):
+        return (isinstance(bv, GenIx) and isinstance(bv.index, int)
+                and 0 <= bv.index < space.rank)
+    return isinstance(space, Unit) and bv is UNIT_IX
 
 
 # ---------------------------------------------------------------------------

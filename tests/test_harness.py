@@ -166,18 +166,21 @@ print(len(calls))
 _CHECK_ELEMENTS = """
 import json, sys
 from fractions import Fraction
+from functools import lru_cache
 from symalg.elements import Element
 from symalg.harness import load_config, run_suite
-from symalg.spaces import order_key
+from symalg.spaces import order_key, is_basis_vector
 
 built, bad = [0], []
 init = Element.__init__
+member = lru_cache(maxsize=None)(is_basis_vector)
 
 def checked(self, space, coeffs):
     init(self, space, coeffs)
     built[0] += 1
     keys = [order_key(bv) for bv, _ in coeffs]
     if (any(k >= k2 for k, k2 in zip(keys, keys[1:]))
+            or not all(member(bv, space) for bv, _ in coeffs)
             or not all(type(c) is int and c != 0
                        or type(c) is Fraction and c.denominator > 1
                        for _, c in coeffs)):
@@ -279,7 +282,8 @@ class TestRunner:
 
     def test_element_invariant_holds_for_every_built_element(self, tmp_path):
         # Fast paths build elements without element(): their keys must still
-        # be strictly sorted, with no zero and no integral Fraction.
+        # be strictly sorted basis vectors of the element's own space, with no
+        # zero and no integral Fraction.
         p = tmp_path / "scaled_dual.json"
         p.write_text(json.dumps(_SCALED_DUAL))
         out = json.loads(_fresh_process(_CHECK_ELEMENTS, str(p)))

@@ -3,18 +3,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symalg.spaces import (
     node, UNIT, ZERO, base, sym, tensor, direct_sum, monomial, GenIx, MonIx, SumIx,
-    Sum, enumerate_basis, terms,
+    TensorIx, Sum, enumerate_basis, terms, split_pair, is_basis_vector,
+    order_key,
 )
-from symalg.elements import element, singleton, zero_element, elem_add, elem_scale
+from symalg.elements import (
+    SpaceMismatchError, element, singleton, zero_element, elem_add, elem_scale,
+    elem_tensor,
+)
 from symalg.tangent import kleisli_map
 from symalg import morphisms
 from symalg.morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
-    LinearMap, SymF, Eta, Mult, RULES, apply, apply_basis, check_equal, compose,
+    LinearMap, SymF, Eta, Mu, Mult, Deriv, RULES, apply, apply_basis, check_equal, compose,
     linear_map_from_matrix, sum_map, inj, proj, EndpointMismatchError,
 )
 
@@ -60,6 +64,18 @@ class TestLinearity:
         for bv, c in e.coeffs:
             want = elem_add(want, elem_scale(c, apply_basis(f, bv)))
         assert apply(f, e) == want
+
+    @pytest.mark.parametrize("m, space, bv", [
+        (Id(B2), B2, GenIx(7)),
+        (Id(B2), B2, GenIx("a")),
+        (Mu(B2), sym(sym(B2)), GenIx(0)),
+        (Id(direct_sum(B1, B2)), direct_sum(B1, B2), SumIx(2, GenIx(0))),
+        (Id(tensor(B2, B3)), tensor(B2, B3), TensorIx((GenIx(0),) * 3)),
+        (Id(sym(B2)), sym(B2), MonIx((GenIx(1), GenIx(0)))),
+    ], ids=["generator", "named-generator", "mu", "branch", "parts", "unsorted-monomial"])
+    def test_apply_rejects_a_vector_outside_the_domain(self, m, space, bv):
+        with pytest.raises(SpaceMismatchError):
+            apply(m, element(space, {bv: 1}))
 
 
 class TestSymmetryAndBiproducts:
@@ -188,6 +204,114 @@ class TestMatrixLayout:
     def test_out_of_range_branch_raises(self, m, bv):
         with pytest.raises(ValueError):
             apply_basis(m, bv)
+
+
+def _spaces(atoms):
+    """Spaces of one or two terms; a term is Unit or one or two atoms."""
+    term = st.one_of(st.just(UNIT), st.lists(st.sampled_from(atoms), min_size=1, max_size=2)
+                     .map(lambda fs: tensor(*fs)))
+    return st.lists(term, min_size=1, max_size=2).map(lambda ts: direct_sum(*ts))
+
+
+SPACES = _spaces((B1, B2, sym(B1)))
+SYM_FREE = _spaces((B1, B2))
+
+
+@st.composite
+def _dense_maps(draw):
+    dom, cod = draw(SYM_FREE), draw(SYM_FREE)
+    n, k = len(enumerate_basis(dom, 0)), len(enumerate_basis(cod, 0))
+    nonzero = st.sampled_from((-2, -1, 1, 2, 3))
+    rows = draw(st.lists(st.lists(nonzero, min_size=n, max_size=n), min_size=k, max_size=k))
+    return linear_map_from_matrix(dom, cod, rows)
+
+
+#: Maps whose images have several terms: dense tables, Deriv, and
+#: block matrices that copy or project a biproduct.
+MAPS = st.one_of(
+    _dense_maps(),
+    st.sampled_from((B1, B2, direct_sum(UNIT, B1))).map(Deriv),
+    SPACES.map(lambda s: Add(inj(0, (s, s)), inj(1, (s, s)))),
+    st.tuples(SPACES, SPACES).map(lambda blocks: proj(1, blocks)),
+)
+
+#: Sum on both sides of the map and of the Id factor.
+SUM_MAP = linear_map_from_matrix(direct_sum(UNIT, B2), direct_sum(B1, B2),
+                                 ((1, 2, -1), (3, 1, 2), (-2, 1, 1)))
+SUM_SPACE = direct_sum(UNIT, tensor(B2, sym(B1)))
+
+
+def _factors(m):
+    """The two factors of the domain of a TensorM or Sigma node."""
+    return (m.a, m.b) if isinstance(m, Sigma) else (m.f.dom(), m.g.dom())
+
+
+def _assert_matches_reference(m, bound=3):
+    """m's image of every basis vector up to bound equals split_pair then
+    elem_tensor of the factors' images, with strictly sorted keys of m.cod()."""
+    a, b = _factors(m)
+    for bv in enumerate_basis(m.dom(), bound):
+        x, y = split_pair(bv, a, b)
+        if isinstance(m, Sigma):
+            want = elem_tensor(singleton(b, y), singleton(a, x))
+        else:
+            want = elem_tensor(apply_basis(m.f, x), apply_basis(m.g, y))
+        got = apply_basis(m, bv)
+        assert got.space == m.cod()
+        assert got.coeffs == element(m.cod(), dict(want.coeffs)).coeffs
+        keys = [order_key(w) for w, _ in got.coeffs]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+        assert all(is_basis_vector(w, m.cod()) for w, _ in got.coeffs)
+
+
+def _foreign_vectors(space):
+    """Vectors shaped like space's but not in it: a branch past the last
+    term, and a TensorIx with one part too many."""
+    out = []
+    basis = enumerate_basis(space, 1)
+    if isinstance(space, Sum):
+        out.append(SumIx(len(space.summands), basis[0].inner))
+    for bv in basis:
+        inner = bv.inner if isinstance(space, Sum) else bv
+        if isinstance(inner, TensorIx):
+            wide = TensorIx(inner.parts + inner.parts[:1])
+            out.append(SumIx(bv.branch, wide) if isinstance(space, Sum) else wide)
+            break
+    return out
+
+
+class TestTermPartLayouts:
+    """Whiskerings f (x) Id(b), Id(a) (x) g and Sigma(a, b) work on term parts;
+    they must agree with splitting the vector and tensoring the images."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=MAPS, b=SPACES)
+    @example(f=SUM_MAP, b=SUM_SPACE)
+    def test_right_whisker_matches_reference(self, f, b):
+        _assert_matches_reference(TensorM(f, Id(b)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=SPACES, g=MAPS)
+    @example(a=SUM_SPACE, g=SUM_MAP)
+    def test_left_whisker_matches_reference(self, a, g):
+        _assert_matches_reference(TensorM(Id(a), g))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=SPACES, b=SPACES)
+    @example(a=direct_sum(UNIT, B2), b=SUM_SPACE)
+    def test_sigma_matches_reference(self, a, b):
+        _assert_matches_reference(Sigma(a, b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=MAPS, b=SPACES)
+    @example(f=SUM_MAP, b=SUM_SPACE)
+    def test_foreign_vectors_raise_value_error(self, f, b):
+        for m in (TensorM(f, Id(b)), TensorM(Id(b), f), Sigma(f.dom(), b)):
+            for bv in _foreign_vectors(m.dom()):
+                with pytest.raises(ValueError):
+                    split_pair(bv, *_factors(m))
+                with pytest.raises(ValueError):
+                    apply_basis(m, bv)
 
 
 class TestChecker:
