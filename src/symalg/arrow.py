@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
-    Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv, Chi0Inv,
+    Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
     check_equal, compose, sum_map, inj, proj,
 )
 
@@ -50,18 +50,16 @@ class ArrowMor:
     f1: MorExpr
 
 
-def arrow_mor(src: ArrowObj, dst: ArrowObj, f0: MorExpr, f1: MorExpr,
-              check: bool = True) -> ArrowMor:
+def arrow_mor(src: ArrowObj, dst: ArrowObj, f0: MorExpr, f1: MorExpr) -> ArrowMor:
     """Build an arrow morphism, validating the commuting square."""
     if f0.dom() != src.a0 or f0.cod() != dst.a0:
         raise InvalidArrowError("f0 endpoints do not match the arrow objects")
     if f1.dom() != src.a1 or f1.cod() != dst.a1:
         raise InvalidArrowError("f1 endpoints do not match the arrow objects")
     m = ArrowMor(src, dst, f0, f1)
-    if check:
-        v = check_equal(*commuting_square(m), VALIDATE_BOUND)
-        if not v.ok:
-            raise InvalidArrowError(f"square does not commute at {v.witness}", v)
+    v = check_equal(*commuting_square(m), VALIDATE_BOUND)
+    if not v.ok:
+        raise InvalidArrowError(f"square does not commute at {v.witness}", v)
     return m
 
 
@@ -133,24 +131,15 @@ def etabar(o: ArrowObj) -> ArrowMor:
     return arrow_mor(o, sbar_obj(o), Eta(a0), TensorM(UnitM(a0), Id(a1)))
 
 
-def mubar(o: ArrowObj, skip_mult: bool = False) -> ArrowMor:
-    """Monad multiplication; the second component substitutes then multiplies.
-
-    skip_mult replaces the final multiplication step by discarding the
-    second Sym factor (a deliberately wrong map, for mutation controls).
-    """
+def mubar(o: ArrowObj) -> ArrowMor:
+    """Monad multiplication; the second component substitutes then multiplies."""
     a0, a1 = o.a0, o.a1
     sa = sym(a0)
     f0 = Mu(a0)
     sub = TensorM(Mu(a0), Id(tensor(sa, a1)))  # SS (x) S (x) A1 -> S (x) S (x) A1
-    if skip_mult:
-        drop = compose(SymF(ZeroM(a0, ZERO)), Chi0Inv())  # evaluation at zero S(A0) -> I
-        step = TensorM(Id(sa), TensorM(drop, Id(a1)))
-    else:
-        step = TensorM(Mult(a0), Id(a1))
-    f1 = Compose(step, sub)
+    f1 = Compose(TensorM(Mult(a0), Id(a1)), sub)
     src = sbar_obj(sbar_obj(o))
-    return arrow_mor(src, sbar_obj(o), f0, f1, check=not skip_mult)
+    return arrow_mor(src, sbar_obj(o), f0, f1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +218,16 @@ def ubar(o: ArrowObj) -> ArrowMor:
                     UnitM(o.a0), ZeroM(ZERO, tensor(sym(o.a0), o.a1)))
 
 
-def dbar(o: ArrowObj, twist: bool = True) -> ArrowMor:
-    """Deriving transformation on the arrow category.
-
-    twist=False drops the symmetry twist in the second row (mutation
-    control; only well-typed when A0 = A1).
-    """
+def dbar(o: ArrowObj) -> ArrowMor:
+    """Deriving transformation on the arrow category."""
     a0, a1 = o.a0, o.a1
     sa = sym(a0)
     sb = sbar_obj(o)
     dst = boxtimes_obj(sb, o)
     blocks = _box_blocks(sb, o)  # (S (x) A1, S (x) A1 (x) A0)
     row1 = Id(tensor(sa, a1))
-    if twist:
-        row2 = Compose(TensorM(Id(sa), Sigma(a0, a1)),
-                       TensorM(Deriv(a0), Id(a1)))
-    else:
-        row2 = TensorM(Deriv(a0), Id(a1))
+    row2 = Compose(TensorM(Id(sa), Sigma(a0, a1)),
+                   TensorM(Deriv(a0), Id(a1)))
     f1 = Matrix(entries=((row1,), (row2,)),
                 dom_blocks=(tensor(sa, a1),),
                 cod_blocks=blocks)

@@ -36,10 +36,13 @@ class Element:
 
 
 def _coeff(c):
-    """c as a canonical exact rational: an int when integral, else a Fraction."""
-    if type(c) is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
+    """c as a canonical exact rational: an int when integral, else a Fraction.
+    Any other type, float, bool, str or Decimal, raises TypeError."""
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if type(c) is int:
+        return c
+    raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
 
 
 def element(space: SpaceExpr, coeffs) -> Element:
@@ -48,7 +51,7 @@ def element(space: SpaceExpr, coeffs) -> Element:
     if not isinstance(coeffs, dict):
         pairs, coeffs = coeffs, {}
         for bv, c in pairs:
-            coeffs[bv] = coeffs.get(bv, 0) + c
+            coeffs[bv] = coeffs.get(bv, 0) + _coeff(c)
     items = []
     for bv in sorted(coeffs, key=order_key):
         c = coeffs[bv]

@@ -41,7 +41,7 @@ from .spaces import (
 )
 from .elements import singleton
 from .morphisms import (
-    Id, TensorM, Add, ZeroM, Sigma, SymF, Eta, Mu, Mult, UnitM,
+    Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix, SymF, Eta, Mu, Mult, UnitM,
     Deriv, Chi, ChiInv, Chi0Inv, Verdict, check_equal, compose,
     linear_map_from_matrix,
 )
@@ -208,13 +208,23 @@ def _chi_inv(pair, ctx):
 
 
 def _dbar(o, ctx):
+    d = dbar(o)
     if ctx.mutation == "dbar-twist-skip" and o.a0 == o.a1:
-        return dbar(o, twist=False)
-    return dbar(o)
+        # The second row without its symmetry twist: typed only when A0 = A1.
+        (row1,), (row2,) = d.f1.entries
+        return replace(d, f1=Matrix(((row1,), (row2.f,)), d.f1.dom_blocks, d.f1.cod_blocks))
+    return d
 
 
 def _mubar(o, ctx):
-    return mubar(o, skip_mult=(ctx.mutation == "mubar-mult-skip"))
+    mu = mubar(o)
+    if ctx.mutation == "mubar-mult-skip":
+        # Discard the second Sym factor by evaluating it at zero, S(A0) -> I,
+        # instead of multiplying.
+        drop = compose(SymF(ZeroM(o.a0, ZERO)), Chi0Inv())
+        step = TensorM(Id(sym(o.a0)), TensorM(drop, Id(o.a1)))
+        return replace(mu, f1=Compose(step, mu.f1.f))
+    return mu
 
 
 def _arrow_d2(o, ctx):

@@ -16,7 +16,7 @@ from itertools import chain, repeat
 
 from .spaces import (
     MonIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, split_pair,
-    direct_sum, sym, enumerate_basis, order_key,
+    direct_sum, sym, order_key,
 )
 from .elements import (
     element, singleton, elem_combination, elem_sum, elem_tensor,
@@ -88,7 +88,7 @@ def _chi_inv(m, bv):
 
 def _table_fold(m, bv):
     """nu on a monomial: fold the multiplication table over the factors."""
-    index = {g: i for i, g in enumerate(enumerate_basis(m.carrier, 0))}
+    index = m._layout  # the index of each generator, made with the node
     acc = m.unit_elem
     for factor in bv.parts:
         col = index[factor]

@@ -9,7 +9,6 @@ check enumerates).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +16,7 @@ from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx,
     tensor, direct_sum, sym, terms, is_sym_free, rank,
     enumerate_basis, decompose_sum, build_sum, split_pair, pair_layout, pair_parts,
-    term_parts, term_vector, is_basis_vector,
+    join_parts, term_parts, term_vector, is_basis_vector,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
@@ -29,18 +28,22 @@ class MorExpr(Node):
     """A morphism expression, hash-consed like spaces and basis vectors.
 
     When a node is first built it runs its class's checks and computes its
-    domain and codomain once (`_endpoints`).
+    domain and codomain once (`_endpoints`).  A node whose evaluation rule
+    reads more structure computes that too, in the same step, and keeps it
+    as its layout (`_layout`, None for the other nodes).
     """
 
-    __slots__ = ("_dom", "_cod")
+    __slots__ = ("_dom", "_cod", "_layout")
 
     def __post_init__(self):
-        dom, cod = self._endpoints()
+        dom, cod, *layout = self._endpoints()
         object.__setattr__(self, "_dom", dom)
         object.__setattr__(self, "_cod", cod)
+        object.__setattr__(self, "_layout", layout[0] if layout else None)
 
     def _endpoints(self) -> tuple:
-        """Check the fields; return (domain, codomain)."""
+        """Check the fields; return (domain, codomain), or (domain, codomain,
+        layout) for a node whose rule reads a layout."""
         raise NotImplementedError
 
     def dom(self) -> SpaceExpr:
@@ -94,8 +97,14 @@ class TensorM(MorExpr):
     g: MorExpr
 
     def _endpoints(self):
-        return (tensor(self.f.dom(), self.g.dom()),
-                tensor(self.f.cod(), self.g.cod()))
+        # Layout: (side, pair_layout of the domain pair, of the codomain pair,
+        # terms of the acting side's codomain); side is "f" for f (x) Id(b),
+        # "g" for Id(a) (x) g, else None.
+        side = "f" if isinstance(self.g, Id) else "g" if isinstance(self.f, Id) else None
+        dom = pair_layout(self.f.dom(), self.g.dom())
+        cod = pair_layout(self.f.cod(), self.g.cod())
+        act = self.g if side == "g" else self.f
+        return dom[0], cod[0], (side, dom, cod, terms(act.cod()))
 
 
 @node
@@ -126,7 +135,9 @@ class Sigma(MorExpr):
     b: SpaceExpr
 
     def _endpoints(self):
-        return tensor(self.a, self.b), tensor(self.b, self.a)
+        # Layout: pair_layout of the domain pair and of the codomain pair.
+        dom, cod = pair_layout(self.a, self.b), pair_layout(self.b, self.a)
+        return dom[0], cod[0], (dom, cod)
 
 
 @node
@@ -138,15 +149,27 @@ class Matrix(MorExpr):
     cod_blocks: tuple
 
     def _endpoints(self):
+        # Layout: (where, columns).  where[k] is (j, t) for term k of the
+        # domain, term t of dom block j; columns[j] lists (entry, cod block,
+        # offset of the block's first term in the codomain) for the nonzero
+        # entries of column j.
         _require(len(self.entries) == len(self.cod_blocks), "matrix row count mismatch")
-        for i, row in enumerate(self.entries):
+        columns = tuple([] for _ in self.dom_blocks)
+        offset = 0
+        for i, (row, block) in enumerate(zip(self.entries, self.cod_blocks)):
             _require(len(row) == len(self.dom_blocks), "matrix column count mismatch")
             for j, entry in enumerate(row):
                 _require(entry.dom() == self.dom_blocks[j],
                          f"matrix entry ({i},{j}) domain mismatch")
-                _require(entry.cod() == self.cod_blocks[i],
+                _require(entry.cod() == block,
                          f"matrix entry ({i},{j}) codomain mismatch")
-        return direct_sum(*self.dom_blocks), direct_sum(*self.cod_blocks)
+                if not isinstance(entry, ZeroM):
+                    columns[j].append((entry, block, offset))
+            offset += len(terms(block))
+        where = tuple((j, t) for j, block in enumerate(self.dom_blocks)
+                      for t in range(len(terms(block))))
+        return (direct_sum(*self.dom_blocks), direct_sum(*self.cod_blocks),
+                (where, tuple(map(tuple, columns))))
 
 
 @node
@@ -251,7 +274,9 @@ class TableNu(MorExpr):
         n = rank(self.carrier)
         _require(len(self.mult_table) == n and all(len(r) == n for r in self.mult_table),
                  "mult_table must be rank x rank")
-        return sym(self.carrier), self.carrier
+        # Layout: the index of each generator of the carrier.
+        index = {g: i for i, g in enumerate(enumerate_basis(self.carrier, 0))}
+        return sym(self.carrier), self.carrier, index
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +312,8 @@ def _compose(m, bv):
     return _apply(m.g, img)
 
 
-@lru_cache(maxsize=None)
-def _tensor_layout(m):
-    """What _tensor needs, computed once per TensorM node.
-
-    Returns (side, domain layout, codomain layout): side is "f" for
-    f (x) Id(b), "g" for Id(a) (x) g and None when neither side is an Id;
-    the layouts are pair_layout of the domain pair and of the codomain pair.
-    """
-    side = "f" if isinstance(m.g, Id) else "g" if isinstance(m.f, Id) else None
-    return (side, pair_layout(m.f.dom(), m.g.dom()),
-            pair_layout(m.f.cod(), m.g.cod()))
-
-
 def _tensor(m, bv):
-    side, dom, (cod, nb, rows) = _tensor_layout(m)
+    side, dom, cod, ts = m._layout
     if side is None:
         bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
         return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
@@ -309,64 +321,31 @@ def _tensor(m, bv):
     # side's parts back beside each term of its image.  With one side fixed
     # the codomain's order follows the image's, so no sort is needed.
     (i, j, _, _, _, na), parts = pair_parts(bv, dom)
-    cod_sum = isinstance(cod, Sum)
-    items = []
     if side == "f":
-        keep = parts[na:]
-        x = term_vector(parts[:na])
-        img = apply_basis(m.f, SumIx(i, x) if isinstance(m.f.dom(), Sum) else x)
-        for y, c in img.coeffs:
-            r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
-            k = r * nb + j
-            out = term_vector(term_parts(inner, rows[k][2]) + keep)
-            items.append((SumIx(k, out) if cod_sum else out, c))
+        act, branch, x, keep = m.f, i, parts[:na], parts[na:]
     else:
-        keep = parts[:na]
-        x = term_vector(parts[na:])
-        img = apply_basis(m.g, SumIx(j, x) if isinstance(m.g.dom(), Sum) else x)
-        for y, c in img.coeffs:
-            r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
-            k = i * nb + r
-            out = term_vector(keep + term_parts(inner, rows[k][3]))
-            items.append((SumIx(k, out) if cod_sum else out, c))
-    return Element(cod, tuple(items))
-
-
-@lru_cache(maxsize=None)
-def _sigma_layout(m):
-    """pair_layout of Sigma(a, b)'s domain pair and of its codomain pair."""
-    return pair_layout(m.a, m.b), pair_layout(m.b, m.a)
+        act, branch, x, keep = m.g, j, parts[na:], parts[:na]
+    x = term_vector(x)
+    img = apply_basis(act, SumIx(branch, x) if isinstance(act.dom(), Sum) else x)
+    items = []
+    for y, c in img.coeffs:
+        r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
+        own = term_parts(inner, ts[r])
+        items.append((join_parts(cod, r, own, j, keep) if side == "f"
+                      else join_parts(cod, i, keep, r, own), c))
+    return Element(cod[0], tuple(items))
 
 
 def _sigma(m, bv):
-    dom, (cod, na_terms, _) = _sigma_layout(m)
+    dom, cod = m._layout
     (i, j, _, _, _, na), parts = pair_parts(bv, dom)
-    out = term_vector(parts[na:] + parts[:na])
-    return Element(cod, ((build_sum(cod, j * na_terms + i, out), 1),))
-
-
-@lru_cache(maxsize=None)
-def _matrix_layout(m):
-    """What _matrix needs, computed once per Matrix node.
-
-    Returns (where, columns): where[k] is (j, t) for term k of the domain,
-    term t of dom block j; columns[j] lists (entry, cod block, offset of the
-    block's first term in the codomain) for the nonzero entries of column j.
-    """
-    where = tuple((j, t) for j, block in enumerate(m.dom_blocks)
-                  for t in range(len(terms(block))))
-    offsets = itertools.accumulate((len(terms(b)) for b in m.cod_blocks), initial=0)
-    rows = tuple(zip(m.entries, m.cod_blocks, offsets))
-    columns = tuple(tuple((row[j], block, offset) for row, block, offset in rows
-                          if not isinstance(row[j], ZeroM))
-                    for j in range(len(m.dom_blocks)))
-    return where, columns
+    return Element(cod[0], ((join_parts(cod, j, parts[na:], i, parts[:na]), 1),))
 
 
 def _matrix(m, bv):
-    where, columns = _matrix_layout(m)
+    where, columns = m._layout
     k, inner = decompose_sum(bv, m.dom())
-    if not 0 <= k < len(where):
+    if k >= len(where):
         raise ValueError("term index out of range for block structure")
     j, t = where[k]
     x = build_sum(m.dom_blocks[j], t, inner)

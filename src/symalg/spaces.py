@@ -86,6 +86,15 @@ class SpaceExpr(Node):
     __slots__ = ()
 
 
+def _require_int(x, what: str, low: int) -> None:
+    """Interning compares fields with ==, under which 1, 1.0 and True are one
+    key; only a plain int is accepted, so no other type enters the table."""
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    if x < low:
+        raise ValueError(f"{what} must be >= {low}, got {x}")
+
+
 def _require_normal(ok: bool, s: SpaceExpr) -> None:
     if not ok:
         raise ValueError(f"{s!r} is not in normal form; "
@@ -108,8 +117,9 @@ class Base(SpaceExpr):
     rank: int
 
     def __post_init__(self):
-        if self.rank <= 0:
-            raise ValueError(f"base space rank must be positive, got {self.rank}")
+        if type(self.name) is not str:
+            raise TypeError(f"base space name must be a str, got {self.name!r}")
+        _require_int(self.rank, "base space rank", 1)
 
 
 @node
@@ -276,6 +286,7 @@ class GenIx(BasisVector):
     index: int  # 0-based generator index
 
     def __post_init__(self):
+        _require_int(self.index, "generator index", 0)
         self._order(0, (1, self.index))
 
 
@@ -294,6 +305,7 @@ class SumIx(BasisVector):
     inner: BasisVector
 
     def __post_init__(self):
+        _require_int(self.branch, "sum branch", 0)
         self._order(self.inner._weight, (3, self.branch, self.inner._key))
 
 
@@ -382,10 +394,23 @@ def pair_parts(bv: BasisVector, layout):
     into its row of the layout and its index per tensor factor."""
     big, _, rows = layout
     k, inner = decompose_sum(bv, big)
-    if not 0 <= k < len(rows):
+    if k >= len(rows):
         raise ValueError(f"branch {k} out of range for {big!r}")
     row = rows[k]
     return row, term_parts(inner, row[4])
+
+
+def join_parts(layout, i: int, parts_a: tuple, j: int, parts_b: tuple) -> BasisVector:
+    """The basis vector of tensor(a, b), where layout is pair_layout(a, b), of
+    term i of a joined with term j of b, given one index per tensor factor.
+
+    The terms of tensor(a, b) are row-major: term i of a times term j of b is
+    term i * (number of terms of b) + j.  join_pair inlines the same rule.
+    """
+    big, nb, _ = layout
+    parts = parts_a + parts_b
+    inner = TensorIx(parts) if len(parts) >= 2 else parts[0] if parts else UNIT_IX
+    return SumIx(i * nb + j, inner) if isinstance(big, Sum) else inner
 
 
 def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
@@ -402,7 +427,7 @@ def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) ->
     i, inner_a = decompose_sum(bva, a)
     j, inner_b = decompose_sum(bvb, b)
     k = i * nb + j
-    if not (0 <= j < nb and 0 <= k < len(rows)):
+    if j >= nb or k >= len(rows):
         raise ValueError(f"branches ({i}, {j}) out of range for {a!r} and {b!r}")
     _, _, term_a, term_b, _, _ = rows[k]
     inner = term_vector(term_parts(inner_a, term_a) + term_parts(inner_b, term_b))
@@ -412,8 +437,7 @@ def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) ->
 def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
     """Whether bv is a basis vector of space, of any weight."""
     if isinstance(space, Sum):
-        return (isinstance(bv, SumIx) and isinstance(bv.branch, int)
-                and 0 <= bv.branch < len(space.summands)
+        return (isinstance(bv, SumIx) and bv.branch < len(space.summands)
                 and is_basis_vector(bv.inner, space.summands[bv.branch]))
     if isinstance(space, Tensor):
         return (isinstance(bv, TensorIx) and len(bv.parts) == len(space.factors)
@@ -423,8 +447,7 @@ def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
                 and all(is_basis_vector(p, space.inner) for p in bv.parts)
                 and all(p._key <= q._key for p, q in zip(bv.parts, bv.parts[1:])))
     if isinstance(space, Base):
-        return (isinstance(bv, GenIx) and isinstance(bv.index, int)
-                and 0 <= bv.index < space.rank)
+        return isinstance(bv, GenIx) and bv.index < space.rank
     return isinstance(space, Unit) and bv is UNIT_IX
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from symalg.spaces import base, sym, tensor, direct_sum, GenIx, MonIx, TensorIx
 from symalg.elements import singleton
+from symalg import laws
 from symalg.morphisms import (
     Id, ZeroM, Sigma, apply_basis, check_equal, compose,
     linear_map_from_matrix,
@@ -40,11 +41,6 @@ class TestSquares:
             arrow_mor(SWAP, SWAP, f, f)
         assert exc.value.verdict is not None
         assert exc.value.verdict.witness is not None
-
-    def test_bypass_flag_skips_validation(self):
-        f = linear_map_from_matrix(B2, B2, ((1, 0), (0, 2)))
-        m = arrow_mor(SWAP, SWAP, f, f, check=False)
-        assert isinstance(m, ArrowMor)
 
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(InvalidArrowError):
@@ -203,7 +199,8 @@ class TestLiftedModality:
 
     def test_mutated_dbar_fails_interchange(self):
         o = ID2
-        d = dbar(o, twist=False)
+        d = laws._dbar(o, laws.LawContext(mutation="dbar-twist-skip"))
+        assert d.f1 != dbar(o).f1
         sb = sbar_obj(o)
         inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
         lhs = compose_arrow(

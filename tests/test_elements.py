@@ -1,6 +1,7 @@
 """Exact element arithmetic: vector-space axioms, bilinearity and the
 canonical coefficient types."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ rationals = st.builds(Fraction, st.integers(-9, 9),
                       st.integers(1, 9))
 elems = st.dictionaries(monos, rationals, max_size=4).map(
     lambda d: element(S2, d))
-scalars = st.booleans() | st.integers(-9, 9) | rationals
+scalars = st.integers(-9, 9) | rationals
 raw = st.dictionaries(monos, scalars, max_size=4)
 
 
@@ -127,9 +128,25 @@ class TestCoefficients:
         x = monomial([GenIx(0)])
         half = elem_scale(Fraction(1, 2), singleton(S2, x, 2))
         assert half.coeffs == ((x, 1),) and type(half.coeffs[0][1]) is int
-        f = linear_map_from_matrix(B2, B2, [["3/1", "1/2"], [0, "5/7"]])
+        f = linear_map_from_matrix(B2, B2, [[Fraction(3, 1), Fraction(1, 2)],
+                                            [0, Fraction(5, 7)]])
         (_, col), _ = f.images
         assert col.coeffs == ((GenIx(0), 3),) and type(col.coeffs[0][1]) is int
+
+    @pytest.mark.parametrize("c", [0.1, 1.0, True, "1/2", Decimal("0.1")],
+                             ids=["float", "integral-float", "bool", "str", "decimal"])
+    def test_only_int_and_fraction_are_coefficients(self, c):
+        x = monomial([GenIx(0)])
+        with pytest.raises(TypeError):
+            element(S2, {x: c})
+        with pytest.raises(TypeError):
+            element(S2, [(x, c)])
+        with pytest.raises(TypeError):
+            singleton(S2, x, c)
+        with pytest.raises(TypeError):
+            elem_scale(c, singleton(S2, x))
+        with pytest.raises(TypeError):
+            linear_map_from_matrix(B2, B2, [[c, 0], [0, 1]])
 
 
 #: Spaces of mixed weight: sums, tensors and Sym layers, nested.

@@ -192,6 +192,37 @@ for mutate in (None, "m2-drop"):
 print(json.dumps({"built": built[0], "bad": bad[:3]}))
 """
 
+#: Builds nodes whose fields equal valid ones under == but differ in type
+#: (True and 1.0 for 1), then the valid ones; prints each outcome.  Run in a
+#: fresh process, because a wrong node would stay in the intern table.
+_MIXED_FIELD_TYPES = """
+import json
+from symalg.spaces import GenIx, SumIx, UNIT_IX, base, enumerate_basis
+
+def outcome(build):
+    try:
+        return repr(build())
+    except (TypeError, ValueError) as e:
+        return type(e).__name__
+
+print(json.dumps({
+    "GenIx(True)": outcome(lambda: GenIx(True)),
+    "GenIx(1.0)": outcome(lambda: GenIx(1.0)),
+    "GenIx('a')": outcome(lambda: GenIx("a")),
+    "GenIx(-1)": outcome(lambda: GenIx(-1)),
+    "SumIx(True, UNIT_IX)": outcome(lambda: SumIx(True, UNIT_IX)),
+    "SumIx(-1, UNIT_IX)": outcome(lambda: SumIx(-1, UNIT_IX)),
+    "base('q', 1.0)": outcome(lambda: base("q", 1.0)),
+    "base('q', True)": outcome(lambda: base("q", True)),
+    "base('q', 0)": outcome(lambda: base("q", 0)),
+    "base(7, 1)": outcome(lambda: base(7, 1)),
+    "GenIx(1)": outcome(lambda: GenIx(1)),
+    "SumIx(1, UNIT_IX)": outcome(lambda: SumIx(1, UNIT_IX)),
+    "basis of base('q', 1)": outcome(lambda: enumerate_basis(base("q", 1), 0)),
+}))
+"""
+
+
 #: The dual numbers on the basis (2, eps): the unit is 1/2 of the first
 #: basis vector, so tensor products meet Fractions whose product is integral.
 _SCALED_DUAL = {
@@ -279,6 +310,25 @@ class TestRunner:
     def test_builtin_table_algebras_are_built_once_per_process(self):
         # rationals, dual numbers and the square-zero extension, once each.
         assert int(_fresh_process(_COUNT_TABLE_ALGEBRAS)) <= 3
+
+    def test_interning_keeps_int_fields_apart_from_bool_and_float(self):
+        # Intern keys compare with ==, so a GenIx(True) or a base("q", 1.0)
+        # built first would be returned for GenIx(1) or base("q", 1).
+        assert json.loads(_fresh_process(_MIXED_FIELD_TYPES)) == {
+            "GenIx(True)": "TypeError",
+            "GenIx(1.0)": "TypeError",
+            "GenIx('a')": "TypeError",
+            "GenIx(-1)": "ValueError",
+            "SumIx(True, UNIT_IX)": "TypeError",
+            "SumIx(-1, UNIT_IX)": "ValueError",
+            "base('q', 1.0)": "TypeError",
+            "base('q', True)": "TypeError",
+            "base('q', 0)": "ValueError",
+            "base(7, 1)": "TypeError",
+            "GenIx(1)": "GenIx(index=1)",
+            "SumIx(1, UNIT_IX)": "SumIx(branch=1, inner=UnitIx())",
+            "basis of base('q', 1)": "[GenIx(index=0)]",
+        }
 
     def test_element_invariant_holds_for_every_built_element(self, tmp_path):
         # Fast paths build elements without element(): their keys must still

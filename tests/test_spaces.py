@@ -189,29 +189,35 @@ class TestPairLayouts:
         assert join_pair(A_MULTI, SumIx(1, GenIx(0)), B_MULTI, SumIx(0, UNIT_IX)) \
             == SumIx(3, GenIx(0))
 
+    # The vectors are built inside pytest.raises: a negative branch is
+    # already rejected by the SumIx constructor.
     @pytest.mark.parametrize("bv", [
-        pytest.param(GenIx(0), id="not-SumIx"),
-        pytest.param(SumIx(8, TensorIx((GenIx(0), GenIx(0)))), id="too-few-parts"),
-        pytest.param(SumIx(0, GenIx(0)), id="unit-term-not-UnitIx"),
-        pytest.param(SumIx(9, UNIT_IX), id="branch-too-large"),
-        pytest.param(SumIx(-1, UNIT_IX), id="branch-negative"),
+        pytest.param(lambda: GenIx(0), id="not-SumIx"),
+        pytest.param(lambda: SumIx(8, TensorIx((GenIx(0), GenIx(0)))), id="too-few-parts"),
+        pytest.param(lambda: SumIx(0, GenIx(0)), id="unit-term-not-UnitIx"),
+        pytest.param(lambda: SumIx(9, UNIT_IX), id="branch-too-large"),
+        pytest.param(lambda: SumIx(-1, UNIT_IX), id="branch-negative"),
     ])
     def test_split_rejects_malformed_vectors(self, bv):
         with pytest.raises(ValueError):
-            split_pair(bv, A_MULTI, B_MULTI)
+            split_pair(bv(), A_MULTI, B_MULTI)
 
     @pytest.mark.parametrize("p, q", [
-        pytest.param(GenIx(0), SumIx(1, MonIx(())), id="not-SumIx"),
-        pytest.param(SumIx(2, TensorIx((GenIx(0),) * 3)), SumIx(1, MonIx(())),
+        pytest.param(lambda: GenIx(0), lambda: SumIx(1, MonIx(())), id="not-SumIx"),
+        pytest.param(lambda: SumIx(2, TensorIx((GenIx(0),) * 3)), lambda: SumIx(1, MonIx(())),
                      id="too-many-parts"),
-        pytest.param(SumIx(3, GenIx(0)), SumIx(1, MonIx(())), id="a-branch-too-large"),
-        pytest.param(SumIx(1, GenIx(0)), SumIx(3, MonIx(())), id="b-branch-too-large"),
-        pytest.param(SumIx(-1, GenIx(0)), SumIx(1, MonIx(())), id="a-branch-negative"),
-        pytest.param(SumIx(1, GenIx(0)), SumIx(-1, MonIx(())), id="b-branch-negative"),
+        pytest.param(lambda: SumIx(3, GenIx(0)), lambda: SumIx(1, MonIx(())),
+                     id="a-branch-too-large"),
+        pytest.param(lambda: SumIx(1, GenIx(0)), lambda: SumIx(3, MonIx(())),
+                     id="b-branch-too-large"),
+        pytest.param(lambda: SumIx(-1, GenIx(0)), lambda: SumIx(1, MonIx(())),
+                     id="a-branch-negative"),
+        pytest.param(lambda: SumIx(1, GenIx(0)), lambda: SumIx(-1, MonIx(())),
+                     id="b-branch-negative"),
     ])
     def test_join_rejects_malformed_vectors(self, p, q):
         with pytest.raises(ValueError):
-            join_pair(A_MULTI, p, B_MULTI, q)
+            join_pair(A_MULTI, p(), B_MULTI, q())
 
     def test_zero_factor_has_no_basis_vectors(self):
         with pytest.raises(ValueError):
