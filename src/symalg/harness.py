@@ -108,6 +108,12 @@ def _budget(x) -> float:
     return float(x)
 
 
+def _reject_unknown(entry: dict, known: set, what: str) -> None:
+    unknown = set(entry) - known
+    if unknown:
+        raise ConfigError(f"{what}: {sorted(unknown)}")
+
+
 def _load_algebra(entry: dict) -> SAlgebra:
     try:
         name = entry["name"]
@@ -117,6 +123,8 @@ def _load_algebra(entry: dict) -> SAlgebra:
     except (KeyError, TypeError) as e:
         raise ConfigError(f"algebra entry malformed: {entry!r}") from e
     _require_name("algebra", name)
+    _reject_unknown(entry, {"name", "rank", "mult_table", "unit"},
+                    f"algebra {name!r}: unknown keys")
     if _integer(f"algebra {name!r}: rank", r) < 1:
         raise ConfigError(f"algebra {name!r}: rank must be >= 1")
     space = base(name, r)
@@ -140,6 +148,7 @@ def _load_derivation(entry, algebras: dict):
     except (KeyError, TypeError) as e:
         raise ConfigError(f"derivation entry malformed: {entry!r}") from e
     _require_name("derivation", name)
+    _reject_unknown(entry, {"name", "algebra", "matrix"}, f"derivation {name!r}: unknown keys")
     a = alg.carrier
     n = rank(a)
     if not _is_square(matrix, n):
@@ -165,11 +174,8 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
     schema = raw.get("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ConfigError(f"unsupported config schema {schema!r}")
-    known = {"schema", "bound", "laws", "mutate", "seed", "budget",
-             "parallelism", "algebras", "derivations"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(raw, {"schema", "bound", "laws", "mutate", "seed", "budget",
+                          "parallelism", "algebras", "derivations"}, "unknown config keys")
 
     cfg = SuiteConfig()
     merged = dict(raw)

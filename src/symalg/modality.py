@@ -15,12 +15,10 @@ from __future__ import annotations
 from itertools import chain, repeat
 
 from .spaces import (
-    MonIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, split_pair,
-    direct_sum, sym, order_key,
+    MonIx, TensorIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, pair_parts,
+    join_pair, order_key,
 )
-from .elements import (
-    element, singleton, elem_combination, elem_sum, elem_tensor,
-)
+from .elements import element, singleton, elem_combination
 from .morphisms import (
     SymF, Eta, Mu, Mult, UnitM, Deriv, ChiInv, Chi0Inv, TableNu,
     RULES, apply_basis,
@@ -36,7 +34,7 @@ def _mu(m, bv):
 
 
 def _mult(m, bv):
-    p, q = split_pair(bv, sym(m.a), sym(m.a))
+    _, (p, q) = pair_parts(bv, m._layout)
     return singleton(m.cod(), monomial(p.parts + q.parts))
 
 
@@ -62,18 +60,15 @@ def _symf(m, bv):
 
 
 def _deriv(m, bv):
-    """d on {b_1,...,b_k} = sum_i ({...without b_i}) (x) b_i."""
-    sa = sym(m.a)
-    pieces = []
-    for i, factor in enumerate(bv.parts):
-        rest = MonIx(bv.parts[:i] + bv.parts[i + 1:])
-        pieces.append(elem_tensor(singleton(sa, rest), singleton(m.a, factor)))
-    return elem_sum(m.cod(), pieces)
+    """d on {b_1,...,b_k} = sum_i ({...without b_i}) (x) b_i, equal terms summed."""
+    parts = bv.parts
+    return element(m.cod(), [(join_pair(m.dom(), MonIx(parts[:i] + parts[i + 1:]), m.a, b), 1)
+                             for i, b in enumerate(parts)])
 
 
 def _chi_inv(m, bv):
-    """Split a monomial over a (+) b into its a-part (x) b-part."""
-    ab = direct_sum(m.a, m.b)
+    """Split a monomial over a (+) b into its a-part (x) b-part: one tensor term."""
+    ab = m.dom().inner
     off = len(terms(m.a))
     pa, pb = [], []
     for g in bv.parts:
@@ -82,8 +77,7 @@ def _chi_inv(m, bv):
             pa.append(build_sum(m.a, k, inner))
         else:
             pb.append(build_sum(m.b, k - off, inner))
-    return elem_tensor(singleton(sym(m.a), monomial(pa)),
-                       singleton(sym(m.b), monomial(pb)))
+    return singleton(m.cod(), TensorIx((monomial(pa), monomial(pb))))
 
 
 def _table_fold(m, bv):

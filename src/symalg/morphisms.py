@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx,
     tensor, direct_sum, sym, terms, is_sym_free, rank,
-    enumerate_basis, decompose_sum, build_sum, split_pair, pair_layout, pair_parts,
+    enumerate_basis, decompose_sum, build_sum, pair_layout, pair_parts,
     join_parts, term_parts, term_vector, is_basis_vector,
 )
 from .elements import (
@@ -63,6 +64,13 @@ class EndpointMismatchError(ValueError):
 def _require(cond, msg):
     if not cond:
         raise EndpointMismatchError(msg)
+
+
+def _require_elements(elems, space, what):
+    """Each of elems lies in space and holds only basis vectors of it."""
+    for e in elems:
+        _require(e.space == space and all(is_basis_vector(bv, space) for bv, _ in e.coeffs),
+                 f"{what} {e!r} in {e.space!r} is not an element of {space!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +190,12 @@ class LinearMap(MorExpr):
 
     def _endpoints(self):
         _require(is_sym_free(self.dom_space), "LinearMap requires a Sym-free domain")
-        covered = [bv for bv, _ in self.images]
+        table = dict(self.images)  # the layout: the image of each domain basis vector
         full = set(enumerate_basis(self.dom_space, 0))
-        _require(len(covered) == len(full) and set(covered) == full,
+        _require(len(table) == len(self.images) and table.keys() == full,
                  "LinearMap needs exactly one image per domain basis vector")
-        for _, img in self.images:
-            _require(img.space == self.cod_space, "LinearMap image in wrong space")
-        return self.dom_space, self.cod_space
+        _require_elements(table.values(), self.cod_space, "LinearMap image")
+        return self.dom_space, self.cod_space, table
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,9 @@ class Mult(MorExpr):
     a: SpaceExpr
 
     def _endpoints(self):
-        return tensor(sym(self.a), sym(self.a)), sym(self.a)
+        # Layout: pair_layout of the domain pair S(a), S(a).
+        layout = pair_layout(sym(self.a), sym(self.a))
+        return layout[0], sym(self.a), layout
 
 
 @node
@@ -274,6 +283,8 @@ class TableNu(MorExpr):
         n = rank(self.carrier)
         _require(len(self.mult_table) == n and all(len(r) == n for r in self.mult_table),
                  "mult_table must be rank x rank")
+        _require_elements((*chain.from_iterable(self.mult_table), self.unit_elem),
+                          self.carrier, "table algebra entry or unit")
         # Layout: the index of each generator of the carrier.
         index = {g: i for i, g in enumerate(enumerate_basis(self.carrier, 0))}
         return sym(self.carrier), self.carrier, index
@@ -314,13 +325,14 @@ def _compose(m, bv):
 
 def _tensor(m, bv):
     side, dom, cod, ts = m._layout
+    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
     if side is None:
-        bva, bvb = split_pair(bv, m.f.dom(), m.g.dom())
-        return elem_tensor(apply_basis(m.f, bva), apply_basis(m.g, bvb))
+        x, y = term_vector(parts[:na]), term_vector(parts[na:])
+        return elem_tensor(apply_basis(m.f, SumIx(i, x) if isinstance(m.f.dom(), Sum) else x),
+                           apply_basis(m.g, SumIx(j, y) if isinstance(m.g.dom(), Sum) else y))
     # A whiskering: evaluate the acting side's factor only and put the Id
     # side's parts back beside each term of its image.  With one side fixed
     # the codomain's order follows the image's, so no sort is needed.
-    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
     if side == "f":
         act, branch, x, keep = m.f, i, parts[:na], parts[na:]
     else:
@@ -365,9 +377,9 @@ def _matrix(m, bv):
 
 
 def _linear_map(m, bv):
-    for key, img in m.images:
-        if key == bv:
-            return img
+    img = m._layout.get(bv)
+    if img is not None:
+        return img
     raise ValueError(f"basis vector {bv!r} missing from LinearMap table")
 
 

@@ -9,7 +9,7 @@ from symalg.spaces import base, sym, GenIx, MonIx, enumerate_basis
 from symalg.elements import singleton, zero_element, element
 from symalg.morphisms import (
     Id, ZeroM, TensorM, SymF, Mult, TableNu, apply, apply_basis, check_equal,
-    compose, linear_map_from_matrix, Add,
+    compose, linear_map_from_matrix, Add, EndpointMismatchError,
 )
 from symalg.arrow import ArrowObj
 from symalg.derivations import (
@@ -66,6 +66,16 @@ class TestAlgebras:
         with pytest.raises(InvalidStructureError) as exc:
             table_algebra("bad", d, table, one)
         assert "unit" in exc.value.diagram
+
+    def test_table_entries_and_unit_must_be_elements_of_the_carrier(self):
+        # Unchecked, a foreign unit fails as 'algebra.assoc', and a table entry
+        # off the carrier's basis raises a bare KeyError during validation.
+        q = base("q", 1)
+        one = singleton(q, GenIx(0))
+        with pytest.raises(EndpointMismatchError, match="not an element of"):
+            table_algebra("q", q, ((one,),), singleton(base("r", 1), GenIx(0)))
+        with pytest.raises(EndpointMismatchError, match="not an element of"):
+            table_algebra("q", q, ((singleton(q, GenIx(3)),),), one)
 
     def test_broken_structure_map_rejected(self):
         from symalg.spaces import ZERO, UNIT

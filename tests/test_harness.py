@@ -120,6 +120,23 @@ class TestConfig:
         assert "zero-on-cdual" in instances
         assert report["summary"]["failures"] == 0
 
+    @pytest.mark.parametrize("kind, extra, named", [
+        ("algebras", {"comment": "x"}, "algebra 'q': unknown keys: ['comment']"),
+        ("algebras", {"rnk": 1}, "algebra 'q': unknown keys: ['rnk']"),
+        ("derivations", {"bound": 9}, "derivation 'dq': unknown keys: ['bound']"),
+    ], ids=["algebra-comment", "algebra-rnk", "derivation-bound"])
+    def test_unknown_entry_keys_rejected(self, tmp_path, kind, extra, named):
+        alg = {"name": "q", "rank": 1, "mult_table": [[[1]]], "unit": [1]}
+        der = {"name": "dq", "algebra": "q", "matrix": [[0]]}
+        entries = {"algebras": [alg], "derivations": ["zero", der]}
+        entries[kind][-1] = {**entries[kind][-1], **extra}
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(entries))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(p))
+        assert str(err.value) == named
+        assert main(["check", "--bound", "1", "--laws", "D1", "--config", str(p)]) == 2
+
 
 
 #: sha256 of the timing-stripped default-suite report at each bound.
@@ -162,13 +179,14 @@ print(len(calls))
 """
 
 #: Checks every Element built by a bound-2 run of the config in argv[1],
-#: unmutated and under m2-drop; prints how many were built and the bad ones.
+#: unmutated and under every mutation; prints how many were built and the bad ones.
 _CHECK_ELEMENTS = """
 import json, sys
 from fractions import Fraction
 from functools import lru_cache
 from symalg.elements import Element
 from symalg.harness import load_config, run_suite
+from symalg.laws import MUTATIONS
 from symalg.spaces import order_key, is_basis_vector
 
 built, bad = [0], []
@@ -187,7 +205,7 @@ def checked(self, space, coeffs):
         bad.append(repr(coeffs))
 
 Element.__init__ = checked
-for mutate in (None, "m2-drop"):
+for mutate in (None, *MUTATIONS):
     run_suite(load_config(sys.argv[1], {"bound": 2, "mutate": mutate}))
 print(json.dumps({"built": built[0], "bad": bad[:3]}))
 """
@@ -273,6 +291,7 @@ class TestRunner:
         assert seq["config"] == par["config"]
         assert par["config"]["parallelism"] == 1
 
+    @pytest.mark.hash_order
     @pytest.mark.parametrize("bound", sorted(REPORT_DIGESTS))
     def test_report_digest_at_bound(self, bound):
         # The timing-stripped report of the default suite, as recorded from
@@ -330,6 +349,7 @@ class TestRunner:
             "basis of base('q', 1)": "[GenIx(index=0)]",
         }
 
+    @pytest.mark.hash_order
     def test_element_invariant_holds_for_every_built_element(self, tmp_path):
         # Fast paths build elements without element(): their keys must still
         # be strictly sorted basis vectors of the element's own space, with no

@@ -3,14 +3,16 @@ independent symbolic oracle (sympy polynomials)."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from symalg.spaces import (
-    base, sym, tensor, direct_sum, monomial, enumerate_basis, order_key,
-    GenIx, MonIx, SumIx, TensorIx, split_pair, decompose_sum,
+    UNIT, ZERO, base, sym, tensor, direct_sum, monomial, enumerate_basis, order_key,
+    GenIx, MonIx, SumIx, TensorIx, split_pair, decompose_sum, build_sum, terms,
+    is_basis_vector,
 )
-from symalg.elements import singleton, element
+from symalg.elements import singleton, element, elem_sum, elem_tensor
 from symalg.morphisms import (
     Id, TensorM, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
     Chi0Inv, ZeroM, apply, apply_basis, check_equal, compose,
@@ -272,3 +274,87 @@ class TestSeely:
         assert apply_basis(UnitM(ZERO), UNIT_IX) == singleton(sym(ZERO), MonIx(()))
         assert check_equal(compose(UnitM(ZERO), Chi0Inv()), Id(UNIT), 1).ok
         assert check_equal(compose(Chi0Inv(), UnitM(ZERO)), Id(sym(ZERO)), 3).ok
+
+
+# -- references: each rule as split_pair, singleton, elem_tensor and elem_sum --
+
+def _ref_mult(m, bv):
+    p, q = split_pair(bv, sym(m.a), sym(m.a))
+    return singleton(sym(m.a), monomial(p.parts + q.parts))
+
+
+def _ref_deriv(m, bv):
+    return elem_sum(tensor(sym(m.a), m.a), [
+        elem_tensor(singleton(sym(m.a), MonIx(bv.parts[:i] + bv.parts[i + 1:])),
+                    singleton(m.a, factor))
+        for i, factor in enumerate(bv.parts)])
+
+
+def _ref_chi_inv(m, bv):
+    ab, off = direct_sum(m.a, m.b), len(terms(m.a))
+    pa, pb = [], []
+    for g in bv.parts:
+        k, inner = decompose_sum(g, ab)
+        if k < off:
+            pa.append(build_sum(m.a, k, inner))
+        else:
+            pb.append(build_sum(m.b, k - off, inner))
+    return elem_tensor(singleton(sym(m.a), monomial(pa)), singleton(sym(m.b), monomial(pb)))
+
+
+def _ref_tensor(m, bv):
+    x, y = split_pair(bv, m.f.dom(), m.g.dom())
+    return elem_tensor(apply_basis(m.f, x), apply_basis(m.g, y))
+
+
+#: Spaces with Sum and Tensor parts.
+S12 = direct_sum(B1, B2)
+T21 = tensor(B2, B1)
+MIXED = direct_sum(UNIT, tensor(B2, B1))
+#: Maps between sums, with several terms in most images.
+F = linear_map_from_matrix(S12, direct_sum(UNIT, B2), ((1, 2, 0), (0, 1, -1), (3, 0, 1)))
+G = linear_map_from_matrix(direct_sum(UNIT, B1), S12, ((1, 2), (0, 1), (-1, 3)))
+
+
+@pytest.mark.hash_order
+class TestRulesAgainstReferences:
+    """Mult, Deriv, ChiInv and TensorM with no Id side read their layouts
+    from their node; on every basis vector up to bound 3 they must agree
+    with a formulation that splits and joins through split_pair,
+    singleton, elem_tensor and elem_sum."""
+
+    @staticmethod
+    def _check(m, ref, bound=3):
+        basis = enumerate_basis(m.dom(), bound)
+        assert basis
+        for bv in basis:
+            got, want = apply_basis(m, bv), ref(m, bv)
+            assert got.space == m.cod()
+            assert got.coeffs == element(m.cod(), dict(want.coeffs)).coeffs
+            keys = [order_key(w) for w, _ in got.coeffs]
+            assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+            assert all(is_basis_vector(w, m.cod()) for w, _ in got.coeffs)
+
+    @pytest.mark.parametrize("a", [B2, S12, T21, MIXED, ZERO],
+                             ids=["B2", "B1+B2", "B2xB1", "1+B2xB1", "0"])
+    def test_mult(self, a):
+        self._check(Mult(a), _ref_mult)
+
+    @pytest.mark.parametrize("a", [B2, S12, T21, MIXED, direct_sum(UNIT, sym(B1))],
+                             ids=["B2", "B1+B2", "B2xB1", "1+B2xB1", "1+S(B1)"])
+    def test_deriv(self, a):
+        self._check(Deriv(a), _ref_deriv)
+
+    @pytest.mark.parametrize("a, b", [(S12, B2), (B2, S12), (T21, MIXED), (MIXED, S12),
+                                      (ZERO, B1), (B1, ZERO)],
+                             ids=["B1+B2,B2", "B2,B1+B2", "B2xB1,1+B2xB1", "1+B2xB1,B1+B2",
+                                  "0,B1", "B1,0"])
+    def test_chi_inv(self, a, b):
+        self._check(ChiInv(a, b), _ref_chi_inv)
+
+    @pytest.mark.parametrize("m", [
+        TensorM(SymF(F), G), TensorM(G, SymF(F)), TensorM(F, G), TensorM(G, F),
+        TensorM(Deriv(S12), Mult(B1)), TensorM(SymF(G), Deriv(MIXED)),
+    ], ids=["S(F)xG", "GxS(F)", "FxG", "GxF", "d(B1+B2)xm(B1)", "S(G)xd(1+B2xB1)"])
+    def test_tensor_with_no_id_side(self, m):
+        self._check(m, _ref_tensor)

@@ -43,6 +43,17 @@ class TestEndpoints:
         with pytest.raises(EndpointMismatchError):
             kleisli_map(B1, B1, [(GenIx(0), singleton(sym(B1), monomial([]), 1))] * 2)
 
+    def test_linear_map_images_hold_only_basis_vectors_of_the_codomain(self):
+        # Unchecked, an image in the declared space with a foreign key is
+        # accepted, and composing the map with itself fails to evaluate.
+        foreign = element(B2, {GenIx(7): 1})
+        with pytest.raises(EndpointMismatchError, match="not an element of"):
+            LinearMap(B2, B2, ((GenIx(0), foreign), (GenIx(1), foreign)))
+        with pytest.raises(EndpointMismatchError, match="not an element of"):
+            kleisli_map(base("e", 1), B1, {GenIx(0): singleton(sym(B1), MonIx((GenIx(5),)))})
+        with pytest.raises(EndpointMismatchError, match="not an element of"):
+            LinearMap(B1, B1, ((GenIx(0), singleton(B2, GenIx(0))),))
+
     def test_check_equal_requires_same_endpoints(self):
         with pytest.raises(EndpointMismatchError):
             check_equal(Id(B2), Id(B3), 1)
@@ -279,6 +290,7 @@ def _foreign_vectors(space):
     return out
 
 
+@pytest.mark.hash_order
 class TestTermPartLayouts:
     """Whiskerings f (x) Id(b), Id(a) (x) g and Sigma(a, b) work on term parts;
     they must agree with splitting the vector and tensoring the images."""
@@ -331,6 +343,7 @@ def _row_major(a, bva, b, bvb):
     return SumIx(k, inner) if isinstance(big, Sum) else inner
 
 
+@pytest.mark.hash_order
 class TestBranchRule:
     """join_pair and split_pair against a row-major reference of their own:
     the law registry cannot see a consistent relabelling of tensor branches,
