@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import chain, repeat
 
 from .spaces import (
-    MonIx, TensorIx, UNIT_IX, monomial, terms, decompose_sum, build_sum, pair_parts,
-    join_pair, order_key,
+    MonIx, TensorIx, UNIT_IX, _mon_ix, monomial, terms, decompose_sum, build_sum,
+    pair_parts, join_pair, order_key,
 )
 from .elements import element, singleton, elem_combination
 from .morphisms import (
@@ -55,14 +55,14 @@ def _symf(m, bv):
                 old = nxt.get(key)
                 nxt[key] = x if old is None else old + x
         acc = nxt  # empty when any factor image is zero
-    return element(m.cod(), {MonIx(tuple(chain.from_iterable(map(repeat, vecs, k)))): c
+    return element(m.cod(), {_mon_ix(tuple(chain.from_iterable(map(repeat, vecs, k)))): c
                              for k, c in acc.items()})
 
 
 def _deriv(m, bv):
     """d on {b_1,...,b_k} = sum_i ({...without b_i}) (x) b_i, equal terms summed."""
     parts = bv.parts
-    return element(m.cod(), [(join_pair(m.dom(), MonIx(parts[:i] + parts[i + 1:]), m.a, b), 1)
+    return element(m.cod(), [(join_pair(m.dom(), _mon_ix(parts[:i] + parts[i + 1:]), m.a, b), 1)
                              for i, b in enumerate(parts)])
 
 

@@ -10,14 +10,13 @@ check enumerates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 from .spaces import (
-    Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx,
-    tensor, direct_sum, sym, terms, is_sym_free, rank,
-    enumerate_basis, decompose_sum, build_sum, pair_layout, pair_parts,
-    join_parts, term_parts, term_vector, is_basis_vector,
+    Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
+    tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _sorted_basis,
+    decompose_sum, build_sum, pair_layout, pair_parts, join_parts, term_parts,
+    term_vector, is_basis_vector,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
@@ -307,13 +306,23 @@ def _apply(m, v):
     return elem_combination(m.cod(), ((c, apply_basis(m, bv)) for bv, c in v.coeffs))
 
 
-@lru_cache(maxsize=None)
+#: The memo of apply_basis: {node: {basis vector: image}}.  It lives as long
+#: as the process, so runs in one process share it.
+_MEMO = {}
+
+
 def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
     """Image of a single domain basis vector; always a finite element."""
+    images = _MEMO.get(m)
+    if images is not None:
+        img = images.get(bv)
+        if img is not None:
+            return img
     fn = RULES.get(type(m))
     if fn is None:
         raise TypeError(f"no evaluation rule for {type(m).__name__}")
-    return fn(m, bv)
+    img = _MEMO.setdefault(m, {})[bv] = fn(m, bv)
+    return img
 
 
 def _compose(m, bv):
@@ -328,8 +337,8 @@ def _tensor(m, bv):
     (i, j, _, _, _, na), parts = pair_parts(bv, dom)
     if side is None:
         x, y = term_vector(parts[:na]), term_vector(parts[na:])
-        return elem_tensor(apply_basis(m.f, SumIx(i, x) if isinstance(m.f.dom(), Sum) else x),
-                           apply_basis(m.g, SumIx(j, y) if isinstance(m.g.dom(), Sum) else y))
+        return elem_tensor(apply_basis(m.f, _sum_ix(i, x) if isinstance(m.f.dom(), Sum) else x),
+                           apply_basis(m.g, _sum_ix(j, y) if isinstance(m.g.dom(), Sum) else y))
     # A whiskering: evaluate the acting side's factor only and put the Id
     # side's parts back beside each term of its image.  With one side fixed
     # the codomain's order follows the image's, so no sort is needed.
@@ -338,7 +347,7 @@ def _tensor(m, bv):
     else:
         act, branch, x, keep = m.g, j, parts[na:], parts[:na]
     x = term_vector(x)
-    img = apply_basis(act, SumIx(branch, x) if isinstance(act.dom(), Sum) else x)
+    img = apply_basis(act, _sum_ix(branch, x) if isinstance(act.dom(), Sum) else x)
     items = []
     for y, c in img.coeffs:
         r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
@@ -432,7 +441,9 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
         raise EndpointMismatchError(f"domain mismatch: {lhs.dom()!r} vs {rhs.dom()!r}")
     if lhs.cod() != rhs.cod():
         raise EndpointMismatchError(f"codomain mismatch: {lhs.cod()!r} vs {rhs.cod()!r}")
-    basis = enumerate_basis(lhs.dom(), weight_bound)
+    if weight_bound < 0:
+        raise ValueError("weight_bound must be >= 0")
+    basis = _sorted_basis(lhs.dom(), weight_bound)  # cached; not copied per check
     for n, bv in enumerate(basis):
         lv = apply_basis(lhs, bv)
         rv = apply_basis(rhs, bv)

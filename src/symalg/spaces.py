@@ -42,6 +42,13 @@ class Interned(type):
     `dict.setdefault` keeps that true when two threads build the same node.
     Keyword arguments are put in field order first, so the lookup builds
     no node.
+
+    The evaluator's hot loops skip this call for the basis vectors they
+    build most (`_sum_ix`, `_tensor_ix`, `_mon_ix`): those probe `_TABLE`
+    with the exact key and call the public constructor only on a miss, so
+    every new node is still checked and interned here.  They stay private:
+    a hit compares keys with ==, under which `(SumIx, True, x)` finds
+    `(SumIx, 1, x)`, so only callers passing ints they computed may use them.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -326,8 +333,20 @@ class MonIx(BasisVector):
 UNIT_IX = UnitIx()
 
 
+def _sum_ix(branch: int, inner: BasisVector) -> SumIx:
+    return _TABLE.get((SumIx, branch, inner)) or SumIx(branch, inner)
+
+
+def _tensor_ix(parts: tuple) -> TensorIx:
+    return _TABLE.get((TensorIx, parts)) or TensorIx(parts)
+
+
+def _mon_ix(parts: tuple) -> MonIx:
+    return _TABLE.get((MonIx, parts)) or MonIx(parts)
+
+
 def monomial(parts) -> MonIx:
-    return MonIx(tuple(sorted(parts, key=order_key)))
+    return _mon_ix(tuple(sorted(parts, key=order_key)))
 
 
 def weight(bv: BasisVector) -> int:
@@ -349,7 +368,10 @@ def decompose_sum(bv: BasisVector, space: SpaceExpr):
 
 def build_sum(space: SpaceExpr, index: int, inner: BasisVector) -> BasisVector:
     if isinstance(space, Sum):
-        return SumIx(index, inner)
+        if type(index) is int and 0 <= index < len(space.summands):
+            return _sum_ix(index, inner)
+        _require_int(index, "sum branch", 0)
+        raise ValueError(f"branch {index} out of range for {space!r}")
     if index != 0:
         raise ValueError(f"branch {index} out of range for {space!r}")
     return inner
@@ -385,7 +407,7 @@ def term_parts(bv: BasisVector, term: SpaceExpr) -> tuple:
 def term_vector(parts: tuple) -> BasisVector:
     """The term-level basis vector with one index per factor."""
     if len(parts) >= 2:
-        return TensorIx(parts)
+        return _tensor_ix(parts)
     return parts[0] if parts else UNIT_IX
 
 
@@ -409,8 +431,8 @@ def join_parts(layout, i: int, parts_a: tuple, j: int, parts_b: tuple) -> BasisV
     """
     big, nb, _ = layout
     parts = parts_a + parts_b
-    inner = TensorIx(parts) if len(parts) >= 2 else parts[0] if parts else UNIT_IX
-    return SumIx(i * nb + j, inner) if isinstance(big, Sum) else inner
+    inner = _tensor_ix(parts) if len(parts) >= 2 else parts[0] if parts else UNIT_IX
+    return _sum_ix(i * nb + j, inner) if isinstance(big, Sum) else inner
 
 
 def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
@@ -431,7 +453,7 @@ def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) ->
         raise ValueError(f"branches ({i}, {j}) out of range for {a!r} and {b!r}")
     _, _, term_a, term_b, _, _ = rows[k]
     inner = term_vector(term_parts(inner_a, term_a) + term_parts(inner_b, term_b))
-    return SumIx(k, inner) if isinstance(big, Sum) else inner
+    return _sum_ix(k, inner) if isinstance(big, Sum) else inner
 
 
 def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
@@ -481,11 +503,11 @@ def _enum(space: SpaceExpr, bound: int):
     if isinstance(space, Sum):
         for i, t in enumerate(space.summands):
             for bv in _enum(t, bound):
-                yield SumIx(i, bv)
+                yield _sum_ix(i, bv)
         return
     if isinstance(space, Tensor):
         for parts in _enum_product(space.factors, bound):
-            yield TensorIx(parts)
+            yield _tensor_ix(parts)
         return
     if isinstance(space, Sym):
         # Each multiset element costs 1 + its own weight.
@@ -507,7 +529,7 @@ def _enum_product(fs, bound):
 
 def _enum_multisets(inner, bound, start=0):
     # Non-decreasing index sequences keep multisets canonical.
-    yield MonIx(())
+    yield _mon_ix(())
     stack = [((), start, bound)]
     while stack:
         prefix, lo, budget = stack.pop()
@@ -516,5 +538,5 @@ def _enum_multisets(inner, bound, start=0):
             if cost > budget:
                 continue
             mono = prefix + (inner[i],)
-            yield MonIx(mono)
+            yield _mon_ix(mono)
             stack.append((mono, i, budget - cost))

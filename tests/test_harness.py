@@ -210,12 +210,22 @@ for mutate in (None, *MUTATIONS):
 print(json.dumps({"built": built[0], "bad": bad[:3]}))
 """
 
+#: Runs the default suite at bound 2; prints the apply_basis memo's entries
+#: and the intern table's nodes.
+_COUNT_MEMO = """
+from symalg import morphisms, spaces
+from symalg.harness import load_config, run_suite
+
+run_suite(load_config(None, {"bound": 2}))
+print(sum(map(len, morphisms._MEMO.values())), len(spaces._TABLE))
+"""
+
 #: Builds nodes whose fields equal valid ones under == but differ in type
 #: (True and 1.0 for 1), then the valid ones; prints each outcome.  Run in a
 #: fresh process, because a wrong node would stay in the intern table.
 _MIXED_FIELD_TYPES = """
 import json
-from symalg.spaces import GenIx, SumIx, UNIT_IX, base, enumerate_basis
+from symalg.spaces import GenIx, SumIx, UNIT_IX, _sum_ix, base, enumerate_basis
 
 def outcome(build):
     try:
@@ -230,6 +240,8 @@ print(json.dumps({
     "GenIx(-1)": outcome(lambda: GenIx(-1)),
     "SumIx(True, UNIT_IX)": outcome(lambda: SumIx(True, UNIT_IX)),
     "SumIx(-1, UNIT_IX)": outcome(lambda: SumIx(-1, UNIT_IX)),
+    "_sum_ix(True, UNIT_IX)": outcome(lambda: _sum_ix(True, UNIT_IX)),
+    "_sum_ix(1.0, UNIT_IX)": outcome(lambda: _sum_ix(1.0, UNIT_IX)),
     "base('q', 1.0)": outcome(lambda: base("q", 1.0)),
     "base('q', True)": outcome(lambda: base("q", True)),
     "base('q', 0)": outcome(lambda: base("q", 0)),
@@ -340,6 +352,8 @@ class TestRunner:
             "GenIx(-1)": "ValueError",
             "SumIx(True, UNIT_IX)": "TypeError",
             "SumIx(-1, UNIT_IX)": "ValueError",
+            "_sum_ix(True, UNIT_IX)": "TypeError",
+            "_sum_ix(1.0, UNIT_IX)": "TypeError",
             "base('q', 1.0)": "TypeError",
             "base('q', True)": "TypeError",
             "base('q', 0)": "ValueError",
@@ -348,6 +362,12 @@ class TestRunner:
             "SumIx(1, UNIT_IX)": "SumIx(branch=1, inner=UnitIx())",
             "basis of base('q', 1)": "[GenIx(index=0)]",
         }
+
+    @pytest.mark.hash_order
+    def test_memo_and_intern_table_hold_the_same_work(self):
+        # The counts the process-wide lru_cache memo and intern table had
+        # after this run; neither may depend on hash order.
+        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3676"]
 
     @pytest.mark.hash_order
     def test_element_invariant_holds_for_every_built_element(self, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from symalg.spaces import (
     Node, Base, Sum, Tensor, base, tensor, direct_sum, sym, enumerate_basis,
     BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
+    _TABLE, _sum_ix, _tensor_ix, _mon_ix,
 )
 from symalg.morphisms import (
     Compose, Id, Matrix, Mu, SymF, TensorM, compose, inj, linear_map_from_matrix,
@@ -74,6 +75,19 @@ class TestInterning:
         again = Matrix(entries=m.entries, dom_blocks=m.dom_blocks, cod_blocks=m.cod_blocks)
         assert again is m and again is inj(0, (B1, B2))
         assert calls == []
+
+    def test_hot_path_constructors_return_the_interned_node(self):
+        # _sum_ix, _tensor_ix and _mon_ix probe the intern table themselves
+        # and build through the public constructor only on a miss.
+        for private, public, new, old in (
+                (_sum_ix, SumIx, (5, GenIx(9001)), (1, GenIx(0))),
+                (_tensor_ix, TensorIx, ((GenIx(9002), GenIx(9003)),), ((GenIx(0), GenIx(1)),)),
+                (_mon_ix, MonIx, ((GenIx(9004), GenIx(9004)),), ((GenIx(0), GenIx(1)),))):
+            assert (public, *new) not in _TABLE
+            built = private(*new)
+            assert type(built) is public and built is public(*new)
+            known = public(*old)
+            assert private(*old) is known
 
     def test_bad_keywords_raise_type_error(self):
         with pytest.raises(TypeError):

@@ -58,6 +58,10 @@ class TestEndpoints:
         with pytest.raises(EndpointMismatchError):
             check_equal(Id(B2), Id(B3), 1)
 
+    def test_check_equal_rejects_a_negative_bound(self):
+        with pytest.raises(ValueError):
+            check_equal(Id(B2), Id(B2), -1)
+
     @pytest.mark.parametrize("build", [inj, proj])
     @pytest.mark.parametrize("index", [2, -1])
     def test_biproduct_index_out_of_range(self, build, index):

@@ -139,6 +139,18 @@ class TestStructuralHelpers:
             k, inner = decompose_sum(bv, s)
             assert build_sum(s, k, inner) == bv
 
+    def test_build_sum_rejects_a_branch_out_of_range(self):
+        s = direct_sum(base("a", 1), base("b", 1))
+        assert build_sum(s, 1, GenIx(0)) is SumIx(1, GenIx(0))
+        for index in (2, -1):
+            with pytest.raises(ValueError):
+                build_sum(s, index, GenIx(0))
+        with pytest.raises(ValueError):
+            build_sum(B2, 1, GenIx(0))
+        # SumIx(1, GenIx(0)) is interned now; a bool branch must not find it.
+        with pytest.raises(TypeError):
+            build_sum(s, True, GenIx(0))
+
     def test_pair_roundtrip(self):
         a, b = sym(B1), sym(B2)
         big = tensor(a, b)
