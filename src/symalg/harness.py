@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -43,8 +44,14 @@ class ConfigError(ValueError):
     pass
 
 
+#: An integer or "p/q": with no exponent, int's digit limit bounds its size.
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def _rational(x) -> int | Fraction:
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ConfigError(f"bad rational {x!r}: rationals are integers or 'p/q' strings")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
@@ -165,9 +172,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
     raw = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        # ValueError: bad JSON, not UTF-8, or an int over the digit limit.
+        except (OSError, ValueError, RecursionError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

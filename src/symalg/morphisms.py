@@ -14,7 +14,7 @@ from itertools import chain
 
 from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
-    tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _sorted_basis,
+    tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _level,
     decompose_sum, build_sum, pair_layout, pair_parts, join_parts, term_parts,
     term_vector, is_basis_vector,
 )
@@ -443,15 +443,16 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
         raise EndpointMismatchError(f"codomain mismatch: {lhs.cod()!r} vs {rhs.cod()!r}")
     if weight_bound < 0:
         raise ValueError("weight_bound must be >= 0")
-    basis = _sorted_basis(lhs.dom(), weight_bound)  # cached; not copied per check
-    for n, bv in enumerate(basis):
+    basis = chain.from_iterable(_level(lhs.dom(), w) for w in range(weight_bound + 1))
+    n = 0
+    for n, bv in enumerate(basis, 1):
         lv = apply_basis(lhs, bv)
         rv = apply_basis(rhs, bv)
         if lv != rv:
-            return Verdict("counterexample", tested_count=n + 1,
+            return Verdict("counterexample", tested_count=n,
                            weight_bound=weight_bound, witness=bv,
                            lhs_value=lv, rhs_value=rv)
-    return Verdict("equal", tested_count=len(basis), weight_bound=weight_bound)
+    return Verdict("equal", tested_count=n, weight_bound=weight_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ strict-biproduct bookkeeping needed by the diagram checker holds
 definitionally.
 
 Basis vectors are recursive indices.  Sym layers index by canonically
-sorted multisets of inner basis vectors, ordered by the graded global
-order (weight first, then structure), which keeps truncated enumerations
-prefix-stable as the weight bound grows.
+sorted multisets of inner basis vectors.  The basis is generated one weight
+level at a time, each already in the graded global order (weight first,
+then structure), so truncations are prefix-stable by construction.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def join_parts(layout, i: int, parts_a: tuple, j: int, parts_b: tuple) -> BasisV
     term i of a joined with term j of b, given one index per tensor factor.
 
     The terms of tensor(a, b) are row-major: term i of a times term j of b is
-    term i * (number of terms of b) + j.  join_pair inlines the same rule.
+    term i * (number of terms of b) + j.
     """
     big, nb, _ = layout
     parts = parts_a + parts_b
@@ -445,15 +445,15 @@ def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
 
 def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) -> BasisVector:
     """Inverse of split_pair."""
-    big, nb, rows = pair_layout(a, b)
+    layout = pair_layout(a, b)
+    _, nb, rows = layout
     i, inner_a = decompose_sum(bva, a)
     j, inner_b = decompose_sum(bvb, b)
-    k = i * nb + j
+    k = i * nb + j  # the layout row that names the two terms
     if j >= nb or k >= len(rows):
         raise ValueError(f"branches ({i}, {j}) out of range for {a!r} and {b!r}")
     _, _, term_a, term_b, _, _ = rows[k]
-    inner = term_vector(term_parts(inner_a, term_a) + term_parts(inner_b, term_b))
-    return _sum_ix(k, inner) if isinstance(big, Sum) else inner
+    return join_parts(layout, i, term_parts(inner_a, term_a), j, term_parts(inner_b, term_b))
 
 
 def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
@@ -481,62 +481,52 @@ def enumerate_basis(space: SpaceExpr, weight_bound: int):
     """All basis vectors of weight <= weight_bound, in global order."""
     if weight_bound < 0:
         raise ValueError("weight_bound must be >= 0")
-    return list(_sorted_basis(space, weight_bound))
+    return [bv for w in range(weight_bound + 1) for bv in _level(space, w)]
 
 
 @lru_cache(maxsize=None)
-def _sorted_basis(space: SpaceExpr, bound: int) -> tuple:
-    """The sorted basis, once per (space, bound), as a tuple no caller can change."""
-    return tuple(sorted(_enum(space, bound), key=order_key))
-
-
-def _enum(space: SpaceExpr, bound: int):
-    if isinstance(space, Zero):
-        return
-    if isinstance(space, Unit):
-        yield UNIT_IX
-        return
-    if isinstance(space, Base):
-        for k in range(space.rank):
-            yield GenIx(k)
-        return
+def _level(space: SpaceExpr, w: int) -> tuple:
+    """The basis vectors of weight exactly w, in global order.  Every order
+    key starts with the weight, so levels 0..bound concatenated are the
+    basis up to bound in order."""
     if isinstance(space, Sum):
-        for i, t in enumerate(space.summands):
-            for bv in _enum(t, bound):
-                yield _sum_ix(i, bv)
-        return
+        return tuple(_sum_ix(i, bv) for i, t in enumerate(space.summands)
+                     for bv in _level(t, w))
     if isinstance(space, Tensor):
-        for parts in _enum_product(space.factors, bound):
-            yield _tensor_ix(parts)
-        return
+        return tuple(map(_tensor_ix, _products(space.factors, w)))
     if isinstance(space, Sym):
         # Each multiset element costs 1 + its own weight.
-        yield from _enum_multisets(_sorted_basis(space.inner, max(bound - 1, 0)), bound)
-        return
+        inner = [bv for v in range(w) for bv in _level(space.inner, v)]
+        return tuple(map(_mon_ix, _multisets(inner, 0, w)))
+    if isinstance(space, Base):
+        return tuple(map(GenIx, range(space.rank))) if w == 0 else ()
+    if isinstance(space, Unit):
+        return (UNIT_IX,) if w == 0 else ()
+    if isinstance(space, Zero):
+        return ()
     raise TypeError(f"not a SpaceExpr: {space!r}")
 
 
-def _enum_product(fs, bound):
+def _products(fs: tuple, w: int) -> list:
+    """Part tuples of weight w, one part per factor: by the first factor's
+    weight, then its level, then the rest likewise."""
     if not fs:
+        return [()] if w == 0 else []
+    out = []
+    for v in range(w + 1):
+        tails = _products(fs[1:], w - v)
+        out.extend((bv,) + tail for bv in _level(fs[0], v) for tail in tails)
+    return out
+
+
+def _multisets(inner: list, lo: int, w: int):
+    """Non-decreasing part tuples from inner[lo:] of total cost w, in
+    lexicographic order; inner is in global order, so by weight."""
+    if w == 0:
         yield ()
-        return
-    head, rest = fs[0], fs[1:]
-    for bv in _enum(head, bound):
-        w = bv._weight
-        for tail in _enum_product(rest, bound - w):
-            yield (bv,) + tail
-
-
-def _enum_multisets(inner, bound, start=0):
-    # Non-decreasing index sequences keep multisets canonical.
-    yield _mon_ix(())
-    stack = [((), start, bound)]
-    while stack:
-        prefix, lo, budget = stack.pop()
-        for i in range(lo, len(inner)):
-            cost = 1 + inner[i]._weight
-            if cost > budget:
-                continue
-            mono = prefix + (inner[i],)
-            yield _mon_ix(mono)
-            stack.append((mono, i, budget - cost))
+    for i in range(lo, len(inner)):
+        cost = 1 + inner[i]._weight
+        if cost > w:
+            return
+        for rest in _multisets(inner, i, w - cost):
+            yield (inner[i],) + rest

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,28 @@ class TestCLI:
         p.write_text("{not json")
         assert main(["check", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
+        pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", id="int-over-digit-limit"),
+    ])
+    def test_unreadable_config_file_exit_two(self, tmp_path, capsys, raw):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        assert main(["check", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("coefficient", ["1e3", "0.5", "1_0", "1e999999999"])
+    def test_rational_is_an_integer_or_p_over_q(self, tmp_path, coefficient):
+        # Fraction would parse each of these, and would not finish the last one.
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"algebras": [
+            {"name": "q", "rank": 1, "mult_table": [[[1]]], "unit": [coefficient]}]}))
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="bad rational"):
+            load_config(str(p))
+        assert time.perf_counter() - t0 < 1.0
+
     @pytest.mark.parametrize("field, value", [
         *(pytest.param(f, "abc", id=f) for f in ("bound", "seed", "parallelism", "budget")),
         # Integers must be JSON integers: no truncation, no bools, no strings.
@@ -615,6 +638,7 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 @example(config={"laws": ["D1"]})
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": [True]}]})
 @example(config={"derivations": [{"name": "e", "algebra": "rationals", "matrix": [[0]]}] * 2})
+@example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": ["1e3"]}]})
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(config))

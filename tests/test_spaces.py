@@ -2,10 +2,11 @@
 oracles computed independently (binomial coefficients, brute-force
 products)."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symalg.spaces import (
     UNIT, ZERO, base, tensor, direct_sum, sym,
@@ -23,6 +24,61 @@ B3 = base("z", 3)
 def multiset_count(n, k):
     """Monomials of degree exactly k in n generators."""
     return math.comb(n + k - 1, k)
+
+
+# -- a brute-force reference: generate everything, filter, sort -------------
+
+def _reference_weight(bv) -> int:
+    if isinstance(bv, MonIx):
+        return sum(1 + _reference_weight(p) for p in bv.parts)
+    if isinstance(bv, TensorIx):
+        return sum(map(_reference_weight, bv.parts))
+    if isinstance(bv, SumIx):
+        return _reference_weight(bv.inner)
+    return 0
+
+
+def _reference_key(bv) -> tuple:
+    """The graded order, weight first, restated from the paper's definition."""
+    def structure(v):
+        if isinstance(v, UnitIx):
+            return (0,)
+        if isinstance(v, GenIx):
+            return (1, v.index)
+        if isinstance(v, TensorIx):
+            return (2, tuple(map(_reference_key, v.parts)))
+        if isinstance(v, SumIx):
+            return (3, v.branch, _reference_key(v.inner))
+        return (4, tuple(map(_reference_key, v.parts)))
+    return (_reference_weight(bv),) + structure(bv)
+
+
+def _naive(space, bound) -> list:
+    """Every basis vector of weight <= bound, in no particular order."""
+    if isinstance(space, Base):
+        return [GenIx(k) for k in range(space.rank)]
+    if isinstance(space, Unit):
+        return [UNIT_IX]
+    if isinstance(space, Sum):
+        return [SumIx(i, bv) for i, t in enumerate(space.summands) for bv in _naive(t, bound)]
+    if isinstance(space, Tensor):
+        return [TensorIx(parts) for parts in itertools.product(
+                    *(_naive(f, bound) for f in space.factors))
+                if sum(map(_reference_weight, parts)) <= bound]
+    if isinstance(space, Sym):
+        inner = sorted(_naive(space.inner, bound - 1), key=_reference_key) if bound else []
+        return [MonIx(parts) for k in range(bound + 1)
+                for parts in itertools.combinations_with_replacement(inner, k)
+                if sum(1 + _reference_weight(p) for p in parts) <= bound]
+    return []
+
+
+_small_spaces = st.recursive(
+    st.sampled_from([UNIT, ZERO, B1, B2]),
+    lambda sub: (st.tuples(sub, sub).map(lambda ab: tensor(*ab))
+                 | st.tuples(sub, sub).map(lambda ab: direct_sum(*ab))
+                 | sub.map(sym)),
+    max_leaves=4)
 
 
 class TestNormalization:
@@ -116,6 +172,17 @@ class TestEnumeration:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             enumerate_basis(B2, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_spaces, st.integers(0, 4))
+    def test_levels_match_a_sorted_brute_force(self, space, bound):
+        basis = enumerate_basis(space, bound)
+        assert basis == sorted(_naive(space, bound), key=_reference_key)
+        assert len(set(basis)) == len(basis)
+        # Strictly increasing within each weight level, and from one to the next.
+        keys = [_reference_key(bv) for bv in basis]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
 
 
 class TestWeight:
