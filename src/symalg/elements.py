@@ -70,17 +70,6 @@ def singleton(space: SpaceExpr, bv: BasisVector, c=1) -> Element:
     return element(space, {bv: c})
 
 
-def _accumulate(out: dict, space: SpaceExpr, e: Element, scale=None) -> None:
-    """Add e, times scale if given, into the coefficient dict out."""
-    if e.space != space:
-        raise SpaceMismatchError(f"summand in {e.space!r}, expected {space!r}")
-    for bv, c in e.coeffs:
-        if scale is not None:
-            c = scale * c
-        old = out.get(bv)
-        out[bv] = c if old is None else old + c
-
-
 def elem_add(a: Element, b: Element) -> Element:
     return elem_sum(a.space, (a, b))
 
@@ -92,33 +81,24 @@ def elem_scale(c, a: Element) -> Element:
 
 
 def elem_sum(space: SpaceExpr, elems) -> Element:
-    out = {}
-    for e in elems:
-        _accumulate(out, space, e)
-    return element(space, out)
+    return elem_combination(space, ((1, e) for e in elems))
 
 
 def elem_combination(space: SpaceExpr, pairs) -> Element:
     """The sum of c * e over the (c, e) pairs, accumulated in one dict."""
     out = {}
     for c, e in pairs:
-        _accumulate(out, space, e, c)
+        if e.space != space:
+            raise SpaceMismatchError(f"summand in {e.space!r}, expected {space!r}")
+        for bv, x in e.coeffs:
+            old = out.get(bv)
+            out[bv] = c * x if old is None else old + c * x
     return element(space, out)
-
-
-def _product(x, y):
-    """x * y as a canonical exact rational."""
-    c = x * y
-    return c if type(c) is int else _coeff(c)
 
 
 def elem_tensor(a: Element, b: Element) -> Element:
     """Bilinear tensor product, landing in the normalized tensor space."""
     # join_pair is injective, so no two pairs land on the same basis vector.
-    items = tuple((join_pair(a.space, bva, b.space, bvb), _product(ca, cb))
-                  for bva, ca in a.coeffs for bvb, cb in b.coeffs)
-    space = tensor(a.space, b.space)
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        # With one factor fixed, join_pair keeps the other's global order.
-        return Element(space, items)
-    return element(space, dict(items))
+    return element(tensor(a.space, b.space),
+                   {join_pair(a.space, bva, b.space, bvb): ca * cb
+                    for bva, ca in a.coeffs for bvb, cb in b.coeffs})

@@ -15,8 +15,8 @@ from itertools import chain
 from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
     tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _level,
-    decompose_sum, build_sum, pair_layout, pair_parts, join_parts, term_parts,
-    term_vector, is_basis_vector,
+    decompose_sum, build_sum, pair_layout, pair_parts, join_parts, split_pair,
+    term_parts, term_vector, is_basis_vector, _require_int,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
@@ -334,11 +334,10 @@ def _compose(m, bv):
 
 def _tensor(m, bv):
     side, dom, cod, ts = m._layout
-    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
     if side is None:
-        x, y = term_vector(parts[:na]), term_vector(parts[na:])
-        return elem_tensor(apply_basis(m.f, _sum_ix(i, x) if isinstance(m.f.dom(), Sum) else x),
-                           apply_basis(m.g, _sum_ix(j, y) if isinstance(m.g.dom(), Sum) else y))
+        x, y = split_pair(bv, m.f.dom(), m.g.dom())
+        return elem_tensor(apply_basis(m.f, x), apply_basis(m.g, y))
+    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
     # A whiskering: evaluate the acting side's factor only and put the Id
     # side's parts back beside each term of its image.  With one side fixed
     # the codomain's order follows the image's, so no sort is needed.
@@ -360,7 +359,7 @@ def _tensor(m, bv):
 def _sigma(m, bv):
     dom, cod = m._layout
     (i, j, _, _, _, na), parts = pair_parts(bv, dom)
-    return Element(cod[0], ((join_parts(cod, j, parts[na:], i, parts[:na]), 1),))
+    return singleton(cod[0], join_parts(cod, j, parts[na:], i, parts[:na]))
 
 
 def _matrix(m, bv):
@@ -441,8 +440,7 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
         raise EndpointMismatchError(f"domain mismatch: {lhs.dom()!r} vs {rhs.dom()!r}")
     if lhs.cod() != rhs.cod():
         raise EndpointMismatchError(f"codomain mismatch: {lhs.cod()!r} vs {rhs.cod()!r}")
-    if weight_bound < 0:
-        raise ValueError("weight_bound must be >= 0")
+    _require_int(weight_bound, "weight_bound", 0)
     basis = chain.from_iterable(_level(lhs.dom(), w) for w in range(weight_bound + 1))
     n = 0
     for n, bv in enumerate(basis, 1):

@@ -16,7 +16,7 @@ then structure), so truncations are prefix-stable by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
 
@@ -25,9 +25,14 @@ from operator import attrgetter
 # Hash-consed nodes
 # ---------------------------------------------------------------------------
 
-#: Dataclass form of every expression node: immutable and slotted.  eq=False
-#: keeps object's identity __eq__ and __hash__, which interning makes exact.
-node = dataclass(frozen=True, slots=True, eq=False)
+def node(cls):
+    """Dataclass form of every expression node: immutable and slotted.  eq=False
+    keeps object's identity __eq__ and __hash__, which interning makes exact.
+    The positions of the fields annotated `int` go to `_int_fields`, which the
+    intern table checks on a hit."""
+    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    cls._int_fields = tuple(i for i, f in enumerate(fields(cls)) if f.type in ("int", int))
+    return cls
 
 # The intern table: (class, *fields) -> the one node with those fields.  It
 # lives as long as the process.
@@ -41,14 +46,17 @@ class Interned(type):
     returns that existing node, so equal nodes are identical.
     `dict.setdefault` keeps that true when two threads build the same node.
     Keyword arguments are put in field order first, so the lookup builds
-    no node.
+    no node.  Keys compare with ==, under which `(SumIx, True, x)` finds
+    `(SumIx, 1, x)`, so a hit returns the node only if every `int` field got
+    a plain int; otherwise the constructor runs and rejects the call, as on
+    a miss.
 
     The evaluator's hot loops skip this call for the basis vectors they
     build most (`_sum_ix`, `_tensor_ix`, `_mon_ix`): those probe `_TABLE`
     with the exact key and call the public constructor only on a miss, so
-    every new node is still checked and interned here.  They stay private:
-    a hit compares keys with ==, under which `(SumIx, True, x)` finds
-    `(SumIx, 1, x)`, so only callers passing ints they computed may use them.
+    every new node is still checked and interned here.  They skip the hit
+    check too, so they stay private: only callers passing ints they computed
+    may use them.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -60,7 +68,8 @@ class Interned(type):
             args += tuple(kwargs[n] for n in names)
         key = (cls, *args)
         found = _TABLE.get(key)
-        if found is not None:
+        if found is not None and (not cls._int_fields
+                                  or all(type(args[i]) is int for i in cls._int_fields)):
             return found
         return _TABLE.setdefault(key, super().__call__(*args))
 
@@ -74,6 +83,7 @@ class Node(metaclass=Interned):
     """
 
     __slots__ = ()
+    _int_fields = ()
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
@@ -239,21 +249,10 @@ def is_sym_free(s: SpaceExpr) -> bool:
 
 
 def rank(s: SpaceExpr) -> int:
-    """Dimension of a Sym-free space."""
-    if isinstance(s, Unit):
-        return 1
-    if isinstance(s, Zero):
-        return 0
-    if isinstance(s, Base):
-        return s.rank
-    if isinstance(s, Tensor):
-        r = 1
-        for f in s.factors:
-            r *= rank(f)
-        return r
-    if isinstance(s, Sum):
-        return sum(rank(t) for t in s.summands)
-    raise ValueError(f"rank undefined for {s!r}")
+    """Dimension of a Sym-free space, whose basis is all of weight 0."""
+    if not is_sym_free(s):
+        raise ValueError(f"rank undefined for {s!r}")
+    return len(_level(s, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +260,17 @@ def rank(s: SpaceExpr) -> int:
 # ---------------------------------------------------------------------------
 
 class BasisVector(Node):
-    """A basis vector; its weight and graded order key are stored at
-    construction."""
+    """A basis vector; its graded order key is stored at construction, and
+    its weight is the key's first entry."""
 
-    __slots__ = ("_weight", "_key")
+    __slots__ = ("_key",)
 
     def _order(self, weight: int, skey: tuple) -> None:
-        object.__setattr__(self, "_weight", weight)
         object.__setattr__(self, "_key", (weight,) + skey)
 
     def key(self):
         """Graded global order key: weight first, then structure."""
         return self._key
-
-    def __lt__(self, other):
-        return self._key < other._key
 
 
 #: Sort key for basis vectors, read without a Python-level call.
@@ -302,7 +297,7 @@ class TensorIx(BasisVector):
     parts: tuple
 
     def __post_init__(self):
-        self._order(sum(p._weight for p in self.parts),
+        self._order(sum(p._key[0] for p in self.parts),
                     (2, tuple(p._key for p in self.parts)))
 
 
@@ -313,7 +308,7 @@ class SumIx(BasisVector):
 
     def __post_init__(self):
         _require_int(self.branch, "sum branch", 0)
-        self._order(self.inner._weight, (3, self.branch, self.inner._key))
+        self._order(self.inner._key[0], (3, self.branch, self.inner._key))
 
 
 @node
@@ -326,7 +321,7 @@ class MonIx(BasisVector):
     parts: tuple
 
     def __post_init__(self):
-        self._order(len(self.parts) + sum(p._weight for p in self.parts),
+        self._order(len(self.parts) + sum(p._key[0] for p in self.parts),
                     (4, tuple(p._key for p in self.parts)))
 
 
@@ -350,7 +345,7 @@ def monomial(parts) -> MonIx:
 
 
 def weight(bv: BasisVector) -> int:
-    return bv._weight
+    return bv._key[0]
 
 
 # -- structural helpers tying basis vectors to normalized spaces ------------
@@ -370,11 +365,10 @@ def build_sum(space: SpaceExpr, index: int, inner: BasisVector) -> BasisVector:
     if isinstance(space, Sum):
         if type(index) is int and 0 <= index < len(space.summands):
             return _sum_ix(index, inner)
-        _require_int(index, "sum branch", 0)
-        raise ValueError(f"branch {index} out of range for {space!r}")
-    if index != 0:
-        raise ValueError(f"branch {index} out of range for {space!r}")
-    return inner
+    elif type(index) is int and index == 0:
+        return inner
+    _require_int(index, "sum branch", 0)
+    raise ValueError(f"branch {index} out of range for {space!r}")
 
 
 @lru_cache(maxsize=None)
@@ -430,8 +424,7 @@ def join_parts(layout, i: int, parts_a: tuple, j: int, parts_b: tuple) -> BasisV
     term i * (number of terms of b) + j.
     """
     big, nb, _ = layout
-    parts = parts_a + parts_b
-    inner = _tensor_ix(parts) if len(parts) >= 2 else parts[0] if parts else UNIT_IX
+    inner = term_vector(parts_a + parts_b)
     return _sum_ix(i * nb + j, inner) if isinstance(big, Sum) else inner
 
 
@@ -439,8 +432,8 @@ def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
     """Split a basis vector of tensor(a, b) into basis vectors of a and b."""
     (i, j, _, _, _, na), parts = pair_parts(bv, pair_layout(a, b))
     bva, bvb = term_vector(parts[:na]), term_vector(parts[na:])
-    return (SumIx(i, bva) if isinstance(a, Sum) else bva,
-            SumIx(j, bvb) if isinstance(b, Sum) else bvb)
+    return (_sum_ix(i, bva) if isinstance(a, Sum) else bva,
+            _sum_ix(j, bvb) if isinstance(b, Sum) else bvb)
 
 
 def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) -> BasisVector:
@@ -479,8 +472,7 @@ def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
 
 def enumerate_basis(space: SpaceExpr, weight_bound: int):
     """All basis vectors of weight <= weight_bound, in global order."""
-    if weight_bound < 0:
-        raise ValueError("weight_bound must be >= 0")
+    _require_int(weight_bound, "weight_bound", 0)
     return [bv for w in range(weight_bound + 1) for bv in _level(space, w)]
 
 
@@ -525,7 +517,7 @@ def _multisets(inner: list, lo: int, w: int):
     if w == 0:
         yield ()
     for i in range(lo, len(inner)):
-        cost = 1 + inner[i]._weight
+        cost = 1 + inner[i]._key[0]
         if cost > w:
             return
         for rest in _multisets(inner, i, w - cost):

@@ -62,6 +62,15 @@ class TestEndpoints:
         with pytest.raises(ValueError):
             check_equal(Id(B2), Id(B2), -1)
 
+    @pytest.mark.parametrize("bound", [True, False])
+    @pytest.mark.parametrize("run", [lambda b: enumerate_basis(B2, b),
+                                     lambda b: check_equal(Id(B2), Id(B2), b)],
+                             ids=["enumerate_basis", "check_equal"])
+    def test_weight_bound_is_a_plain_int(self, run, bound):
+        # range() rejects a float bound by itself, but not a bool.
+        with pytest.raises(TypeError):
+            run(bound)
+
     @pytest.mark.parametrize("build", [inj, proj])
     @pytest.mark.parametrize("index", [2, -1])
     def test_biproduct_index_out_of_range(self, build, index):
@@ -327,6 +336,22 @@ class TestTermPartLayouts:
                     split_pair(bv, *_factors(m))
                 with pytest.raises(ValueError):
                     apply_basis(m, bv)
+
+
+class TestTensorInterchange:
+    """TensorM(f, g) with no Id side is split_pair then elem_tensor, which is
+    also what _assert_matches_reference compares against; the interchange
+    law checks it against two composites of whiskerings, which take the
+    term-part path instead."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=MAPS, g=MAPS)
+    @example(f=SUM_MAP, g=SUM_MAP)
+    def test_equals_both_whiskered_composites(self, f, g):
+        m = TensorM(f, g)
+        for other in (compose(TensorM(f, Id(g.dom())), TensorM(Id(f.cod()), g)),
+                      compose(TensorM(Id(f.dom()), g), TensorM(f, Id(g.cod())))):
+            assert check_equal(m, other, 2).ok
 
 
 def _row_major(a, bva, b, bvb):

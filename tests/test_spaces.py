@@ -112,6 +112,8 @@ class TestRank:
         assert rank(tensor(B2, B3)) == 6
         assert rank(direct_sum(B2, B3)) == 5
         assert rank(tensor(direct_sum(B1, B2), B3)) == 9
+        with pytest.raises(ValueError):
+            rank(direct_sum(B1, tensor(B2, sym(B3))))
 
     def test_sym_free(self):
         assert is_sym_free(tensor(B2, B3))
@@ -217,6 +219,14 @@ class TestStructuralHelpers:
         # SumIx(1, GenIx(0)) is interned now; a bool branch must not find it.
         with pytest.raises(TypeError):
             build_sum(s, True, GenIx(0))
+
+    @pytest.mark.parametrize("space", [B2, UNIT], ids=["base", "unit"])
+    @pytest.mark.parametrize("branch", [False, 0.0])
+    def test_build_sum_branch_is_a_plain_int_on_every_space(self, space, branch):
+        # On a space with one term, branch 0 is the only one; False and 0.0
+        # equal it under == but are not ints.
+        with pytest.raises(TypeError):
+            build_sum(space, branch, GenIx(0) if space is B2 else UNIT_IX)
 
     def test_pair_roundtrip(self):
         a, b = sym(B1), sym(B2)
