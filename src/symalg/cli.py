@@ -1,7 +1,8 @@
 """Command line interface: check, list-laws, demo.
 
 Exit codes: 0 all selected laws pass, 1 any law fails (or the budget was
-exceeded), 2 configuration or schema error.
+exceeded), 2 configuration or schema error, or a report that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ def _cmd_check(args) -> int:
     report = run_suite(cfg)
     print(render_summary(report))
     if args.json:
-        write_report(report, args.json)
+        try:
+            write_report(report, args.json)
+        except OSError as e:
+            print(f"config error: cannot write report {args.json}: {e}", file=sys.stderr)
+            return 2
     if report["summary"]["failures"] or report["summary"]["aborted"]:
         return 1
     return 0

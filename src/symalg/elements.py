@@ -67,7 +67,8 @@ def zero_element(space: SpaceExpr) -> Element:
 
 
 def singleton(space: SpaceExpr, bv: BasisVector, c=1) -> Element:
-    return element(space, {bv: c})
+    c = _coeff(c)
+    return Element(space, ((bv, c),) if c else ())
 
 
 def elem_add(a: Element, b: Element) -> Element:

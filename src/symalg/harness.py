@@ -308,5 +308,4 @@ def render_summary(report: dict) -> str:
 
 def write_report(report: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -306,9 +306,13 @@ def _apply(m, v):
     return elem_combination(m.cod(), ((c, apply_basis(m, bv)) for bv, c in v.coeffs))
 
 
-#: The memo of apply_basis: {node: {basis vector: image}}.  It lives as long
-#: as the process, so runs in one process share it.
+#: The two memos of the evaluator, owned by this module.  _MEMO is
+#: apply_basis's, {node: {basis vector: image}}; _VERDICTS is check_equal's,
+#: {(lhs, rhs, weight_bound): Verdict}.  Nodes are interned and evaluation
+#: is pure, so a key's value never changes.  Both live as long as the
+#: process, so runs in one process share them.
 _MEMO = {}
+_VERDICTS = {}
 
 
 def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
@@ -410,7 +414,7 @@ RULES = {
 # Diagram checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     status: str  # "equal" | "counterexample"
     tested_count: int
@@ -434,23 +438,34 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
     """Compare two maps on every domain basis vector of weight <= bound.
 
     Both sides are linear, so agreement on the enumerated basis certifies
-    equality on its whole span -- exact, not probabilistic.
+    equality on its whole span -- exact, not probabilistic.  Verdicts are
+    memoized in _VERDICTS: a repeated equation returns the same Verdict
+    object without enumerating again.
     """
     if lhs.dom() != rhs.dom():
         raise EndpointMismatchError(f"domain mismatch: {lhs.dom()!r} vs {rhs.dom()!r}")
     if lhs.cod() != rhs.cod():
         raise EndpointMismatchError(f"codomain mismatch: {lhs.cod()!r} vs {rhs.cod()!r}")
+    # Checked before the lookup: a True bound equals the key's 1.
     _require_int(weight_bound, "weight_bound", 0)
+    key = (lhs, rhs, weight_bound)
+    verdict = _VERDICTS.get(key)
+    if verdict is not None:
+        return verdict
     basis = chain.from_iterable(_level(lhs.dom(), w) for w in range(weight_bound + 1))
     n = 0
     for n, bv in enumerate(basis, 1):
         lv = apply_basis(lhs, bv)
         rv = apply_basis(rhs, bv)
         if lv != rv:
-            return Verdict("counterexample", tested_count=n,
-                           weight_bound=weight_bound, witness=bv,
-                           lhs_value=lv, rhs_value=rv)
-    return Verdict("equal", tested_count=n, weight_bound=weight_bound)
+            verdict = Verdict("counterexample", tested_count=n,
+                              weight_bound=weight_bound, witness=bv,
+                              lhs_value=lv, rhs_value=rv)
+            break
+    else:
+        verdict = Verdict("equal", tested_count=n, weight_bound=weight_bound)
+    _VERDICTS[key] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,14 @@ class TestCoefficients:
         (_, col), _ = f.images
         assert col.coeffs == ((GenIx(0), 3),) and type(col.coeffs[0][1]) is int
 
+    @pytest.mark.parametrize("c", [1, -3, Fraction(4, 2), Fraction(1, 3), 0])
+    def test_singleton_equals_element(self, c):
+        x = monomial([GenIx(0)])
+        e, want = singleton(S2, x, c), element(S2, {x: c})
+        # An int and an integral Fraction compare equal: compare types too.
+        assert [(bv, k, type(k)) for bv, k in e.coeffs] == \
+            [(bv, k, type(k)) for bv, k in want.coeffs]
+
     @pytest.mark.parametrize("c", [0.1, 1.0, True, "1/2", Decimal("0.1")],
                              ids=["float", "integral-float", "bool", "str", "decimal"])
     def test_only_int_and_fraction_are_coefficients(self, c):

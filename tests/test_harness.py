@@ -221,6 +221,22 @@ run_suite(load_config(None, {"bound": 2}))
 print(sum(map(len, morphisms._MEMO.values())), len(spaces._TABLE))
 """
 
+#: Runs the default suite at bound 2 twice; prints the entries each memo
+#: gained on the second run and whether the stripped reports are equal.
+_RERUN_MEMO = """
+from symalg import morphisms
+from symalg.harness import load_config, run_suite, strip_timing
+
+def sizes():
+    return sum(map(len, morphisms._MEMO.values())), len(morphisms._VERDICTS)
+
+first = strip_timing(run_suite(load_config(None, {"bound": 2})))
+before = sizes()
+second = strip_timing(run_suite(load_config(None, {"bound": 2})))
+after = sizes()
+print(after[0] - before[0], after[1] - before[1], first == second)
+"""
+
 #: Builds nodes whose fields equal valid ones under == but differ in type
 #: (True and 1.0 for 1), then the valid ones; then, with the valid nodes in
 #: the table, the public constructors' wrong types again.  Prints each
@@ -388,6 +404,10 @@ class TestRunner:
         # after this run; neither may depend on hash order.
         assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3676"]
 
+    def test_second_identical_run_adds_no_memo_entry(self):
+        # Every image and every verdict of the second run is a hit.
+        assert _fresh_process(_RERUN_MEMO).split() == ["0", "0", "True"]
+
     @pytest.mark.hash_order
     def test_element_invariant_holds_for_every_built_element(self, tmp_path):
         # Fast paths build elements without element(): their keys must still
@@ -550,6 +570,16 @@ class TestCLI:
         out, err = capsys.readouterr()
         assert out == ""  # it fails before the run
         assert err.startswith("config error: ") and str(path) in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_report_write_failing_after_the_run_exit_two(self, capsys):
+        # /dev/full opens, so the path passes the check before the run; the
+        # write itself fails with ENOSPC.
+        assert main(["check", "--laws", "D1", "--bound", "1", "--json", "/dev/full"]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS D1" in out
+        assert err.startswith("config error: cannot write report /dev/full")
+        assert err.count("\n") == 1
 
     def test_json_report_written(self, tmp_path):
         out = tmp_path / "report.json"

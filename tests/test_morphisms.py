@@ -71,6 +71,18 @@ class TestEndpoints:
         with pytest.raises(TypeError):
             run(bound)
 
+    def test_memoized_bound_is_still_a_plain_int(self):
+        # True == 1, so (l, r, True) finds the key (l, r, 1): the type check
+        # must run before the lookup.
+        assert check_equal(Id(B2), Id(B2), 1).ok
+        with pytest.raises(TypeError):
+            check_equal(Id(B2), Id(B2), True)
+
+    def test_repeated_mismatch_still_raises(self):
+        for _ in range(2):
+            with pytest.raises(EndpointMismatchError):
+                check_equal(Id(B2), Id(B3), 1)
+
     @pytest.mark.parametrize("build", [inj, proj])
     @pytest.mark.parametrize("index", [2, -1])
     def test_biproduct_index_out_of_range(self, build, index):
@@ -404,6 +416,14 @@ class TestChecker:
         v = check_equal(Id(sym(B2)), Id(sym(B2)), 2)
         assert v.ok
         assert v.tested_count == len(enumerate_basis(sym(B2), 2))
+
+    @pytest.mark.parametrize("entry", [1, 2], ids=["equal", "counterexample"])
+    def test_repeated_equation_returns_the_same_verdict(self, entry):
+        f = linear_map_from_matrix(B2, B2, ((1, 0), (0, 1)))
+        g = linear_map_from_matrix(B2, B2, ((1, 0), (0, entry)))
+        v = check_equal(f, g, 2)
+        assert v.ok == (entry == 1)
+        assert check_equal(f, g, 2) is v
 
     def test_zero_map_annihilates(self):
         z = ZeroM(sym(B2), B1)
