@@ -24,14 +24,14 @@ def _cmd_check(args) -> int:
             "mutate": args.mutate,
             "budget": args.budget,
         })
-        if args.json:
+        if args.json is not None:
             open(args.json, "a").close()  # an unwritable report path fails before the run
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     report = run_suite(cfg)
     print(render_summary(report))
-    if args.json:
+    if args.json is not None:
         try:
             write_report(report, args.json)
         except OSError as e:

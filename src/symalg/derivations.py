@@ -198,7 +198,7 @@ def derivation_map_axioms(src: Derivation, dst: Derivation, f0: MorExpr, f1: Mor
         "dermor.algebra": (compose(src.algebra.nu, f0), compose(SymF(f0), dst.algebra.nu)),
         "dermor.module": (compose(src.module.alpha, f1),
                           compose(TensorM(f0, f1), dst.module.alpha)),
-        "dermor.square": commuting_square(ArrowMor(ArrowObj(src.d), ArrowObj(dst.d), f0, f1)),
+        "dermor.square": commuting_square(ArrowObj(src.d), ArrowObj(dst.d), ArrowMor(f0, f1)),
     }
 
 
@@ -247,7 +247,7 @@ def sbar_map_axioms(src: SBarAlgebra, dst: SBarAlgebra, f0: MorExpr, f1: MorExpr
     return {
         "sbarmor.nu0": (compose(src.nu0, f0), compose(SymF(f0), dst.nu0)),
         "sbarmor.nu1": (compose(src.nu1, f1), compose(TensorM(SymF(f0), f1), dst.nu1)),
-        "sbarmor.square": commuting_square(ArrowMor(src.obj, dst.obj, f0, f1)),
+        "sbarmor.square": commuting_square(src.obj, dst.obj, ArrowMor(f0, f1)),
     }
 
 
@@ -287,12 +287,12 @@ def monoid_axioms(mon: ArrowMonoid) -> dict:
     f1 = Matrix(entries=((mon.m1, mon.m2),),
                 dom_blocks=(tensor(o.a0, o.a1), tensor(o.a1, o.a0)),
                 cod_blocks=(o.a1,))
-    mm = ArrowMor(boxtimes_obj(o, o), o, mon.m0, f1)
-    um = ArrowMor(boxtimes_unit(), o, mon.u0, ZeroM(ZERO, o.a1))
+    mm = ArrowMor(mon.m0, f1)
+    um = ArrowMor(mon.u0, ZeroM(ZERO, o.a1))
     one = id_arrow(o)
     return {
-        "monoid.square.mult": commuting_square(mm),
-        "monoid.square.unit": commuting_square(um),
+        "monoid.square.mult": commuting_square(boxtimes_obj(o, o), o, mm),
+        "monoid.square.unit": commuting_square(boxtimes_unit(), o, um),
         "monoid.assoc": (compose_arrow(mm, boxtimes_mor(mm, one)),
                          compose_arrow(mm, boxtimes_mor(one, mm))),
         "monoid.unit.l": (compose_arrow(mm, boxtimes_mor(um, one)), one),

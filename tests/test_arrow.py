@@ -1,17 +1,19 @@
 """Arrow category: squares, functoriality, monad, box product, lifted
 modality."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from symalg.spaces import base, sym, tensor, direct_sum, GenIx, MonIx, TensorIx
 from symalg.elements import singleton
 from symalg import laws
 from symalg.morphisms import (
-    Id, ZeroM, Sigma, apply_basis, check_equal, compose,
+    Id, ZeroM, Sigma, EndpointMismatchError, apply_basis, check_equal, compose,
     linear_map_from_matrix,
 )
 from symalg.arrow import (
-    ArrowObj, ArrowMor, InvalidArrowError, arrow_mor, id_arrow, zero_arrow,
+    ArrowObj, ArrowMor, InvalidArrowError, arrow_mor, commuting_square, id_arrow, zero_arrow,
     compose_arrow, add_arrow, arrow_check, sum_obj, zero_obj,
     sbar_obj, sbar_mor, etabar, mubar,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
@@ -45,6 +47,49 @@ class TestSquares:
     def test_endpoint_mismatch_rejected(self):
         with pytest.raises(InvalidArrowError):
             arrow_mor(ID1, ID2, Id(B1), Id(B1))
+
+    # (ID1, ID2) differ in both components; (RECT, ID2) only in the second.
+    @pytest.mark.parametrize("p,q", [(ID1, ID2), (RECT, ID2)])
+    def test_mismatched_components_rejected(self, p, q):
+        # A morphism is its components, so each operation is rejected by the
+        # component node or check that its spaces do not fit.
+        with pytest.raises(EndpointMismatchError):
+            compose_arrow(id_arrow(q), id_arrow(p))
+        with pytest.raises(EndpointMismatchError):
+            add_arrow(id_arrow(p), id_arrow(q))
+        with pytest.raises(EndpointMismatchError):
+            arrow_check(id_arrow(p), id_arrow(q), 2)
+
+    def test_constructions_are_squares_between_their_objects(self):
+        # Every construction that does not validate itself, and etabar and
+        # mubar that do, against the source and target objects it relates.
+        f = arrow_mor(ID2, SWAP, SWAP.phi, Id(B2))
+        g = arrow_mor(SWAP, ID2, Id(B2), SWAP.phi)
+        squares = [("seely0", boxtimes_unit(), sbar_obj(zero_obj()), arrow_seely0()),
+                   ("sbar_mor(f)", sbar_obj(ID2), sbar_obj(SWAP), sbar_mor(f)),
+                   ("sbar_mor(g)", sbar_obj(SWAP), sbar_obj(ID2), sbar_mor(g)),
+                   ("f box g", boxtimes_obj(ID2, SWAP), boxtimes_obj(SWAP, ID2),
+                    boxtimes_mor(f, g))]
+        for i, o in enumerate(SAMPLES):
+            sb = sbar_obj(o)
+            squares += [(f"sbar_mor(id {i})", sb, sb, sbar_mor(id_arrow(o))),
+                        (f"etabar({i})", o, sb, etabar(o)),
+                        (f"mubar({i})", sbar_obj(sb), sb, mubar(o)),
+                        (f"mbar({i})", boxtimes_obj(sb, sb), sb, mbar(o)),
+                        (f"ubar({i})", boxtimes_unit(), sb, ubar(o)),
+                        (f"dbar({i})", sb, boxtimes_obj(sb, o), dbar(o))]
+        for i, j in combinations_with_replacement(range(len(SAMPLES)), 2):
+            p, q = SAMPLES[i], SAMPLES[j]
+            pq, sbox = boxtimes_obj(p, q), boxtimes_obj(sbar_obj(p), sbar_obj(q))
+            ssum = sbar_obj(sum_obj(p, q))
+            squares += [(f"id {i} box id {j}", pq, pq, boxtimes_mor(id_arrow(p), id_arrow(q))),
+                        (f"sigma({i}, {j})", pq, boxtimes_obj(q, p), boxtimes_sigma(p, q)),
+                        (f"seely({i}, {j})", sbox, ssum, arrow_seely(p, q)),
+                        (f"seely_inv({i}, {j})", ssum, sbox, arrow_seely_inv(p, q))]
+        assert len(squares) == 94
+        bad = [name for name, src, dst, m in squares
+               if not check_equal(*commuting_square(src, dst, m), 2).ok]
+        assert bad == []
 
 
 class TestLiftedFunctor:

@@ -27,10 +27,12 @@ def _stdout(args) -> bytes:
     return run.stdout
 
 
+@pytest.mark.hash_order
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_stdout_matches_golden(demo):
     assert _stdout([str(demo)]) == (GOLDEN / f"{demo.stem}.txt").read_bytes()
 
 
+@pytest.mark.hash_order
 def test_symalg_demo_stdout_matches_golden():
     assert _stdout(["-m", "symalg.cli", "demo"]) == (GOLDEN / "symalg_demo.txt").read_bytes()

@@ -400,9 +400,9 @@ class TestRunner:
 
     @pytest.mark.hash_order
     def test_memo_and_intern_table_hold_the_same_work(self):
-        # The counts the process-wide lru_cache memo and intern table had
+        # The counts the process-wide evaluation memo and intern table had
         # after this run; neither may depend on hash order.
-        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3676"]
+        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3411"]
 
     def test_second_identical_run_adds_no_memo_entry(self):
         # Every image and every verdict of the second run is a hit.
@@ -563,9 +563,10 @@ class TestCLI:
         assert main(["check", "--config", str(p)]) == 2
         assert "name must be a string" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir", "empty"])
     def test_unwritable_report_path_exit_two(self, tmp_path, capsys, where):
-        path = tmp_path / "nonexistent" / "r.json" if where == "missing-dir" else tmp_path
+        path = {"missing-dir": tmp_path / "nonexistent" / "r.json",
+                "a-dir": tmp_path, "empty": ""}[where]
         assert main(["check", "--laws", "D1", "--bound", "1", "--json", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == ""  # it fails before the run
