@@ -14,10 +14,9 @@ Each structure states its axioms once, as an ordered table ``{diagram name:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, GenIx
+from .spaces import UNIT, ZERO, Record, SpaceExpr, record, base, tensor, sym, GenIx
 from .elements import Element, singleton, zero_element
 from .morphisms import (
     MorExpr, Id, TensorM, Add, ZeroM, Sigma, Matrix,
@@ -76,8 +75,8 @@ def _validate(equations: dict, bound: int, names=None) -> None:
 # Algebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SAlgebra:
+@record
+class SAlgebra(Record):
     name: str
     carrier: SpaceExpr
     nu: MorExpr
@@ -140,8 +139,8 @@ def table_algebra(name: str, carrier: SpaceExpr, mult_table, unit_elem: Element,
 # Modules and derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AModule:
+@record
+class AModule(Record):
     algebra: SAlgebra
     carrier: SpaceExpr
     alpha: MorExpr  # A (x) M -> M
@@ -163,8 +162,8 @@ def a_module(algebra: SAlgebra, carrier: SpaceExpr, alpha: MorExpr,
     return module
 
 
-@dataclass(frozen=True)
-class Derivation:
+@record
+class Derivation(Record):
     algebra: SAlgebra
     module: AModule
     d: MorExpr  # A -> M
@@ -206,8 +205,8 @@ def derivation_map_axioms(src: Derivation, dst: Derivation, f0: MorExpr, f1: Mor
 # Algebras of the lifted monad <-> chain-rule derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SBarAlgebra:
+@record
+class SBarAlgebra(Record):
     obj: ArrowObj
     nu0: MorExpr  # S(A0) -> A0
     nu1: MorExpr  # S(A0) (x) A1 -> A1
@@ -271,8 +270,8 @@ def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlg
 # Box-product monoids <-> plain derivations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArrowMonoid:
+@record
+class ArrowMonoid(Record):
     obj: ArrowObj
     m0: MorExpr  # A0 (x) A0 -> A0
     m1: MorExpr  # A0 (x) A1 -> A1

@@ -37,7 +37,8 @@ from functools import cached_property
 from typing import Callable
 
 from .spaces import (
-    UNIT, ZERO, GenIx, base, tensor, direct_sum, sym, monomial, build_sum, rank,
+    UNIT, ZERO, GenIx, Record, record, base, tensor, direct_sum, sym, monomial, build_sum,
+    rank,
 )
 from .elements import singleton
 from .morphisms import (
@@ -78,8 +79,8 @@ MUTATION_TARGETS = {
 BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
 
 
-@dataclass(frozen=True)
-class _Derived:
+@record
+class _Derived(Record):
     """A derivation validated at `bound`, and what the dictionaries make of it, built once."""
     d: Derivation
     bound: int
@@ -113,8 +114,8 @@ class LawContext:
         return random.Random(self.seed)
 
 
-@dataclass(frozen=True)
-class Law:
+@record
+class Law(Record):
     name: str
     anchor: str
     instances: Callable  # (bound, ctx) -> [(instance_name, x)]

@@ -52,9 +52,6 @@ class MorExpr(Node):
     def cod(self) -> SpaceExpr:
         return self._cod
 
-    def __matmul__(self, other):  # f @ g = tensor product on maps
-        return TensorM(self, other)
-
 
 class EndpointMismatchError(ValueError):
     pass

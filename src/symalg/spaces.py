@@ -16,21 +16,25 @@ then structure), so truncations are prefix-stable by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
 
 
 # ---------------------------------------------------------------------------
-# Hash-consed nodes
+# Value classes: hash-consed nodes and plain records
 # ---------------------------------------------------------------------------
 
 def node(cls):
-    """Dataclass form of every expression node: immutable and slotted.  eq=False
-    keeps object's identity __eq__ and __hash__, which interning makes exact.
-    The positions of the fields annotated `int` go to `_int_fields`, which the
-    intern table checks on a hit."""
-    cls = dataclass(frozen=True, slots=True, eq=False)(cls)
+    """Dataclass form of every expression node: slotted, with its fields,
+    `__match_args__` and `dataclasses.replace`, but no generated methods.
+    `Interned.__call__` builds the node and `Node` gives the repr and the
+    frozen guard; eq=False keeps object's identity __eq__ and __hash__, which
+    interning makes exact.  Per class this stores each field's slot setter in
+    order (`_setters`), and the positions of the fields annotated `int`
+    (`_int_fields`), which the intern table checks on a hit."""
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
+    cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
     cls._int_fields = tuple(i for i, f in enumerate(fields(cls)) if f.type in ("int", int))
     return cls
 
@@ -44,12 +48,17 @@ class Interned(type):
 
     Constructing a node whose class and fields equal an existing node's
     returns that existing node, so equal nodes are identical.
-    `dict.setdefault` keeps that true when two threads build the same node.
     Keyword arguments are put in field order first, so the lookup builds
     no node.  Keys compare with ==, under which `(SumIx, True, x)` finds
     `(SumIx, 1, x)`, so a hit returns the node only if every `int` field got
-    a plain int; otherwise the constructor runs and rejects the call, as on
-    a miss.
+    a plain int; otherwise the call goes on as a miss, where the class's
+    checks reject it.
+
+    The miss is the one place a node is built: check the number of fields,
+    `object.__new__`, set each field through its slot, run `__post_init__`
+    (the class's checks and stored structure), then intern.  A call that
+    raises leaves the table unchanged.  `dict.setdefault` keeps equal nodes
+    identical when two threads build the same node.
 
     The evaluator's hot loops skip this call for the basis vectors they
     build most (`_sum_ix`, `_tensor_ix`, `_mon_ix`): those probe `_TABLE`
@@ -71,22 +80,102 @@ class Interned(type):
         if found is not None and (not cls._int_fields
                                   or all(type(args[i]) is int for i in cls._int_fields)):
             return found
-        return _TABLE.setdefault(key, super().__call__(*args))
+        setters = cls._setters
+        if len(args) != len(setters):
+            raise TypeError(f"{cls.__name__}() takes {len(setters)} arguments "
+                            f"{list(cls.__match_args__)}, got {len(args)}")
+        self = object.__new__(cls)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        self.__post_init__()
+        return _TABLE.setdefault(key, self)
 
 
-class Node(metaclass=Interned):
+class Frozen:
+    """The repr and the frozen guard shared by nodes and records.
+
+    The repr is the dataclass one, `Class(field=value, ...)`, over the
+    fields in order; witness reprs in the reports depend on it.  Fields are
+    set once, when the object is built: assigning or deleting an attribute
+    raises `FrozenInstanceError`.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                f"{', '.join([f'{n}={getattr(self, n)!r}' for n in self.__match_args__])})")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Node(Frozen, metaclass=Interned):
     """Base of expression nodes, which are interned.
 
     Every constructor, copy and pickle goes through the intern table, so
     equal nodes are one object: nodes hash and compare by identity, with
-    object's __hash__ and __eq__, in C.
+    object's __hash__ and __eq__, in C.  `__post_init__` runs once, when the
+    node is built; the default does nothing.
     """
 
     __slots__ = ()
+    _setters = ()
     _int_fields = ()
+
+    def __post_init__(self):
+        pass
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def record(cls):
+    """Dataclass form of a plain immutable record, a subclass of `Record`:
+    fields, `__match_args__` and `dataclasses.replace`, but no generated
+    methods; a field default stays a class attribute, which `Record`'s
+    `__init__` reads."""
+    return dataclass(init=False, repr=False, eq=False)(cls)
+
+
+class Record(Frozen):
+    """Base of the immutable records that are not interned and are built a few
+    hundred times per run at most: algebras, modules, derivations and laws.
+
+    Records compare and hash by their fields, in order, and only with a
+    record of the same class, as a frozen dataclass does.  The generic
+    `__init__` is slower per call than a generated one, so the records built
+    thousands of times per run (`ArrowObj`, `ArrowMor`, `Verdict`, `Element`)
+    stay frozen dataclasses.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            cls, rest = type(self), names[len(args):]
+            if (len(args) > len(names) or not kwargs.keys() <= set(rest)
+                    or not all(n in kwargs or hasattr(cls, n) for n in rest)):
+                raise TypeError(f"{cls.__name__}() takes the fields {list(names)}, got "
+                                f"{len(args)} positional arguments and {sorted(kwargs)}")
+            args += tuple(kwargs[n] if n in kwargs else getattr(cls, n) for n in rest)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------

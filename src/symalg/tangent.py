@@ -9,10 +9,8 @@ whose second-copy-linear part is the derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .spaces import (
-    SpaceExpr, base, direct_sum, tensor, sym, enumerate_basis, join_pair,
+    Record, SpaceExpr, record, base, direct_sum, tensor, sym, enumerate_basis, join_pair,
     GenIx, MonIx,
 )
 from .elements import singleton
@@ -25,8 +23,8 @@ from .derivations import (
 )
 
 
-@dataclass(frozen=True)
-class TangentData:
+@record
+class TangentData(Record):
     base: SAlgebra
     tangent: SAlgebra
 

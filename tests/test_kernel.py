@@ -1,5 +1,6 @@
 """The hash-consed expression kernel: interning on every construction path,
-stored order keys, and identity hashing and equality."""
+the one place a node is built, the frozen guard, stored order keys, identity
+hashing and equality, and the plain records built on the same methods."""
 
 import copy
 import dataclasses
@@ -10,16 +11,49 @@ import threading
 import pytest
 
 from symalg.spaces import (
-    Node, Base, Sum, Tensor, base, tensor, direct_sum, sym, enumerate_basis,
-    BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
+    Node, Record, Base, Sum, Tensor, UNIT, ZERO, UNIT_IX, base, tensor, direct_sum, sym,
+    enumerate_basis, BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
     _TABLE, _sum_ix, _tensor_ix, _mon_ix,
 )
 from symalg.morphisms import (
-    Compose, Id, Matrix, Mu, SymF, TensorM, compose, inj, linear_map_from_matrix,
+    Add, Chi0Inv, ChiInv, Compose, Deriv, Eta, Id, Matrix, Mu, Mult, Sigma, SymF, TensorM,
+    UnitM, ZeroM, compose, inj, linear_map_from_matrix,
 )
+from symalg.derivations import AModule, SAlgebra, rational_algebra
+from symalg.laws import Law
 
 B1 = base("x", 1)
 B2 = base("y", 2)
+
+
+def subclasses(root):
+    """root and every class below it."""
+    seen, todo = [], [root]
+    while todo:
+        cls = todo.pop()
+        seen.append(cls)
+        todo.extend(cls.__subclasses__())
+    return seen
+
+
+def node_examples():
+    """One node of every @node class."""
+    f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
+    return [
+        UNIT, ZERO, B2, tensor(B1, B2), direct_sum(B1, B2), sym(B1),
+        UNIT_IX, GenIx(0), TensorIx((GenIx(0), GenIx(1))), SumIx(1, GenIx(0)),
+        MonIx((GenIx(0), GenIx(0))),
+        Id(B1), Compose(f, f), TensorM(Id(B1), f), Add(f, f), ZeroM(B1, B2), Sigma(B1, B2),
+        inj(0, (B1, B2)), f, SymF(f), Eta(B1), Mu(B1), Mult(B1), UnitM(B1), Deriv(B2),
+        ChiInv(B1, B2), Chi0Inv(), rational_algebra().nu,
+    ]
+
+
+def dataclass_repr(x):
+    """x's repr as a dataclass with x's class name and fields would print it."""
+    names = [f.name for f in dataclasses.fields(x)]
+    reference = dataclasses.make_dataclass(type(x).__qualname__, names)
+    return repr(reference(*(getattr(x, n) for n in names)))
 
 
 def reference_weight(bv):
@@ -134,11 +168,7 @@ class TestInterning:
     def test_nodes_hash_and_compare_in_c(self):
         # Interning makes identity exact; a Python-level __hash__ or __eq__
         # (say from a dataclass with eq=True) would only slow every lookup.
-        seen, todo = [], [Node]
-        while todo:
-            cls = todo.pop()
-            seen.append(cls)
-            todo.extend(cls.__subclasses__())
+        seen = subclasses(Node)
         assert {GenIx, Tensor, Compose, Mu, SymF}.issubset(seen)
         for cls in seen:
             assert cls.__hash__ is object.__hash__, cls
@@ -167,6 +197,86 @@ class TestInterning:
         assert not any(t.is_alive() for t in threads)
         for i in range(n_nodes):
             assert len({id(out[i]) for out in seen}) == 1
+
+
+class TestConstruction:
+    """A node is built only in the intern miss, with no per-class methods."""
+
+    def test_examples_cover_every_node_class(self):
+        node_classes = {cls for cls in subclasses(Node)
+                        if dataclasses.is_dataclass(cls) and cls.__module__.startswith("symalg.")}
+        assert {type(x) for x in node_examples()} == node_classes
+        assert len(node_classes) == 28
+
+    def test_repr_is_the_dataclass_format(self):
+        for x in node_examples():
+            assert repr(x) == dataclass_repr(x)
+        assert repr(SumIx(1, GenIx(0))) == "SumIx(branch=1, inner=GenIx(index=0))"
+
+    def test_no_class_has_its_own_generated_methods(self):
+        for cls in subclasses(Node)[1:] + subclasses(Record)[1:]:
+            for name in ("__init__", "__repr__", "__setattr__", "__delattr__"):
+                assert name not in cls.__dict__, (cls, name)
+
+    @pytest.mark.parametrize("args", [(), (1, 2)])
+    def test_wrong_arity_raises_and_interns_nothing(self, args):
+        before = len(_TABLE)
+        with pytest.raises(TypeError):
+            GenIx(*args)
+        assert len(_TABLE) == before
+
+    @pytest.mark.parametrize("x", [
+        tensor(B1, sym(B2)), SumIx(1, MonIx((GenIx(0), GenIx(1)))), TensorM(Id(B1), Mu(B2)),
+    ], ids=["SpaceExpr", "BasisVector", "MorExpr"])
+    def test_frozen_guard(self, x):
+        # Every slot: the fields, then what __post_init__ stored (_key, _dom, ...).
+        slots = [n for c in type(x).__mro__ for n in c.__dict__.get("__slots__", ())]
+        state = {n: getattr(x, n) for n in slots}
+        for name in (*slots, "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert {n: getattr(x, n) for n in slots} == state
+        fields = [getattr(x, n) for n in x.__match_args__]
+        assert type(x)(*fields) is x
+        assert _TABLE[(type(x), *fields)] is x
+
+
+class TestRecords:
+    """Records keep a frozen dataclass's equality, hashing, repr and replace."""
+
+    def test_equality_and_hashing_by_fields(self):
+        f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
+        a = SAlgebra("a", B2, f)
+        same = SAlgebra(name="a", carrier=B2, nu=f)
+        assert a == same and hash(a) == hash(same) and a is not same
+        assert a != SAlgebra("b", B2, f) and a != SAlgebra("a", B2, Id(B2))
+        assert a != AModule("a", B2, f) and (a == ("a", B2, f)) is False
+        assert len({a, same, SAlgebra("b", B2, f)}) == 2
+
+    def test_replace_repr_and_frozen_guard(self):
+        f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
+        a = SAlgebra("a", B2, f)
+        assert dataclasses.replace(a, nu=Id(B2)) == SAlgebra("a", B2, Id(B2))
+        assert dataclasses.replace(a) == a
+        assert repr(a) == dataclass_repr(a)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.nu = Id(B2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del a.name
+        assert (a.name, a.carrier, a.nu) == ("a", B2, f)
+        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+    def test_defaults_keywords_and_arity(self):
+        law = Law("n", "a", list, print)
+        assert law.deep is False and law == Law("n", "a", list, print, False)
+        assert Law("n", "a", check=print, instances=list, deep=True).deep is True
+        for args, kwargs in (((), {}), (("n", "a", list), {}), (("n", "a", list, print, 1, 2), {}),
+                             (("n", "a", list, print), {"name": "m"}),
+                             (("n", "a", list, print), {"other": 1})):
+            with pytest.raises(TypeError):
+                Law(*args, **kwargs)
 
 
 class TestStoredOrder:
