@@ -14,9 +14,10 @@ Each structure states its axioms once, as an ordered table ``{diagram name:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
-from .spaces import UNIT, ZERO, Record, SpaceExpr, record, base, tensor, sym, GenIx
+from .spaces import UNIT, ZERO, SpaceExpr, base, tensor, sym, GenIx
 from .elements import Element, singleton, zero_element
 from .morphisms import (
     MorExpr, Id, TensorM, Add, ZeroM, Sigma, Matrix,
@@ -75,8 +76,8 @@ def _validate(equations: dict, bound: int, names=None) -> None:
 # Algebras
 # ---------------------------------------------------------------------------
 
-@record
-class SAlgebra(Record):
+@dataclass(frozen=True)
+class SAlgebra:
     name: str
     carrier: SpaceExpr
     nu: MorExpr
@@ -139,8 +140,8 @@ def table_algebra(name: str, carrier: SpaceExpr, mult_table, unit_elem: Element,
 # Modules and derivations
 # ---------------------------------------------------------------------------
 
-@record
-class AModule(Record):
+@dataclass(frozen=True)
+class AModule:
     algebra: SAlgebra
     carrier: SpaceExpr
     alpha: MorExpr  # A (x) M -> M
@@ -162,8 +163,8 @@ def a_module(algebra: SAlgebra, carrier: SpaceExpr, alpha: MorExpr,
     return module
 
 
-@record
-class Derivation(Record):
+@dataclass(frozen=True)
+class Derivation:
     algebra: SAlgebra
     module: AModule
     d: MorExpr  # A -> M
@@ -205,8 +206,8 @@ def derivation_map_axioms(src: Derivation, dst: Derivation, f0: MorExpr, f1: Mor
 # Algebras of the lifted monad <-> chain-rule derivations
 # ---------------------------------------------------------------------------
 
-@record
-class SBarAlgebra(Record):
+@dataclass(frozen=True)
+class SBarAlgebra:
     obj: ArrowObj
     nu0: MorExpr  # S(A0) -> A0
     nu1: MorExpr  # S(A0) (x) A1 -> A1
@@ -270,8 +271,8 @@ def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlg
 # Box-product monoids <-> plain derivations
 # ---------------------------------------------------------------------------
 
-@record
-class ArrowMonoid(Record):
+@dataclass(frozen=True)
+class ArrowMonoid:
     obj: ArrowObj
     m0: MorExpr  # A0 (x) A0 -> A0
     m1: MorExpr  # A0 (x) A1 -> A1

@@ -37,8 +37,7 @@ from functools import cached_property
 from typing import Callable
 
 from .spaces import (
-    UNIT, ZERO, GenIx, Record, record, base, tensor, direct_sum, sym, monomial, build_sum,
-    rank,
+    UNIT, ZERO, GenIx, base, tensor, direct_sum, sym, monomial, build_sum, rank,
 )
 from .elements import singleton
 from .morphisms import (
@@ -79,8 +78,8 @@ MUTATION_TARGETS = {
 BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
 
 
-@record
-class _Derived(Record):
+@dataclass(frozen=True)
+class _Derived:
     """A derivation validated at `bound`, and what the dictionaries make of it, built once."""
     d: Derivation
     bound: int
@@ -114,8 +113,8 @@ class LawContext:
         return random.Random(self.seed)
 
 
-@record
-class Law(Record):
+@dataclass(frozen=True)
+class Law:
     name: str
     anchor: str
     instances: Callable  # (bound, ctx) -> [(instance_name, x)]

@@ -22,7 +22,7 @@ from operator import attrgetter
 
 
 # ---------------------------------------------------------------------------
-# Value classes: hash-consed nodes and plain records
+# Hash-consed nodes
 # ---------------------------------------------------------------------------
 
 def node(cls):
@@ -91,16 +91,26 @@ class Interned(type):
         return _TABLE.setdefault(key, self)
 
 
-class Frozen:
-    """The repr and the frozen guard shared by nodes and records.
+class Node(metaclass=Interned):
+    """Base of expression nodes, which are interned.
+
+    Every constructor, copy and pickle goes through the intern table, so
+    equal nodes are one object: nodes hash and compare by identity, with
+    object's __hash__ and __eq__, in C.  `__post_init__` runs once, when the
+    node is built; the default does nothing.
 
     The repr is the dataclass one, `Class(field=value, ...)`, over the
     fields in order; witness reprs in the reports depend on it.  Fields are
-    set once, when the object is built: assigning or deleting an attribute
+    set once, when the node is built: assigning or deleting an attribute
     raises `FrozenInstanceError`.
     """
 
     __slots__ = ()
+    _setters = ()
+    _int_fields = ()
+
+    def __post_init__(self):
+        pass
 
     def __repr__(self):
         return (f"{type(self).__qualname__}("
@@ -112,70 +122,8 @@ class Frozen:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-
-class Node(Frozen, metaclass=Interned):
-    """Base of expression nodes, which are interned.
-
-    Every constructor, copy and pickle goes through the intern table, so
-    equal nodes are one object: nodes hash and compare by identity, with
-    object's __hash__ and __eq__, in C.  `__post_init__` runs once, when the
-    node is built; the default does nothing.
-    """
-
-    __slots__ = ()
-    _setters = ()
-    _int_fields = ()
-
-    def __post_init__(self):
-        pass
-
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-
-def record(cls):
-    """Dataclass form of a plain immutable record, a subclass of `Record`:
-    fields, `__match_args__` and `dataclasses.replace`, but no generated
-    methods; a field default stays a class attribute, which `Record`'s
-    `__init__` reads."""
-    return dataclass(init=False, repr=False, eq=False)(cls)
-
-
-class Record(Frozen):
-    """Base of the immutable records that are not interned and are built a few
-    hundred times per run at most: algebras, modules, derivations and laws.
-
-    Records compare and hash by their fields, in order, and only with a
-    record of the same class, as a frozen dataclass does.  The generic
-    `__init__` is slower per call than a generated one, so the records built
-    thousands of times per run (`ArrowObj`, `ArrowMor`, `Verdict`, `Element`)
-    stay frozen dataclasses.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        names = self.__match_args__
-        if kwargs or len(args) != len(names):
-            cls, rest = type(self), names[len(args):]
-            if (len(args) > len(names) or not kwargs.keys() <= set(rest)
-                    or not all(n in kwargs or hasattr(cls, n) for n in rest)):
-                raise TypeError(f"{cls.__name__}() takes the fields {list(names)}, got "
-                                f"{len(args)} positional arguments and {sorted(kwargs)}")
-            args += tuple(kwargs[n] if n in kwargs else getattr(cls, n) for n in rest)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, n) for n in self.__match_args__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------

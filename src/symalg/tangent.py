@@ -9,8 +9,10 @@ whose second-copy-linear part is the derivative.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .spaces import (
-    Record, SpaceExpr, record, base, direct_sum, tensor, sym, enumerate_basis, join_pair,
+    SpaceExpr, base, direct_sum, tensor, sym, enumerate_basis, join_pair,
     GenIx, MonIx,
 )
 from .elements import singleton
@@ -23,8 +25,8 @@ from .derivations import (
 )
 
 
-@record
-class TangentData(Record):
+@dataclass(frozen=True)
+class TangentData:
     base: SAlgebra
     tangent: SAlgebra
 

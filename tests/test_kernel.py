@@ -1,6 +1,6 @@
 """The hash-consed expression kernel: interning on every construction path,
-the one place a node is built, the frozen guard, stored order keys, identity
-hashing and equality, and the plain records built on the same methods."""
+the one place a node is built, the frozen guard, stored order keys, and
+identity hashing and equality."""
 
 import copy
 import dataclasses
@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from symalg.spaces import (
-    Node, Record, Base, Sum, Tensor, UNIT, ZERO, UNIT_IX, base, tensor, direct_sum, sym,
+    Node, Base, Sum, Tensor, UNIT, ZERO, UNIT_IX, base, tensor, direct_sum, sym,
     enumerate_basis, BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
     _TABLE, _sum_ix, _tensor_ix, _mon_ix,
 )
@@ -19,8 +19,7 @@ from symalg.morphisms import (
     Add, Chi0Inv, ChiInv, Compose, Deriv, Eta, Id, Matrix, Mu, Mult, Sigma, SymF, TensorM,
     UnitM, ZeroM, compose, inj, linear_map_from_matrix,
 )
-from symalg.derivations import AModule, SAlgebra, rational_algebra
-from symalg.laws import Law
+from symalg.derivations import rational_algebra
 
 B1 = base("x", 1)
 B2 = base("y", 2)
@@ -214,7 +213,7 @@ class TestConstruction:
         assert repr(SumIx(1, GenIx(0))) == "SumIx(branch=1, inner=GenIx(index=0))"
 
     def test_no_class_has_its_own_generated_methods(self):
-        for cls in subclasses(Node)[1:] + subclasses(Record)[1:]:
+        for cls in subclasses(Node)[1:]:
             for name in ("__init__", "__repr__", "__setattr__", "__delattr__"):
                 assert name not in cls.__dict__, (cls, name)
 
@@ -241,42 +240,6 @@ class TestConstruction:
         fields = [getattr(x, n) for n in x.__match_args__]
         assert type(x)(*fields) is x
         assert _TABLE[(type(x), *fields)] is x
-
-
-class TestRecords:
-    """Records keep a frozen dataclass's equality, hashing, repr and replace."""
-
-    def test_equality_and_hashing_by_fields(self):
-        f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
-        a = SAlgebra("a", B2, f)
-        same = SAlgebra(name="a", carrier=B2, nu=f)
-        assert a == same and hash(a) == hash(same) and a is not same
-        assert a != SAlgebra("b", B2, f) and a != SAlgebra("a", B2, Id(B2))
-        assert a != AModule("a", B2, f) and (a == ("a", B2, f)) is False
-        assert len({a, same, SAlgebra("b", B2, f)}) == 2
-
-    def test_replace_repr_and_frozen_guard(self):
-        f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
-        a = SAlgebra("a", B2, f)
-        assert dataclasses.replace(a, nu=Id(B2)) == SAlgebra("a", B2, Id(B2))
-        assert dataclasses.replace(a) == a
-        assert repr(a) == dataclass_repr(a)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            a.nu = Id(B2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del a.name
-        assert (a.name, a.carrier, a.nu) == ("a", B2, f)
-        assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
-
-    def test_defaults_keywords_and_arity(self):
-        law = Law("n", "a", list, print)
-        assert law.deep is False and law == Law("n", "a", list, print, False)
-        assert Law("n", "a", check=print, instances=list, deep=True).deep is True
-        for args, kwargs in (((), {}), (("n", "a", list), {}), (("n", "a", list, print, 1, 2), {}),
-                             (("n", "a", list, print), {"name": "m"}),
-                             (("n", "a", list, print), {"other": 1})):
-            with pytest.raises(TypeError):
-                Law(*args, **kwargs)
 
 
 class TestStoredOrder:
