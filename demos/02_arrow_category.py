@@ -12,7 +12,7 @@ Run with:  python3 demos/02_arrow_category.py
 from symalg import base, sym, tensor, GenIx, MonIx, TensorIx
 from symalg import Id, apply_basis, linear_map_from_matrix
 from symalg.arrow import (
-    ArrowObj, arrow_mor, id_arrow, compose_arrow, arrow_check,
+    arrow_mor, id_arrow, compose_arrow, arrow_check,
     sbar_obj, sbar_mor, etabar, mubar, dbar,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, mbar, ubar,
 )
@@ -23,14 +23,14 @@ B2 = base("y", 2)
 # ----------------------------------------------------------------------
 # Objects are linear maps; the lift differentiates through them
 # ----------------------------------------------------------------------
-o = ArrowObj(Id(B1))
+o = Id(B1)
 lifted = sbar_obj(o)
 x = GenIx(0)
 print("lift of id on x, applied to x^2:",
-      apply_basis(lifted.phi, MonIx((x, x))))
+      apply_basis(lifted, MonIx((x, x))))
 
-swap = ArrowObj(linear_map_from_matrix(B2, B2, ((0, 1), (1, 0))))
-print("lift of the swap map has domain", sbar_obj(swap).phi.dom())
+swap = linear_map_from_matrix(B2, B2, ((0, 1), (1, 0)))
+print("lift of the swap map has domain", sbar_obj(swap).dom())
 
 # ----------------------------------------------------------------------
 # Morphisms are validated commuting squares

@@ -1,11 +1,12 @@
 """The arrow category: lifted monad, box monoidal product, lifted modality.
 
-Objects are maps phi: A0 -> A1 of the base category.  A morphism is its
-two components (f0, f1); commuting_square(src, dst, m) names the objects
-it relates.  The lifted functor sends phi to (1 (x) phi) . d, its monad
-structure is built from the chain rule, and the box product is the pushout
-product over the zero object.  All arrow-level laws are pairs of base-level
-diagram checks, one per component.
+An object is its map phi: A0 -> A1 of the base category, a plain MorExpr
+whose dom() and cod() are A0 and A1.  A morphism is its two components
+(f0, f1); commuting_square(src, dst, m) names the two maps it relates.
+The lifted functor sends phi to (1 (x) phi) . d, its monad structure is
+built from the chain rule, and the box product is the pushout product over
+the zero object.  All arrow-level laws are pairs of base-level diagram
+checks, one per component.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
     Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
-    check_equal, compose, sum_map, inj, proj,
+    check_equal, compose, inj, proj,
 )
 
 #: Weight bound at which constructions validate their defining equations:
@@ -31,19 +32,6 @@ class InvalidArrowError(ValueError):
 
 
 @dataclass(frozen=True)
-class ArrowObj:
-    phi: MorExpr
-
-    @property
-    def a0(self) -> SpaceExpr:
-        return self.phi.dom()
-
-    @property
-    def a1(self) -> SpaceExpr:
-        return self.phi.cod()
-
-
-@dataclass(frozen=True)
 class ArrowMor:
     """Its two components, f0: A0 -> B0 and f1: A1 -> B1.  It is a morphism
     src -> dst when commuting_square(src, dst, m) holds; only arrow_mor checks."""
@@ -52,11 +40,11 @@ class ArrowMor:
     f1: MorExpr
 
 
-def arrow_mor(src: ArrowObj, dst: ArrowObj, f0: MorExpr, f1: MorExpr) -> ArrowMor:
+def arrow_mor(src: MorExpr, dst: MorExpr, f0: MorExpr, f1: MorExpr) -> ArrowMor:
     """Build an arrow morphism, validating the commuting square."""
-    if f0.dom() != src.a0 or f0.cod() != dst.a0:
+    if f0.dom() != src.dom() or f0.cod() != dst.dom():
         raise InvalidArrowError("f0 endpoints do not match the arrow objects")
-    if f1.dom() != src.a1 or f1.cod() != dst.a1:
+    if f1.dom() != src.cod() or f1.cod() != dst.cod():
         raise InvalidArrowError("f1 endpoints do not match the arrow objects")
     m = ArrowMor(f0, f1)
     v = check_equal(*commuting_square(src, dst, m), VALIDATE_BOUND)
@@ -65,17 +53,17 @@ def arrow_mor(src: ArrowObj, dst: ArrowObj, f0: MorExpr, f1: MorExpr) -> ArrowMo
     return m
 
 
-def commuting_square(src: ArrowObj, dst: ArrowObj, m: ArrowMor):
-    """The equation making m an arrow morphism src -> dst: f1 . src.phi = dst.phi . f0."""
-    return Compose(m.f1, src.phi), Compose(dst.phi, m.f0)
+def commuting_square(src: MorExpr, dst: MorExpr, m: ArrowMor):
+    """The equation making m an arrow morphism src -> dst: f1 . src = dst . f0."""
+    return Compose(m.f1, src), Compose(dst, m.f0)
 
 
-def id_arrow(o: ArrowObj) -> ArrowMor:
-    return ArrowMor(Id(o.a0), Id(o.a1))
+def id_arrow(o: MorExpr) -> ArrowMor:
+    return ArrowMor(Id(o.dom()), Id(o.cod()))
 
 
-def zero_arrow(src: ArrowObj, dst: ArrowObj) -> ArrowMor:
-    return ArrowMor(ZeroM(src.a0, dst.a0), ZeroM(src.a1, dst.a1))
+def zero_arrow(src: MorExpr, dst: MorExpr) -> ArrowMor:
+    return ArrowMor(ZeroM(src.dom(), dst.dom()), ZeroM(src.cod(), dst.cod()))
 
 
 def compose_arrow(m2: ArrowMor, m1: ArrowMor) -> ArrowMor:
@@ -97,36 +85,32 @@ def arrow_check(lhs: ArrowMor, rhs: ArrowMor, weight_bound: int):
 # Pointwise biproduct structure
 # ---------------------------------------------------------------------------
 
-def sum_obj(p: ArrowObj, q: ArrowObj) -> ArrowObj:
-    return ArrowObj(sum_map(p.phi, q.phi))
-
-
-def zero_obj() -> ArrowObj:
-    return ArrowObj(ZeroM(ZERO, ZERO))
+def zero_obj() -> MorExpr:
+    return ZeroM(ZERO, ZERO)
 
 
 # ---------------------------------------------------------------------------
 # The lifted monad
 # ---------------------------------------------------------------------------
 
-def sbar_obj(o: ArrowObj) -> ArrowObj:
+def sbar_obj(o: MorExpr) -> MorExpr:
     """S(A0) --d--> S(A0) (x) A0 --1 (x) phi--> S(A0) (x) A1."""
-    a0 = o.a0
-    return ArrowObj(compose(Deriv(a0), TensorM(Id(sym(a0)), o.phi)))
+    a0 = o.dom()
+    return compose(Deriv(a0), TensorM(Id(sym(a0)), o))
 
 
 def sbar_mor(m: ArrowMor) -> ArrowMor:
     return ArrowMor(SymF(m.f0), TensorM(SymF(m.f0), m.f1))
 
 
-def etabar(o: ArrowObj) -> ArrowMor:
-    a0, a1 = o.a0, o.a1
+def etabar(o: MorExpr) -> ArrowMor:
+    a0, a1 = o.dom(), o.cod()
     return arrow_mor(o, sbar_obj(o), Eta(a0), TensorM(UnitM(a0), Id(a1)))
 
 
-def mubar(o: ArrowObj) -> ArrowMor:
+def mubar(o: MorExpr) -> ArrowMor:
     """Monad multiplication; the second component substitutes then multiplies."""
-    a0, a1 = o.a0, o.a1
+    a0, a1 = o.dom(), o.cod()
     sa = sym(a0)
     f0 = Mu(a0)
     sub = TensorM(Mu(a0), Id(tensor(sa, a1)))  # SS (x) S (x) A1 -> S (x) S (x) A1
@@ -139,8 +123,8 @@ def mubar(o: ArrowObj) -> ArrowMor:
 # Box monoidal product
 # ---------------------------------------------------------------------------
 
-def boxtimes_unit() -> ArrowObj:
-    return ArrowObj(ZeroM(UNIT, ZERO))
+def boxtimes_unit() -> MorExpr:
+    return ZeroM(UNIT, ZERO)
 
 
 def _box_blocks(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr):
@@ -148,15 +132,14 @@ def _box_blocks(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr):
     return (tensor(a0, b1), tensor(a1, b0))
 
 
-def boxtimes_obj(p: ArrowObj, q: ArrowObj) -> ArrowObj:
-    blocks = _box_blocks(p.a0, p.a1, q.a0, q.a1)
-    col = Matrix(
-        entries=((TensorM(Id(p.a0), q.phi),),
-                 (TensorM(p.phi, Id(q.a0)),)),
-        dom_blocks=(tensor(p.a0, q.a0),),
-        cod_blocks=blocks,
+def boxtimes_obj(p: MorExpr, q: MorExpr) -> MorExpr:
+    a0, b0 = p.dom(), q.dom()
+    return Matrix(
+        entries=((TensorM(Id(a0), q),),
+                 (TensorM(p, Id(b0)),)),
+        dom_blocks=(tensor(a0, b0),),
+        cod_blocks=_box_blocks(a0, p.cod(), b0, q.cod()),
     )
-    return ArrowObj(col)
 
 
 def boxtimes_mor(m: ArrowMor, n: ArrowMor) -> ArrowMor:
@@ -171,24 +154,25 @@ def boxtimes_mor(m: ArrowMor, n: ArrowMor) -> ArrowMor:
     return ArrowMor(TensorM(m.f0, n.f0), f1)
 
 
-def boxtimes_sigma(p: ArrowObj, q: ArrowObj) -> ArrowMor:
-    sb = _box_blocks(p.a0, p.a1, q.a0, q.a1)
-    db = _box_blocks(q.a0, q.a1, p.a0, p.a1)
+def boxtimes_sigma(p: MorExpr, q: MorExpr) -> ArrowMor:
+    a0, a1, b0, b1 = p.dom(), p.cod(), q.dom(), q.cod()
+    sb = _box_blocks(a0, a1, b0, b1)
+    db = _box_blocks(b0, b1, a0, a1)
     f1 = Matrix(
-        entries=((ZeroM(sb[0], db[0]), Sigma(p.a1, q.a0)),
-                 (Sigma(p.a0, q.a1), ZeroM(sb[1], db[1]))),
+        entries=((ZeroM(sb[0], db[0]), Sigma(a1, b0)),
+                 (Sigma(a0, b1), ZeroM(sb[1], db[1]))),
         dom_blocks=sb,
         cod_blocks=db,
     )
-    return ArrowMor(Sigma(p.a0, q.a0), f1)
+    return ArrowMor(Sigma(a0, b0), f1)
 
 
 # ---------------------------------------------------------------------------
 # The lifted algebra modality and deriving transformation
 # ---------------------------------------------------------------------------
 
-def mbar(o: ArrowObj) -> ArrowMor:
-    a0, a1 = o.a0, o.a1
+def mbar(o: MorExpr) -> ArrowMor:
+    a0, a1 = o.dom(), o.cod()
     sa = sym(a0)
     sa1 = tensor(sa, a1)
     blocks = _box_blocks(sa, sa1, sa, sa1)  # (S (x) S (x) A1, S (x) A1 (x) S)
@@ -201,13 +185,13 @@ def mbar(o: ArrowObj) -> ArrowMor:
     return ArrowMor(Mult(a0), f1)
 
 
-def ubar(o: ArrowObj) -> ArrowMor:
-    return ArrowMor(UnitM(o.a0), ZeroM(ZERO, tensor(sym(o.a0), o.a1)))
+def ubar(o: MorExpr) -> ArrowMor:
+    return ArrowMor(UnitM(o.dom()), ZeroM(ZERO, tensor(sym(o.dom()), o.cod())))
 
 
-def dbar(o: ArrowObj) -> ArrowMor:
+def dbar(o: MorExpr) -> ArrowMor:
     """Deriving transformation on the arrow category."""
-    a0, a1 = o.a0, o.a1
+    a0, a1 = o.dom(), o.cod()
     sa = sym(a0)
     sa1 = tensor(sa, a1)
     blocks = _box_blocks(sa, sa1, a0, a1)  # (S (x) A1, S (x) A1 (x) A0)
@@ -224,8 +208,8 @@ def dbar(o: ArrowObj) -> ArrowMor:
 # Arrow-level Seely maps
 # ---------------------------------------------------------------------------
 
-def arrow_seely(p: ArrowObj, q: ArrowObj) -> ArrowMor:
-    a0, a1, b0, b1 = p.a0, p.a1, q.a0, q.a1
+def arrow_seely(p: MorExpr, q: MorExpr) -> ArrowMor:
+    a0, a1, b0, b1 = p.dom(), p.cod(), q.dom(), q.cod()
     sa, sb = sym(a0), sym(b0)
     blocks = _box_blocks(sa, tensor(sa, a1), sb, tensor(sb, b1))  # sbar(p), sbar(q)
     entry1 = TensorM(Chi(a0, b0), inj(1, (a1, b1)))
@@ -237,8 +221,8 @@ def arrow_seely(p: ArrowObj, q: ArrowObj) -> ArrowMor:
     return ArrowMor(Chi(a0, b0), f1)
 
 
-def arrow_seely_inv(p: ArrowObj, q: ArrowObj) -> ArrowMor:
-    a0, a1, b0, b1 = p.a0, p.a1, q.a0, q.a1
+def arrow_seely_inv(p: MorExpr, q: MorExpr) -> ArrowMor:
+    a0, a1, b0, b1 = p.dom(), p.cod(), q.dom(), q.cod()
     sa, sb = sym(a0), sym(b0)
     blocks = _box_blocks(sa, tensor(sa, a1), sb, tensor(sb, b1))  # sbar(p), sbar(q)
     sab = sym(direct_sum(a0, b0))

@@ -25,7 +25,7 @@ from .morphisms import (
     Verdict, check_equal, compose, linear_map_from_matrix,
 )
 from .arrow import (
-    VALIDATE_BOUND, ArrowObj, ArrowMor, id_arrow, compose_arrow, commuting_square,
+    VALIDATE_BOUND, ArrowMor, id_arrow, compose_arrow, commuting_square,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit, arrow_check,
 )
 
@@ -198,7 +198,7 @@ def derivation_map_axioms(src: Derivation, dst: Derivation, f0: MorExpr, f1: Mor
         "dermor.algebra": (compose(src.algebra.nu, f0), compose(SymF(f0), dst.algebra.nu)),
         "dermor.module": (compose(src.module.alpha, f1),
                           compose(TensorM(f0, f1), dst.module.alpha)),
-        "dermor.square": commuting_square(ArrowObj(src.d), ArrowObj(dst.d), ArrowMor(f0, f1)),
+        "dermor.square": commuting_square(src.d, dst.d, ArrowMor(f0, f1)),
     }
 
 
@@ -208,7 +208,7 @@ def derivation_map_axioms(src: Derivation, dst: Derivation, f0: MorExpr, f1: Mor
 
 @dataclass(frozen=True)
 class SBarAlgebra:
-    obj: ArrowObj
+    obj: MorExpr  # the arrow object phi: A0 -> A1
     nu0: MorExpr  # S(A0) -> A0
     nu1: MorExpr  # S(A0) (x) A1 -> A1
 
@@ -216,7 +216,7 @@ class SBarAlgebra:
 def sbar_axioms(sba: SBarAlgebra) -> dict:
     """The five defining diagrams, then two derived ones that every valid
     algebra of the lifted monad obeys."""
-    a0, a1, phi = sba.obj.a0, sba.obj.a1, sba.obj.phi
+    a0, a1, phi = sba.obj.dom(), sba.obj.cod(), sba.obj
     nu0, nu1 = sba.nu0, sba.nu1
     sa = sym(a0)
     return {
@@ -234,7 +234,7 @@ def sbar_axioms(sba: SBarAlgebra) -> dict:
     }
 
 
-def sbar_algebra(obj: ArrowObj, nu0: MorExpr, nu1: MorExpr,
+def sbar_algebra(obj: MorExpr, nu0: MorExpr, nu1: MorExpr,
                  bound: int = VALIDATE_BOUND) -> SBarAlgebra:
     sba = SBarAlgebra(obj, nu0, nu1)
     eqs = sbar_axioms(sba)
@@ -253,18 +253,18 @@ def sbar_map_axioms(src: SBarAlgebra, dst: SBarAlgebra, f0: MorExpr, f1: MorExpr
 
 def algebra_to_derivation(sba: SBarAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
     """Read an algebra of the lifted monad as a chain-rule derivation."""
-    obj = sba.obj
-    alg = s_algebra("from-sbar", obj.a0, sba.nu0, bound=bound)
-    alpha = compose(TensorM(Eta(obj.a0), Id(obj.a1)), sba.nu1)
-    module = a_module(alg, obj.a1, alpha, bound=bound)
-    return derivation(alg, module, obj.phi, bound=bound)
+    phi = sba.obj
+    alg = s_algebra("from-sbar", phi.dom(), sba.nu0, bound=bound)
+    alpha = compose(TensorM(Eta(phi.dom()), Id(phi.cod())), sba.nu1)
+    module = a_module(alg, phi.cod(), alpha, bound=bound)
+    return derivation(alg, module, phi, bound=bound)
 
 
 def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlgebra:
     """Read a chain-rule derivation as an algebra of the lifted monad."""
     _validate(derivation_axioms(d), bound, names=("derivation.chain-rule",))
     nu1 = compose(TensorM(d.algebra.nu, Id(d.module.carrier)), d.module.alpha)
-    return sbar_algebra(ArrowObj(d.d), d.algebra.nu, nu1, bound=bound)
+    return sbar_algebra(d.d, d.algebra.nu, nu1, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlg
 
 @dataclass(frozen=True)
 class ArrowMonoid:
-    obj: ArrowObj
+    obj: MorExpr  # the arrow object phi: A0 -> A1
     m0: MorExpr  # A0 (x) A0 -> A0
     m1: MorExpr  # A0 (x) A1 -> A1
     m2: MorExpr  # A1 (x) A0 -> A1
@@ -284,11 +284,12 @@ def monoid_axioms(mon: ArrowMonoid) -> dict:
     """The multiplication mm and unit um are arrow morphisms, the
     commutative-monoid diagrams, and m2 is m1 after the symmetry swap."""
     o = mon.obj
+    a0, a1 = o.dom(), o.cod()
     f1 = Matrix(entries=((mon.m1, mon.m2),),
-                dom_blocks=(tensor(o.a0, o.a1), tensor(o.a1, o.a0)),
-                cod_blocks=(o.a1,))
+                dom_blocks=(tensor(a0, a1), tensor(a1, a0)),
+                cod_blocks=(a1,))
     mm = ArrowMor(mon.m0, f1)
-    um = ArrowMor(mon.u0, ZeroM(ZERO, o.a1))
+    um = ArrowMor(mon.u0, ZeroM(ZERO, a1))
     one = id_arrow(o)
     return {
         "monoid.square.mult": commuting_square(boxtimes_obj(o, o), o, mm),
@@ -298,11 +299,11 @@ def monoid_axioms(mon: ArrowMonoid) -> dict:
         "monoid.unit.l": (compose_arrow(mm, boxtimes_mor(um, one)), one),
         "monoid.unit.r": (compose_arrow(mm, boxtimes_mor(one, um)), one),
         "monoid.comm": (compose_arrow(mm, boxtimes_sigma(o, o)), mm),
-        "monoid.m2-redundancy": (mon.m2, compose(Sigma(o.a1, o.a0), mon.m1)),
+        "monoid.m2-redundancy": (mon.m2, compose(Sigma(a1, a0), mon.m1)),
     }
 
 
-def arrow_monoid(obj: ArrowObj, m0: MorExpr, m1: MorExpr, m2: MorExpr,
+def arrow_monoid(obj: MorExpr, m0: MorExpr, m1: MorExpr, m2: MorExpr,
                  u0: MorExpr, bound: int = VALIDATE_BOUND) -> ArrowMonoid:
     mon = ArrowMonoid(obj, m0, m1, m2, u0)
     _validate(monoid_axioms(mon), bound)
@@ -313,7 +314,7 @@ def derivation_to_monoid(d: Derivation, bound: int = VALIDATE_BOUND) -> ArrowMon
     """A plain derivation is a commutative monoid for the box product."""
     a, mcar = d.algebra.carrier, d.module.carrier
     alpha = d.module.alpha
-    return arrow_monoid(ArrowObj(d.d),
+    return arrow_monoid(d.d,
                         d.algebra.mult(),
                         alpha,
                         compose(Sigma(mcar, a), alpha),
@@ -331,8 +332,8 @@ def monoid_to_derivation(mon: ArrowMonoid, algebra: SAlgebra,
     _validate({"monoid.matches-mult": (algebra.mult(), mon.m0),
                "monoid.matches-unit": (algebra.unit(), mon.u0),
                "monoid.m2-redundancy": monoid_axioms(mon)["monoid.m2-redundancy"]}, bound)
-    module = a_module(algebra, mon.obj.a1, mon.m1, bound=bound)
-    return derivation(algebra, module, mon.obj.phi, bound=bound)
+    module = a_module(algebra, mon.obj.cod(), mon.m1, bound=bound)
+    return derivation(algebra, module, mon.obj, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,12 @@ from .spaces import (
 from .elements import singleton
 from .morphisms import (
     Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix, SymF, Eta, Mu, Mult, UnitM,
-    Deriv, Chi, ChiInv, Chi0Inv, check_equal, compose,
+    Deriv, Chi, ChiInv, Chi0Inv, check_equal, compose, sum_map,
     linear_map_from_matrix,
 )
 from .arrow import (
-    ArrowObj, id_arrow, zero_arrow, compose_arrow, add_arrow,
-    sum_obj, zero_obj, sbar_obj, sbar_mor, etabar, mubar,
+    id_arrow, zero_arrow, compose_arrow, add_arrow,
+    zero_obj, sbar_obj, sbar_mor, etabar, mubar,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
@@ -160,11 +160,11 @@ def _seely_pairs(bound, ctx):
 def _arrows(bound, ctx):
     b1, b2 = base("a", 1), base("b", 2)
     return [
-        ("id(B1)", ArrowObj(Id(b1))),
-        ("id(B2)", ArrowObj(Id(b2))),
-        ("zero(B1,B2)", ArrowObj(ZeroM(b1, b2))),
-        ("swap(B2)", ArrowObj(linear_map_from_matrix(b2, b2, ((0, 1), (1, 0))))),
-        ("rect(B2,B1)", ArrowObj(linear_map_from_matrix(b2, b1, ((1, 2),)))),
+        ("id(B1)", Id(b1)),
+        ("id(B2)", Id(b2)),
+        ("zero(B1,B2)", ZeroM(b1, b2)),
+        ("swap(B2)", linear_map_from_matrix(b2, b2, ((0, 1), (1, 0)))),
+        ("rect(B2,B1)", linear_map_from_matrix(b2, b1, ((1, 2),))),
     ]
 
 
@@ -209,7 +209,7 @@ def _chi_inv(pair, ctx):
 
 def _dbar(o, ctx):
     d = dbar(o)
-    if ctx.mutation == "dbar-twist-skip" and o.a0 == o.a1:
+    if ctx.mutation == "dbar-twist-skip" and o.dom() == o.cod():
         # The second row without its symmetry twist: typed only when A0 = A1.
         (row1,), (row2,) = d.f1.entries
         return replace(d, f1=Matrix(((row1,), (row2.f,)), d.f1.dom_blocks, d.f1.cod_blocks))
@@ -221,8 +221,8 @@ def _mubar(o, ctx):
     if ctx.mutation == "mubar-mult-skip":
         # Discard the second Sym factor by evaluating it at zero, S(A0) -> I,
         # instead of multiplying.
-        drop = compose(SymF(ZeroM(o.a0, ZERO)), Chi0Inv())
-        step = TensorM(Id(sym(o.a0)), TensorM(drop, Id(o.a1)))
+        drop = compose(SymF(ZeroM(o.dom(), ZERO)), Chi0Inv())
+        step = TensorM(Id(sym(o.dom())), TensorM(drop, Id(o.cod())))
         return replace(mu, f1=Compose(step, mu.f1.f))
     return mu
 
@@ -393,19 +393,19 @@ _LAWS = (
     _eq("arrow.D5", "lifted interchange of second derivatives", _arrows, _arrow_d5),
 
     _eq("arrow.box.assoc", "box product is strictly associative", _box_pairs,
-        lambda pair, ctx: (boxtimes_obj(boxtimes_obj(pair.p, pair.q), pair.p).phi,
-                           boxtimes_obj(pair.p, boxtimes_obj(pair.q, pair.p)).phi)),
+        lambda pair, ctx: (boxtimes_obj(boxtimes_obj(pair.p, pair.q), pair.p),
+                           boxtimes_obj(pair.p, boxtimes_obj(pair.q, pair.p)))),
     _eq("arrow.box.unit.l", "box product: strict left unit", _box_pairs,
-        lambda pair, ctx: (boxtimes_obj(boxtimes_unit(), pair.q).phi, pair.q.phi)),
+        lambda pair, ctx: (boxtimes_obj(boxtimes_unit(), pair.q), pair.q)),
     _eq("arrow.box.unit.r", "box product: strict right unit", _box_pairs,
-        lambda pair, ctx: (boxtimes_obj(pair.p, boxtimes_unit()).phi, pair.p.phi)),
+        lambda pair, ctx: (boxtimes_obj(pair.p, boxtimes_unit()), pair.p)),
     _eq("arrow.box.sym.invol", "box symmetry is an involution", _box_pairs,
         lambda pair, ctx: (compose_arrow(boxtimes_sigma(pair.q, pair.p),
                                          boxtimes_sigma(pair.p, pair.q)),
                            id_arrow(boxtimes_obj(pair.p, pair.q)))),
     _eq("arrow.seely.iso.l", "lifted storage comparison, merge then split", _box_pairs,
         lambda pair, ctx: (compose_arrow(arrow_seely(*pair), arrow_seely_inv(*pair)),
-                           id_arrow(sbar_obj(sum_obj(*pair))))),
+                           id_arrow(sbar_obj(sum_map(*pair))))),
     _eq("arrow.seely.iso.r", "lifted storage comparison, split then merge", _box_pairs,
         lambda pair, ctx: (compose_arrow(arrow_seely_inv(*pair), arrow_seely(*pair)),
                            id_arrow(boxtimes_obj(sbar_obj(pair.p), sbar_obj(pair.q))))),

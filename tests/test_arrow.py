@@ -5,16 +5,16 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from symalg.spaces import base, sym, tensor, direct_sum, GenIx, MonIx, TensorIx
+from symalg.spaces import UNIT, ZERO, base, sym, tensor, direct_sum, GenIx, MonIx, TensorIx
 from symalg.elements import singleton
 from symalg import laws
 from symalg.morphisms import (
     Id, ZeroM, Sigma, EndpointMismatchError, apply_basis, check_equal, compose,
-    linear_map_from_matrix,
+    linear_map_from_matrix, sum_map,
 )
 from symalg.arrow import (
-    ArrowObj, ArrowMor, InvalidArrowError, arrow_mor, commuting_square, id_arrow, zero_arrow,
-    compose_arrow, add_arrow, arrow_check, sum_obj, zero_obj,
+    ArrowMor, InvalidArrowError, arrow_mor, commuting_square, id_arrow, zero_arrow,
+    compose_arrow, add_arrow, arrow_check, zero_obj,
     sbar_obj, sbar_mor, etabar, mubar,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
@@ -23,11 +23,11 @@ from symalg.arrow import (
 B1 = base("x", 1)
 B2 = base("y", 2)
 
-ID1 = ArrowObj(Id(B1))
-ID2 = ArrowObj(Id(B2))
-SWAP = ArrowObj(linear_map_from_matrix(B2, B2, ((0, 1), (1, 0))))
-RECT = ArrowObj(linear_map_from_matrix(B2, B1, ((1, 2),)))
-ZERO12 = ArrowObj(ZeroM(B1, B2))
+ID1 = Id(B1)
+ID2 = Id(B2)
+SWAP = linear_map_from_matrix(B2, B2, ((0, 1), (1, 0)))
+RECT = linear_map_from_matrix(B2, B1, ((1, 2),))
+ZERO12 = ZeroM(B1, B2)
 SAMPLES = [ID1, ID2, SWAP, RECT, ZERO12]
 
 
@@ -63,8 +63,8 @@ class TestSquares:
     def test_constructions_are_squares_between_their_objects(self):
         # Every construction that does not validate itself, and etabar and
         # mubar that do, against the source and target objects it relates.
-        f = arrow_mor(ID2, SWAP, SWAP.phi, Id(B2))
-        g = arrow_mor(SWAP, ID2, Id(B2), SWAP.phi)
+        f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
+        g = arrow_mor(SWAP, ID2, Id(B2), SWAP)
         squares = [("seely0", boxtimes_unit(), sbar_obj(zero_obj()), arrow_seely0()),
                    ("sbar_mor(f)", sbar_obj(ID2), sbar_obj(SWAP), sbar_mor(f)),
                    ("sbar_mor(g)", sbar_obj(SWAP), sbar_obj(ID2), sbar_mor(g)),
@@ -81,7 +81,7 @@ class TestSquares:
         for i, j in combinations_with_replacement(range(len(SAMPLES)), 2):
             p, q = SAMPLES[i], SAMPLES[j]
             pq, sbox = boxtimes_obj(p, q), boxtimes_obj(sbar_obj(p), sbar_obj(q))
-            ssum = sbar_obj(sum_obj(p, q))
+            ssum = sbar_obj(sum_map(p, q))
             squares += [(f"id {i} box id {j}", pq, pq, boxtimes_mor(id_arrow(p), id_arrow(q))),
                         (f"sigma({i}, {j})", pq, boxtimes_obj(q, p), boxtimes_sigma(p, q)),
                         (f"seely({i}, {j})", sbox, ssum, arrow_seely(p, q)),
@@ -91,12 +91,26 @@ class TestSquares:
                if not check_equal(*commuting_square(src, dst, m), 2).ok]
         assert bad == []
 
+    def test_lifted_object_endpoints(self):
+        # The spaces of a lifted object follow from those of the maps it is
+        # built from; id_arrow and zero_arrow on it read only these.
+        for p in SAMPLES:
+            a0, a1 = p.dom(), p.cod()
+            sb = sbar_obj(p)
+            assert (sb.dom(), sb.cod()) == (sym(a0), tensor(sym(a0), a1))
+            for q in SAMPLES:
+                b0, b1 = q.dom(), q.cod()
+                pq = boxtimes_obj(p, q)
+                assert pq.dom() == tensor(a0, b0)
+                assert pq.cod() == direct_sum(tensor(a0, b1), tensor(a1, b0))
+        assert boxtimes_unit() == ZeroM(UNIT, ZERO)
+
 
 class TestLiftedFunctor:
     def test_sbar_on_identity_object_is_one_tensor_phi_after_d(self):
         # applying the lifted identity arrow to x^2 gives 2x (x) x
         sb = sbar_obj(ID1)
-        out = apply_basis(sb.phi, MonIx((GenIx(0), GenIx(0))))
+        out = apply_basis(sb, MonIx((GenIx(0), GenIx(0))))
         want = singleton(tensor(sym(B1), B1),
                          TensorIx((MonIx((GenIx(0),)), GenIx(0))), 2)
         assert out == want
@@ -104,7 +118,7 @@ class TestLiftedFunctor:
     def test_sbar_of_zero_arrow_is_zero_postcomposition(self):
         sb = sbar_obj(ZERO12)
         for mono in [MonIx(()), MonIx((GenIx(0),)), MonIx((GenIx(0),) * 2)]:
-            assert apply_basis(sb.phi, mono).is_zero()
+            assert apply_basis(sb, mono).is_zero()
 
     def test_functor_preserves_identity(self):
         m = sbar_mor(id_arrow(SWAP))
@@ -112,8 +126,8 @@ class TestLiftedFunctor:
         assert v0.ok and v1.ok
 
     def test_functor_preserves_composition(self):
-        f = arrow_mor(ID2, SWAP, SWAP.phi, Id(B2))
-        g = arrow_mor(SWAP, ID2, Id(B2), SWAP.phi)
+        f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
+        g = arrow_mor(SWAP, ID2, Id(B2), SWAP)
         lhs = sbar_mor(compose_arrow(g, f))
         rhs = compose_arrow(sbar_mor(g), sbar_mor(f))
         v0, v1 = arrow_check(lhs, rhs, 2)
@@ -161,19 +175,19 @@ class TestBoxProduct:
 
     def test_strict_associativity_and_units(self):
         p, q, r = ID1, SWAP, RECT
-        lhs = boxtimes_obj(boxtimes_obj(p, q), r).phi
-        rhs = boxtimes_obj(p, boxtimes_obj(q, r)).phi
+        lhs = boxtimes_obj(boxtimes_obj(p, q), r)
+        rhs = boxtimes_obj(p, boxtimes_obj(q, r))
         # strict on spaces, equal as maps
         assert (lhs.dom(), lhs.cod()) == (rhs.dom(), rhs.cod())
         assert check_equal(lhs, rhs, 2).ok
-        for u in [boxtimes_obj(boxtimes_unit(), q).phi,
-                  boxtimes_obj(q, boxtimes_unit()).phi]:
-            assert (u.dom(), u.cod()) == (q.phi.dom(), q.phi.cod())
-            assert check_equal(u, q.phi, 2).ok
+        for u in [boxtimes_obj(boxtimes_unit(), q),
+                  boxtimes_obj(q, boxtimes_unit())]:
+            assert (u.dom(), u.cod()) == (q.dom(), q.cod())
+            assert check_equal(u, q, 2).ok
 
     def test_bifunctoriality(self):
-        f = arrow_mor(ID2, SWAP, SWAP.phi, Id(B2))
-        g = arrow_mor(SWAP, ID2, Id(B2), SWAP.phi)
+        f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
+        g = arrow_mor(SWAP, ID2, Id(B2), SWAP)
         h = id_arrow(ID1)
         lhs = boxtimes_mor(compose_arrow(g, f), h)
         rhs = compose_arrow(boxtimes_mor(g, h), boxtimes_mor(f, h))
@@ -181,7 +195,7 @@ class TestBoxProduct:
         assert v0.ok and v1.ok
 
     def test_sigma_naturality(self):
-        f = arrow_mor(ID2, SWAP, SWAP.phi, Id(B2))
+        f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
         h = id_arrow(ID1)
         lhs = compose_arrow(boxtimes_sigma(SWAP, ID1), boxtimes_mor(f, h))
         rhs = compose_arrow(boxtimes_mor(h, f), boxtimes_sigma(ID2, ID1))
@@ -192,7 +206,7 @@ class TestBoxProduct:
         o = boxtimes_obj(ID1, ID1)
         from symalg.spaces import join_pair, build_sum
         bv = join_pair(B1, GenIx(0), B1, GenIx(0))
-        out = apply_basis(o.phi, bv)
+        out = apply_basis(o, bv)
         assert len(out.coeffs) == 2
         assert all(c == 1 for _, c in out.coeffs)
 
@@ -264,7 +278,7 @@ class TestArrowSeely:
                              id_arrow(boxtimes_obj(sbar_obj(p), sbar_obj(q))), 2)
         assert v0.ok and v1.ok
         v0, v1 = arrow_check(compose_arrow(chi, inv),
-                             id_arrow(sbar_obj(sum_obj(p, q))), 2)
+                             id_arrow(sbar_obj(sum_map(p, q))), 2)
         assert v0.ok and v1.ok
 
     def test_nullary_equals_lifted_unit(self):

@@ -11,7 +11,6 @@ from symalg.morphisms import (
     Id, ZeroM, TensorM, SymF, Mult, TableNu, apply, apply_basis, check_equal,
     compose, linear_map_from_matrix, Add, EndpointMismatchError,
 )
-from symalg.arrow import ArrowObj
 from symalg.derivations import (
     VALIDATE_BOUND, InvalidStructureError, SAlgebra, AModule, Derivation,
     SBarAlgebra, ArrowMonoid, arrow_monoid,
@@ -262,8 +261,8 @@ def _case_monoid_to_derivation():
     bad = ArrowMonoid(m2_dropped.obj, _doubled(m2_dropped.m0), m2_dropped.m1,
                       m2_dropped.m2, m2_dropped.u0)
     alg = d.algebra
-    module = AModule(alg, bad.obj.a1, bad.m1)
-    eqs = derivation_axioms(Derivation(alg, module, bad.obj.phi))
+    module = AModule(alg, bad.obj.cod(), bad.m1)
+    eqs = derivation_axioms(Derivation(alg, module, bad.obj))
     table = {"monoid.matches-mult": (alg.mult(), bad.m0),
              "monoid.matches-unit": (alg.unit(), bad.u0),
              "monoid.m2-redundancy": monoid_axioms(bad)["monoid.m2-redundancy"],
