@@ -13,8 +13,8 @@ from symalg import base, sym, tensor, GenIx, MonIx, TensorIx
 from symalg import Id, apply_basis, linear_map_from_matrix
 from symalg.arrow import (
     arrow_mor, id_arrow, compose_arrow, arrow_check,
-    sbar_obj, sbar_mor, etabar, mubar, dbar,
-    boxtimes_obj, boxtimes_mor, boxtimes_sigma, mbar, ubar,
+    sbar_spaces, sbar_obj, sbar_mor, etabar, mubar, dbar,
+    boxtimes_mor, boxtimes_sigma,
 )
 
 B1 = base("x", 1)
@@ -43,9 +43,9 @@ print("\nscaling commutes with swap:", sq is not None)
 # Monad laws, checked exhaustively on both components
 # ----------------------------------------------------------------------
 for name, lhs, rhs in [
-    ("left unit ", compose_arrow(mubar(o), etabar(lifted)), id_arrow(lifted)),
+    ("left unit ", compose_arrow(mubar(o), etabar(lifted)), id_arrow(*sbar_spaces(B1, B1))),
     ("right unit", compose_arrow(mubar(o), sbar_mor(etabar(o))),
-     id_arrow(lifted)),
+     id_arrow(*sbar_spaces(B1, B1))),
 ]:
     v0, v1 = arrow_check(lhs, rhs, 2)
     print(name, "holds on both components:", v0.ok and v1.ok,
@@ -54,9 +54,9 @@ for name, lhs, rhs in [
 # ----------------------------------------------------------------------
 # The lifted differential and its interchange law
 # ----------------------------------------------------------------------
-d = dbar(o)
-inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
+d = dbar(B1, B1)
+inner = compose_arrow(boxtimes_mor(d, id_arrow(B1, B1)), d)
 twisted = compose_arrow(
-    boxtimes_mor(id_arrow(lifted), boxtimes_sigma(o, o)), inner)
+    boxtimes_mor(id_arrow(*sbar_spaces(B1, B1)), boxtimes_sigma(B1, B1, B1, B1)), inner)
 v0, v1 = arrow_check(twisted, inner, 2)
 print("\nsecond derivatives commute:", v0.ok and v1.ok)

@@ -22,9 +22,9 @@ from symalg.tangent import (
 # ----------------------------------------------------------------------
 # The tangent algebra of the rationals is the dual numbers
 # ----------------------------------------------------------------------
-td = tangent_algebra(rational_algebra())
+tan = tangent_algebra(rational_algebra())
 print("tangent multiplication table:")
-for row in multiplication_table(td.tangent):
+for row in multiplication_table(tan):
     print("  ", [str(e) for e in row])
 
 # ----------------------------------------------------------------------

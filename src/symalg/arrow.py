@@ -7,6 +7,9 @@ The lifted functor sends phi to (1 (x) phi) . d, its monad structure is
 built from the chain rule, and the box product is the pushout product over
 the zero object.  All arrow-level laws are pairs of base-level diagram
 checks, one per component.
+
+Constructions that read only spaces take them, (A0, A1) or (A0, A1, B0,
+B1); sbar_spaces and box_spaces give a lifted object's spaces.
 """
 
 from __future__ import annotations
@@ -58,12 +61,12 @@ def commuting_square(src: MorExpr, dst: MorExpr, m: ArrowMor):
     return Compose(m.f1, src), Compose(dst, m.f0)
 
 
-def id_arrow(o: MorExpr) -> ArrowMor:
-    return ArrowMor(Id(o.dom()), Id(o.cod()))
+def id_arrow(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
+    return ArrowMor(Id(a0), Id(a1))
 
 
-def zero_arrow(src: MorExpr, dst: MorExpr) -> ArrowMor:
-    return ArrowMor(ZeroM(src.dom(), dst.dom()), ZeroM(src.cod(), dst.cod()))
+def zero_arrow(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:
+    return ArrowMor(ZeroM(a0, b0), ZeroM(a1, b1))
 
 
 def compose_arrow(m2: ArrowMor, m1: ArrowMor) -> ArrowMor:
@@ -82,16 +85,13 @@ def arrow_check(lhs: ArrowMor, rhs: ArrowMor, weight_bound: int):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise biproduct structure
-# ---------------------------------------------------------------------------
-
-def zero_obj() -> MorExpr:
-    return ZeroM(ZERO, ZERO)
-
-
-# ---------------------------------------------------------------------------
 # The lifted monad
 # ---------------------------------------------------------------------------
+
+def sbar_spaces(a0: SpaceExpr, a1: SpaceExpr):
+    """The spaces of sbar_obj(phi) for phi: A0 -> A1: S(A0) and S(A0) (x) A1."""
+    return sym(a0), tensor(sym(a0), a1)
+
 
 def sbar_obj(o: MorExpr) -> MorExpr:
     """S(A0) --d--> S(A0) (x) A0 --1 (x) phi--> S(A0) (x) A1."""
@@ -111,12 +111,8 @@ def etabar(o: MorExpr) -> ArrowMor:
 def mubar(o: MorExpr) -> ArrowMor:
     """Monad multiplication; the second component substitutes then multiplies."""
     a0, a1 = o.dom(), o.cod()
-    sa = sym(a0)
-    f0 = Mu(a0)
-    sub = TensorM(Mu(a0), Id(tensor(sa, a1)))  # SS (x) S (x) A1 -> S (x) S (x) A1
-    f1 = Compose(TensorM(Mult(a0), Id(a1)), sub)
-    src = sbar_obj(sbar_obj(o))
-    return arrow_mor(src, sbar_obj(o), f0, f1)
+    f1 = compose(TensorM(Mu(a0), Id(sbar_spaces(a0, a1)[1])), TensorM(Mult(a0), Id(a1)))
+    return arrow_mor(sbar_obj(sbar_obj(o)), sbar_obj(o), Mu(a0), f1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +126,11 @@ def boxtimes_unit() -> MorExpr:
 def _box_blocks(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr):
     """The two summands of the box product's second space: A0 (x) B1, A1 (x) B0."""
     return (tensor(a0, b1), tensor(a1, b0))
+
+
+def box_spaces(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr):
+    """The spaces of boxtimes_obj(p, q): A0 (x) B0 and (A0 (x) B1) (+) (A1 (x) B0)."""
+    return tensor(a0, b0), direct_sum(*_box_blocks(a0, a1, b0, b1))
 
 
 def boxtimes_obj(p: MorExpr, q: MorExpr) -> MorExpr:
@@ -154,8 +155,8 @@ def boxtimes_mor(m: ArrowMor, n: ArrowMor) -> ArrowMor:
     return ArrowMor(TensorM(m.f0, n.f0), f1)
 
 
-def boxtimes_sigma(p: MorExpr, q: MorExpr) -> ArrowMor:
-    a0, a1, b0, b1 = p.dom(), p.cod(), q.dom(), q.cod()
+def boxtimes_sigma(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:
+    """The symmetry p (x) q -> q (x) p for any p: A0 -> A1 and q: B0 -> B1."""
     sb = _box_blocks(a0, a1, b0, b1)
     db = _box_blocks(b0, b1, a0, a1)
     f1 = Matrix(
@@ -171,36 +172,30 @@ def boxtimes_sigma(p: MorExpr, q: MorExpr) -> ArrowMor:
 # The lifted algebra modality and deriving transformation
 # ---------------------------------------------------------------------------
 
-def mbar(o: MorExpr) -> ArrowMor:
-    a0, a1 = o.dom(), o.cod()
-    sa = sym(a0)
-    sa1 = tensor(sa, a1)
-    blocks = _box_blocks(sa, sa1, sa, sa1)  # (S (x) S (x) A1, S (x) A1 (x) S)
+def mbar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
+    sa, sa1 = sbar_spaces(a0, a1)
     entry1 = TensorM(Mult(a0), Id(a1))
     entry2 = Compose(TensorM(Mult(a0), Id(a1)),
                      TensorM(Id(sa), Sigma(a1, sa)))
     f1 = Matrix(entries=((entry1, entry2),),
-                dom_blocks=blocks,
+                dom_blocks=_box_blocks(sa, sa1, sa, sa1),  # (S (x) S (x) A1, S (x) A1 (x) S)
                 cod_blocks=(sa1,))
     return ArrowMor(Mult(a0), f1)
 
 
-def ubar(o: MorExpr) -> ArrowMor:
-    return ArrowMor(UnitM(o.dom()), ZeroM(ZERO, tensor(sym(o.dom()), o.cod())))
+def ubar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
+    return ArrowMor(UnitM(a0), ZeroM(ZERO, sbar_spaces(a0, a1)[1]))
 
 
-def dbar(o: MorExpr) -> ArrowMor:
+def dbar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
     """Deriving transformation on the arrow category."""
-    a0, a1 = o.dom(), o.cod()
-    sa = sym(a0)
-    sa1 = tensor(sa, a1)
-    blocks = _box_blocks(sa, sa1, a0, a1)  # (S (x) A1, S (x) A1 (x) A0)
+    sa, sa1 = sbar_spaces(a0, a1)
     row1 = Id(sa1)
     row2 = Compose(TensorM(Id(sa), Sigma(a0, a1)),
                    TensorM(Deriv(a0), Id(a1)))
     f1 = Matrix(entries=((row1,), (row2,)),
                 dom_blocks=(sa1,),
-                cod_blocks=blocks)
+                cod_blocks=_box_blocks(sa, sa1, a0, a1))  # (S (x) A1, S (x) A1 (x) A0)
     return ArrowMor(Deriv(a0), f1)
 
 
@@ -208,23 +203,23 @@ def dbar(o: MorExpr) -> ArrowMor:
 # Arrow-level Seely maps
 # ---------------------------------------------------------------------------
 
-def arrow_seely(p: MorExpr, q: MorExpr) -> ArrowMor:
-    a0, a1, b0, b1 = p.dom(), p.cod(), q.dom(), q.cod()
-    sa, sb = sym(a0), sym(b0)
-    blocks = _box_blocks(sa, tensor(sa, a1), sb, tensor(sb, b1))  # sbar(p), sbar(q)
+def arrow_seely(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:
+    sa, sa1 = sbar_spaces(a0, a1)
+    sb, sb1 = sbar_spaces(b0, b1)
+    _, cod = sbar_spaces(direct_sum(a0, b0), direct_sum(a1, b1))
     entry1 = TensorM(Chi(a0, b0), inj(1, (a1, b1)))
     entry2 = Compose(TensorM(Chi(a0, b0), inj(0, (a1, b1))),
                      TensorM(Id(sa), Sigma(a1, sb)))
     f1 = Matrix(entries=((entry1, entry2),),
-                dom_blocks=blocks,
-                cod_blocks=(tensor(sym(direct_sum(a0, b0)), direct_sum(a1, b1)),))
+                dom_blocks=_box_blocks(sa, sa1, sb, sb1),
+                cod_blocks=(cod,))
     return ArrowMor(Chi(a0, b0), f1)
 
 
-def arrow_seely_inv(p: MorExpr, q: MorExpr) -> ArrowMor:
-    a0, a1, b0, b1 = p.dom(), p.cod(), q.dom(), q.cod()
-    sa, sb = sym(a0), sym(b0)
-    blocks = _box_blocks(sa, tensor(sa, a1), sb, tensor(sb, b1))  # sbar(p), sbar(q)
+def arrow_seely_inv(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:
+    sa, sa1 = sbar_spaces(a0, a1)
+    sb, sb1 = sbar_spaces(b0, b1)
+    blocks = _box_blocks(sa, sa1, sb, sb1)
     sab = sym(direct_sum(a0, b0))
     g1 = compose(TensorM(Id(sab), proj(1, (a1, b1))),
                  TensorM(ChiInv(a0, b0), Id(b1)),

@@ -25,7 +25,7 @@ from .morphisms import (
     Verdict, check_equal, compose, linear_map_from_matrix,
 )
 from .arrow import (
-    VALIDATE_BOUND, ArrowMor, id_arrow, compose_arrow, commuting_square,
+    VALIDATE_BOUND, ArrowMor, id_arrow, compose_arrow, commuting_square, sbar_spaces, sbar_obj,
     boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit, arrow_check,
 )
 
@@ -218,13 +218,13 @@ def sbar_axioms(sba: SBarAlgebra) -> dict:
     algebra of the lifted monad obeys."""
     a0, a1, phi = sba.obj.dom(), sba.obj.cod(), sba.obj
     nu0, nu1 = sba.nu0, sba.nu1
-    sa = sym(a0)
+    sa, sa1 = sbar_spaces(a0, a1)
     return {
-        "sbar.square": (compose(Deriv(a0), TensorM(Id(sa), phi), nu1), compose(nu0, phi)),
+        "sbar.square": commuting_square(sbar_obj(phi), phi, ArrowMor(nu0, nu1)),
         "sbar.unit0": (compose(Eta(a0), nu0), Id(a0)),
         "sbar.unit1": (compose(TensorM(UnitM(a0), Id(a1)), nu1), Id(a1)),
         "sbar.assoc0": (compose(Mu(a0), nu0), compose(SymF(nu0), nu0)),
-        "sbar.assoc1": (compose(TensorM(Mu(a0), Id(tensor(sa, a1))),
+        "sbar.assoc1": (compose(TensorM(Mu(a0), Id(sa1)),
                                 TensorM(Mult(a0), Id(a1)), nu1),
                         compose(TensorM(SymF(nu0), nu1), nu1)),
         "sbar.aux.evaluated-unit": (compose(TensorM(nu0, Id(a1)), TensorM(Eta(a0), Id(a1)), nu1),
@@ -290,7 +290,7 @@ def monoid_axioms(mon: ArrowMonoid) -> dict:
                 cod_blocks=(a1,))
     mm = ArrowMor(mon.m0, f1)
     um = ArrowMor(mon.u0, ZeroM(ZERO, a1))
-    one = id_arrow(o)
+    one = id_arrow(a0, a1)
     return {
         "monoid.square.mult": commuting_square(boxtimes_obj(o, o), o, mm),
         "monoid.square.unit": commuting_square(boxtimes_unit(), o, um),
@@ -298,7 +298,7 @@ def monoid_axioms(mon: ArrowMonoid) -> dict:
                          compose_arrow(mm, boxtimes_mor(one, mm))),
         "monoid.unit.l": (compose_arrow(mm, boxtimes_mor(um, one)), one),
         "monoid.unit.r": (compose_arrow(mm, boxtimes_mor(one, um)), one),
-        "monoid.comm": (compose_arrow(mm, boxtimes_sigma(o, o)), mm),
+        "monoid.comm": (compose_arrow(mm, boxtimes_sigma(a0, a1, a0, a1)), mm),
         "monoid.m2-redundancy": (mon.m2, compose(Sigma(a1, a0), mon.m1)),
     }
 

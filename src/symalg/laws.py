@@ -42,13 +42,13 @@ from .spaces import (
 from .elements import singleton
 from .morphisms import (
     Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix, SymF, Eta, Mu, Mult, UnitM,
-    Deriv, Chi, ChiInv, Chi0Inv, check_equal, compose, sum_map,
+    Deriv, Chi, ChiInv, Chi0Inv, check_equal, compose,
     linear_map_from_matrix,
 )
 from .arrow import (
     id_arrow, zero_arrow, compose_arrow, add_arrow,
-    zero_obj, sbar_obj, sbar_mor, etabar, mubar,
-    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
+    sbar_spaces, sbar_obj, sbar_mor, etabar, mubar,
+    box_spaces, boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
 from .derivations import (
@@ -168,12 +168,18 @@ def _arrows(bound, ctx):
     ]
 
 
-#: The lifted monoid of an arrow o: its object sbar(o), multiplication and unit.
+def _ends(*maps):
+    """The spaces the maps run between, in order: A0, A1, B0, B1, ..."""
+    return tuple(s for m in maps for s in (m.dom(), m.cod()))
+
+
+#: The lifted monoid of an arrow o: the spaces of sbar(o), multiplication and unit.
 _LiftedMonoid = namedtuple("_LiftedMonoid", "sb m u")
 
 
 def _lifted_monoids(bound, ctx):
-    return [(n, _LiftedMonoid(sbar_obj(o), mbar(o), ubar(o))) for n, o in _arrows(bound, ctx)]
+    return [(n, _LiftedMonoid(sbar_spaces(*_ends(o)), mbar(*_ends(o)), ubar(*_ends(o))))
+            for n, o in _arrows(bound, ctx)]
 
 
 def _box_pairs(bound, ctx):
@@ -207,9 +213,9 @@ def _chi_inv(pair, ctx):
     return inv
 
 
-def _dbar(o, ctx):
-    d = dbar(o)
-    if ctx.mutation == "dbar-twist-skip" and o.dom() == o.cod():
+def _dbar(a0, a1, ctx):
+    d = dbar(a0, a1)
+    if ctx.mutation == "dbar-twist-skip" and a0 == a1:
         # The second row without its symmetry twist: typed only when A0 = A1.
         (row1,), (row2,) = d.f1.entries
         return replace(d, f1=Matrix(((row1,), (row2.f,)), d.f1.dom_blocks, d.f1.cod_blocks))
@@ -228,24 +234,26 @@ def _mubar(o, ctx):
 
 
 def _arrow_d2(o, ctx):
-    sb = sbar_obj(o)
-    d = _dbar(o, ctx)
-    t1 = boxtimes_mor(id_arrow(sb), d)
-    t2 = compose_arrow(boxtimes_mor(id_arrow(sb), boxtimes_sigma(o, sb)),
-                       boxtimes_mor(d, id_arrow(sb)))
-    rhs = compose_arrow(boxtimes_mor(mbar(o), id_arrow(o)), add_arrow(t1, t2))
-    return compose_arrow(d, mbar(o)), rhs
+    a = _ends(o)
+    sb = sbar_spaces(*a)
+    d = _dbar(*a, ctx)
+    t1 = boxtimes_mor(id_arrow(*sb), d)
+    t2 = compose_arrow(boxtimes_mor(id_arrow(*sb), boxtimes_sigma(*a, *sb)),
+                       boxtimes_mor(d, id_arrow(*sb)))
+    rhs = compose_arrow(boxtimes_mor(mbar(*a), id_arrow(*a)), add_arrow(t1, t2))
+    return compose_arrow(d, mbar(*a)), rhs
 
 
 def _arrow_d5(o, ctx):
-    d = _dbar(o, ctx)
-    inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
-    lhs = compose_arrow(boxtimes_mor(id_arrow(sbar_obj(o)), boxtimes_sigma(o, o)), inner)
+    a = _ends(o)
+    d = _dbar(*a, ctx)
+    inner = compose_arrow(boxtimes_mor(d, id_arrow(*a)), d)
+    lhs = compose_arrow(boxtimes_mor(id_arrow(*sbar_spaces(*a)), boxtimes_sigma(*a, *a)), inner)
     return lhs, inner
 
 
 def _dual_table(x, ctx):
-    tan = tangent_algebra(rational_algebra()).tangent
+    tan = tangent_algebra(rational_algebra())
     dual = dual_numbers()
     j = linear_map_from_matrix(tan.carrier, dual.carrier, ((1, 0), (0, 1)))
     return compose(tan.mult(), j), compose(TensorM(j, j), dual.mult())
@@ -356,40 +364,42 @@ _LAWS = (
 
     _eq("arrow.monad.unit.l", "lifted monad: outer unit then multiplication", _arrows,
         lambda o, ctx: (compose_arrow(_mubar(o, ctx), etabar(sbar_obj(o))),
-                        id_arrow(sbar_obj(o)))),
+                        id_arrow(*sbar_spaces(*_ends(o))))),
     _eq("arrow.monad.unit.r", "lifted monad: inner unit then multiplication", _arrows,
         lambda o, ctx: (compose_arrow(_mubar(o, ctx), sbar_mor(etabar(o))),
-                        id_arrow(sbar_obj(o)))),
+                        id_arrow(*sbar_spaces(*_ends(o))))),
     _eq("arrow.monad.assoc", "lifted monad: multiplication is associative", _arrows,
         lambda o, ctx: (compose_arrow(_mubar(o, ctx), sbar_mor(_mubar(o, ctx))),
                         compose_arrow(_mubar(o, ctx), _mubar(sbar_obj(o), ctx))),
         deep=True),
     _eq("arrow.monoid.assoc", "lifted multiplication is associative", _lifted_monoids,
-        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.m, id_arrow(x.sb))),
-                        compose_arrow(x.m, boxtimes_mor(id_arrow(x.sb), x.m)))),
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.m, id_arrow(*x.sb))),
+                        compose_arrow(x.m, boxtimes_mor(id_arrow(*x.sb), x.m)))),
     _eq("arrow.monoid.unit.l", "lifted multiplication: left unit", _lifted_monoids,
-        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.u, id_arrow(x.sb))), id_arrow(x.sb))),
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.u, id_arrow(*x.sb))), id_arrow(*x.sb))),
     _eq("arrow.monoid.unit.r", "lifted multiplication: right unit", _lifted_monoids,
-        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(id_arrow(x.sb), x.u)), id_arrow(x.sb))),
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(id_arrow(*x.sb), x.u)), id_arrow(*x.sb))),
     _eq("arrow.monoid.comm", "lifted multiplication is commutative", _lifted_monoids,
-        lambda x, ctx: (compose_arrow(x.m, boxtimes_sigma(x.sb, x.sb)), x.m)),
+        lambda x, ctx: (compose_arrow(x.m, boxtimes_sigma(*x.sb, *x.sb)), x.m)),
     _eq("arrow.monoidmorph.mult", "lifted substitution preserves multiplication", _arrows,
-        lambda o, ctx: (compose_arrow(mbar(o), boxtimes_mor(mubar(o), mubar(o))),
-                        compose_arrow(mubar(o), mbar(sbar_obj(o)))), deep=True),
+        lambda o, ctx: (compose_arrow(mbar(*_ends(o)), boxtimes_mor(mubar(o), mubar(o))),
+                        compose_arrow(mubar(o), mbar(*sbar_spaces(*_ends(o))))), deep=True),
     _eq("arrow.monoidmorph.unit", "lifted substitution preserves the unit", _arrows,
-        lambda o, ctx: (compose_arrow(mubar(o), ubar(sbar_obj(o))), ubar(o)), deep=True),
+        lambda o, ctx: (compose_arrow(mubar(o), ubar(*sbar_spaces(*_ends(o)))), ubar(*_ends(o))),
+        deep=True),
     _eq("arrow.D1", "lifted derivative of the constant vanishes", _arrows,
-        lambda o, ctx: (compose_arrow(_dbar(o, ctx), ubar(o)),
-                        zero_arrow(boxtimes_unit(), boxtimes_obj(sbar_obj(o), o)))),
+        lambda o, ctx: (compose_arrow(_dbar(*_ends(o), ctx), ubar(*_ends(o))),
+                        zero_arrow(UNIT, ZERO, *box_spaces(*sbar_spaces(*_ends(o)), *_ends(o))))),
     _eq("arrow.D2", "lifted Leibniz product rule", _arrows, _arrow_d2),
     _eq("arrow.D3", "lifted derivative of a generator", _arrows,
-        lambda o, ctx: (compose_arrow(_dbar(o, ctx), etabar(o)),
-                        boxtimes_mor(ubar(o), id_arrow(o)))),
+        lambda o, ctx: (compose_arrow(_dbar(*_ends(o), ctx), etabar(o)),
+                        boxtimes_mor(ubar(*_ends(o)), id_arrow(*_ends(o))))),
     _eq("arrow.D4", "lifted chain rule", _arrows,
-        lambda o, ctx: (compose_arrow(_dbar(o, ctx), mubar(o)),
-                        compose_arrow(boxtimes_mor(mbar(o), id_arrow(o)),
-                                      compose_arrow(boxtimes_mor(mubar(o), _dbar(o, ctx)),
-                                                    _dbar(sbar_obj(o), ctx)))), deep=True),
+        lambda o, ctx: (compose_arrow(_dbar(*_ends(o), ctx), mubar(o)),
+                        compose_arrow(boxtimes_mor(mbar(*_ends(o)), id_arrow(*_ends(o))),
+                                      compose_arrow(boxtimes_mor(mubar(o), _dbar(*_ends(o), ctx)),
+                                                    _dbar(*sbar_spaces(*_ends(o)), ctx)))),
+        deep=True),
     _eq("arrow.D5", "lifted interchange of second derivatives", _arrows, _arrow_d5),
 
     _eq("arrow.box.assoc", "box product is strictly associative", _box_pairs,
@@ -400,18 +410,22 @@ _LAWS = (
     _eq("arrow.box.unit.r", "box product: strict right unit", _box_pairs,
         lambda pair, ctx: (boxtimes_obj(pair.p, boxtimes_unit()), pair.p)),
     _eq("arrow.box.sym.invol", "box symmetry is an involution", _box_pairs,
-        lambda pair, ctx: (compose_arrow(boxtimes_sigma(pair.q, pair.p),
-                                         boxtimes_sigma(pair.p, pair.q)),
-                           id_arrow(boxtimes_obj(pair.p, pair.q)))),
+        lambda pair, ctx: (compose_arrow(boxtimes_sigma(*_ends(pair.q, pair.p)),
+                                         boxtimes_sigma(*_ends(*pair))),
+                           id_arrow(*box_spaces(*_ends(*pair))))),
     _eq("arrow.seely.iso.l", "lifted storage comparison, merge then split", _box_pairs,
-        lambda pair, ctx: (compose_arrow(arrow_seely(*pair), arrow_seely_inv(*pair)),
-                           id_arrow(sbar_obj(sum_map(*pair))))),
+        lambda pair, ctx: (compose_arrow(arrow_seely(*_ends(*pair)),
+                                         arrow_seely_inv(*_ends(*pair))),
+                           id_arrow(*sbar_spaces(direct_sum(pair.p.dom(), pair.q.dom()),
+                                                 direct_sum(pair.p.cod(), pair.q.cod()))))),
     _eq("arrow.seely.iso.r", "lifted storage comparison, split then merge", _box_pairs,
-        lambda pair, ctx: (compose_arrow(arrow_seely_inv(*pair), arrow_seely(*pair)),
-                           id_arrow(boxtimes_obj(sbar_obj(pair.p), sbar_obj(pair.q))))),
+        lambda pair, ctx: (compose_arrow(arrow_seely_inv(*_ends(*pair)),
+                                         arrow_seely(*_ends(*pair))),
+                           id_arrow(*box_spaces(*sbar_spaces(*_ends(pair.p)),
+                                                *sbar_spaces(*_ends(pair.q)))))),
     _eq("arrow.seely0", "lifted nullary comparison equals the lifted unit",
         lambda bound, ctx: [("0", None)],
-        lambda x, ctx: (arrow_seely0(), ubar(zero_obj()))),
+        lambda x, ctx: (arrow_seely0(), ubar(ZERO, ZERO))),
 
     _eq("deriv.chain-rule", "built-in derivations satisfy the chain rule", _derivations,
         lambda x, ctx: derivation_axioms(x.d)["derivation.chain-rule"]),

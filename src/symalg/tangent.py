@@ -9,8 +9,6 @@ whose second-copy-linear part is the derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .spaces import (
     SpaceExpr, base, direct_sum, tensor, sym, enumerate_basis, join_pair,
     GenIx, MonIx,
@@ -23,12 +21,6 @@ from .morphisms import (
 from .derivations import (
     SAlgebra, AModule, Derivation, VALIDATE_BOUND, s_algebra, a_module, derivation,
 )
-
-
-@dataclass(frozen=True)
-class TangentData:
-    base: SAlgebra
-    tangent: SAlgebra
 
 
 def tangent_structure_map(alg: SAlgebra) -> MorExpr:
@@ -47,11 +39,9 @@ def tangent_structure_map(alg: SAlgebra) -> MorExpr:
                   cod_blocks=(a, a))
 
 
-def tangent_algebra(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> TangentData:
+def tangent_algebra(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> SAlgebra:
     aa = direct_sum(alg.carrier, alg.carrier)
-    tan = s_algebra("tangent-" + alg.name, aa, tangent_structure_map(alg),
-                    bound=bound)
-    return TangentData(alg, tan)
+    return s_algebra("tangent-" + alg.name, aa, tangent_structure_map(alg), bound=bound)
 
 
 def tangent_module_action(module: AModule) -> MorExpr:
@@ -74,7 +64,7 @@ def tangent_module_action(module: AModule) -> MorExpr:
 
 def tangent_derivation(d: Derivation, bound: int = VALIDATE_BOUND) -> Derivation:
     """diag(D, D) between the doubled algebra and the doubled module."""
-    tan = tangent_algebra(d.algebra, bound=bound).tangent
+    tan = tangent_algebra(d.algebra, bound=bound)
     mm = direct_sum(d.module.carrier, d.module.carrier)
     module = a_module(tan, mm, tangent_module_action(d.module), bound=bound)
     return derivation(tan, module, sum_map(d.d, d.d), bound=bound)

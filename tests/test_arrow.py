@@ -14,9 +14,9 @@ from symalg.morphisms import (
 )
 from symalg.arrow import (
     ArrowMor, InvalidArrowError, arrow_mor, commuting_square, id_arrow, zero_arrow,
-    compose_arrow, add_arrow, arrow_check, zero_obj,
-    sbar_obj, sbar_mor, etabar, mubar,
-    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
+    compose_arrow, add_arrow, arrow_check,
+    sbar_spaces, sbar_obj, sbar_mor, etabar, mubar,
+    box_spaces, boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
 
@@ -29,6 +29,8 @@ SWAP = linear_map_from_matrix(B2, B2, ((0, 1), (1, 0)))
 RECT = linear_map_from_matrix(B2, B1, ((1, 2),))
 ZERO12 = ZeroM(B1, B2)
 SAMPLES = [ID1, ID2, SWAP, RECT, ZERO12]
+
+ends = laws._ends
 
 
 class TestSquares:
@@ -54,38 +56,39 @@ class TestSquares:
         # A morphism is its components, so each operation is rejected by the
         # component node or check that its spaces do not fit.
         with pytest.raises(EndpointMismatchError):
-            compose_arrow(id_arrow(q), id_arrow(p))
+            compose_arrow(id_arrow(*ends(q)), id_arrow(*ends(p)))
         with pytest.raises(EndpointMismatchError):
-            add_arrow(id_arrow(p), id_arrow(q))
+            add_arrow(id_arrow(*ends(p)), id_arrow(*ends(q)))
         with pytest.raises(EndpointMismatchError):
-            arrow_check(id_arrow(p), id_arrow(q), 2)
+            arrow_check(id_arrow(*ends(p)), id_arrow(*ends(q)), 2)
 
     def test_constructions_are_squares_between_their_objects(self):
         # Every construction that does not validate itself, and etabar and
         # mubar that do, against the source and target objects it relates.
         f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
         g = arrow_mor(SWAP, ID2, Id(B2), SWAP)
-        squares = [("seely0", boxtimes_unit(), sbar_obj(zero_obj()), arrow_seely0()),
+        squares = [("seely0", boxtimes_unit(), sbar_obj(ZeroM(ZERO, ZERO)), arrow_seely0()),
                    ("sbar_mor(f)", sbar_obj(ID2), sbar_obj(SWAP), sbar_mor(f)),
                    ("sbar_mor(g)", sbar_obj(SWAP), sbar_obj(ID2), sbar_mor(g)),
                    ("f box g", boxtimes_obj(ID2, SWAP), boxtimes_obj(SWAP, ID2),
                     boxtimes_mor(f, g))]
         for i, o in enumerate(SAMPLES):
             sb = sbar_obj(o)
-            squares += [(f"sbar_mor(id {i})", sb, sb, sbar_mor(id_arrow(o))),
+            squares += [(f"sbar_mor(id {i})", sb, sb, sbar_mor(id_arrow(*ends(o)))),
                         (f"etabar({i})", o, sb, etabar(o)),
                         (f"mubar({i})", sbar_obj(sb), sb, mubar(o)),
-                        (f"mbar({i})", boxtimes_obj(sb, sb), sb, mbar(o)),
-                        (f"ubar({i})", boxtimes_unit(), sb, ubar(o)),
-                        (f"dbar({i})", sb, boxtimes_obj(sb, o), dbar(o))]
+                        (f"mbar({i})", boxtimes_obj(sb, sb), sb, mbar(*ends(o))),
+                        (f"ubar({i})", boxtimes_unit(), sb, ubar(*ends(o))),
+                        (f"dbar({i})", sb, boxtimes_obj(sb, o), dbar(*ends(o)))]
         for i, j in combinations_with_replacement(range(len(SAMPLES)), 2):
             p, q = SAMPLES[i], SAMPLES[j]
             pq, sbox = boxtimes_obj(p, q), boxtimes_obj(sbar_obj(p), sbar_obj(q))
             ssum = sbar_obj(sum_map(p, q))
-            squares += [(f"id {i} box id {j}", pq, pq, boxtimes_mor(id_arrow(p), id_arrow(q))),
-                        (f"sigma({i}, {j})", pq, boxtimes_obj(q, p), boxtimes_sigma(p, q)),
-                        (f"seely({i}, {j})", sbox, ssum, arrow_seely(p, q)),
-                        (f"seely_inv({i}, {j})", ssum, sbox, arrow_seely_inv(p, q))]
+            squares += [(f"id {i} box id {j}", pq, pq,
+                         boxtimes_mor(id_arrow(*ends(p)), id_arrow(*ends(q)))),
+                        (f"sigma({i}, {j})", pq, boxtimes_obj(q, p), boxtimes_sigma(*ends(p, q))),
+                        (f"seely({i}, {j})", sbox, ssum, arrow_seely(*ends(p, q))),
+                        (f"seely_inv({i}, {j})", ssum, sbox, arrow_seely_inv(*ends(p, q)))]
         assert len(squares) == 94
         bad = [name for name, src, dst, m in squares
                if not check_equal(*commuting_square(src, dst, m), 2).ok]
@@ -93,16 +96,18 @@ class TestSquares:
 
     def test_lifted_object_endpoints(self):
         # The spaces of a lifted object follow from those of the maps it is
-        # built from; id_arrow and zero_arrow on it read only these.
+        # built from; sbar_spaces and box_spaces give them without building it.
         for p in SAMPLES:
             a0, a1 = p.dom(), p.cod()
             sb = sbar_obj(p)
             assert (sb.dom(), sb.cod()) == (sym(a0), tensor(sym(a0), a1))
+            assert sbar_spaces(a0, a1) == (sb.dom(), sb.cod())
             for q in SAMPLES:
                 b0, b1 = q.dom(), q.cod()
                 pq = boxtimes_obj(p, q)
                 assert pq.dom() == tensor(a0, b0)
                 assert pq.cod() == direct_sum(tensor(a0, b1), tensor(a1, b0))
+                assert box_spaces(a0, a1, b0, b1) == (pq.dom(), pq.cod())
         assert boxtimes_unit() == ZeroM(UNIT, ZERO)
 
 
@@ -121,8 +126,8 @@ class TestLiftedFunctor:
             assert apply_basis(sb, mono).is_zero()
 
     def test_functor_preserves_identity(self):
-        m = sbar_mor(id_arrow(SWAP))
-        v0, v1 = arrow_check(m, id_arrow(sbar_obj(SWAP)), 2)
+        m = sbar_mor(id_arrow(*ends(SWAP)))
+        v0, v1 = arrow_check(m, id_arrow(*sbar_spaces(*ends(SWAP))), 2)
         assert v0.ok and v1.ok
 
     def test_functor_preserves_composition(self):
@@ -140,7 +145,7 @@ class TestMonad:
         sb = sbar_obj(o)
         for lhs in [compose_arrow(mubar(o), etabar(sb)),
                     compose_arrow(mubar(o), sbar_mor(etabar(o)))]:
-            v0, v1 = arrow_check(lhs, id_arrow(sb), 2)
+            v0, v1 = arrow_check(lhs, id_arrow(*ends(sb)), 2)
             assert v0.ok and v1.ok
 
     @pytest.mark.parametrize("o", SAMPLES)
@@ -169,8 +174,8 @@ class TestMonad:
 class TestBoxProduct:
     def test_sigma_involution(self):
         for p, q in [(ID1, SWAP), (RECT, ZERO12)]:
-            lhs = compose_arrow(boxtimes_sigma(q, p), boxtimes_sigma(p, q))
-            v0, v1 = arrow_check(lhs, id_arrow(boxtimes_obj(p, q)), 2)
+            lhs = compose_arrow(boxtimes_sigma(*ends(q, p)), boxtimes_sigma(*ends(p, q)))
+            v0, v1 = arrow_check(lhs, id_arrow(*box_spaces(*ends(p, q))), 2)
             assert v0.ok and v1.ok
 
     def test_strict_associativity_and_units(self):
@@ -188,7 +193,7 @@ class TestBoxProduct:
     def test_bifunctoriality(self):
         f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
         g = arrow_mor(SWAP, ID2, Id(B2), SWAP)
-        h = id_arrow(ID1)
+        h = id_arrow(*ends(ID1))
         lhs = boxtimes_mor(compose_arrow(g, f), h)
         rhs = compose_arrow(boxtimes_mor(g, h), boxtimes_mor(f, h))
         v0, v1 = arrow_check(lhs, rhs, 2)
@@ -196,9 +201,9 @@ class TestBoxProduct:
 
     def test_sigma_naturality(self):
         f = arrow_mor(ID2, SWAP, SWAP, Id(B2))
-        h = id_arrow(ID1)
-        lhs = compose_arrow(boxtimes_sigma(SWAP, ID1), boxtimes_mor(f, h))
-        rhs = compose_arrow(boxtimes_mor(h, f), boxtimes_sigma(ID2, ID1))
+        h = id_arrow(*ends(ID1))
+        lhs = compose_arrow(boxtimes_sigma(*ends(SWAP, ID1)), boxtimes_mor(f, h))
+        rhs = compose_arrow(boxtimes_mor(h, f), boxtimes_sigma(*ends(ID2, ID1)))
         v0, v1 = arrow_check(lhs, rhs, 2)
         assert v0.ok and v1.ok
 
@@ -214,15 +219,15 @@ class TestBoxProduct:
 class TestLiftedModality:
     @pytest.mark.parametrize("o", SAMPLES)
     def test_monoid_laws(self, o):
-        sb = sbar_obj(o)
-        m, u = mbar(o), ubar(o)
-        one = id_arrow(sb)
+        sb = sbar_spaces(*ends(o))
+        m, u = mbar(*ends(o)), ubar(*ends(o))
+        one = id_arrow(*sb)
         cases = [
             (compose_arrow(m, boxtimes_mor(u, one)), one),
             (compose_arrow(m, boxtimes_mor(one, u)), one),
             (compose_arrow(m, boxtimes_mor(m, one)),
              compose_arrow(m, boxtimes_mor(one, m))),
-            (compose_arrow(m, boxtimes_sigma(sb, sb)), m),
+            (compose_arrow(m, boxtimes_sigma(*sb, *sb)), m),
         ]
         for lhs, rhs in cases:
             v0, v1 = arrow_check(lhs, rhs, 2)
@@ -230,27 +235,27 @@ class TestLiftedModality:
 
     @pytest.mark.parametrize("o", SAMPLES)
     def test_d_axioms(self, o):
-        sb = sbar_obj(o)
-        d = dbar(o)
+        sb = sbar_spaces(*ends(o))
+        d = dbar(*ends(o))
         # constant rule
         v0, v1 = arrow_check(
-            compose_arrow(d, ubar(o)),
-            zero_arrow(boxtimes_unit(), boxtimes_obj(sb, o)), 2)
+            compose_arrow(d, ubar(*ends(o))),
+            zero_arrow(UNIT, ZERO, *box_spaces(*sb, *ends(o))), 2)
         assert v0.ok and v1.ok
         # linear rule
         v0, v1 = arrow_check(
             compose_arrow(d, etabar(o)),
-            boxtimes_mor(ubar(o), id_arrow(o)), 2)
+            boxtimes_mor(ubar(*ends(o)), id_arrow(*ends(o))), 2)
         assert v0.ok and v1.ok
         # interchange
-        inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
+        inner = compose_arrow(boxtimes_mor(d, id_arrow(*ends(o))), d)
         lhs = compose_arrow(
-            boxtimes_mor(id_arrow(sb), boxtimes_sigma(o, o)), inner)
+            boxtimes_mor(id_arrow(*sb), boxtimes_sigma(*ends(o, o))), inner)
         v0, v1 = arrow_check(lhs, inner, 2)
         assert v0.ok and v1.ok
 
     def test_dbar_first_component_is_base_derivative(self):
-        d = dbar(ID1)
+        d = dbar(B1, B1)
         x = GenIx(0)
         out = apply_basis(d.f0, MonIx((x, x)))
         assert out == singleton(tensor(sym(B1), B1),
@@ -258,12 +263,12 @@ class TestLiftedModality:
 
     def test_mutated_dbar_fails_interchange(self):
         o = ID2
-        d = laws._dbar(o, laws.LawContext(mutation="dbar-twist-skip"))
-        assert d.f1 != dbar(o).f1
-        sb = sbar_obj(o)
-        inner = compose_arrow(boxtimes_mor(d, id_arrow(o)), d)
+        d = laws._dbar(*ends(o), laws.LawContext(mutation="dbar-twist-skip"))
+        assert d.f1 != dbar(*ends(o)).f1
+        sb = sbar_spaces(*ends(o))
+        inner = compose_arrow(boxtimes_mor(d, id_arrow(*ends(o))), d)
         lhs = compose_arrow(
-            boxtimes_mor(id_arrow(sb), boxtimes_sigma(o, o)), inner)
+            boxtimes_mor(id_arrow(*sb), boxtimes_sigma(*ends(o, o))), inner)
         v0, v1 = arrow_check(lhs, inner, 2)
         assert v0.ok and not v1.ok
         assert v1.witness is not None
@@ -272,15 +277,16 @@ class TestLiftedModality:
 class TestArrowSeely:
     @pytest.mark.parametrize("p,q", [(ID1, ID1), (ID1, SWAP), (RECT, ZERO12)])
     def test_round_trips(self, p, q):
-        chi = arrow_seely(p, q)
-        inv = arrow_seely_inv(p, q)
+        chi = arrow_seely(*ends(p, q))
+        inv = arrow_seely_inv(*ends(p, q))
         v0, v1 = arrow_check(compose_arrow(inv, chi),
-                             id_arrow(boxtimes_obj(sbar_obj(p), sbar_obj(q))), 2)
+                             id_arrow(*box_spaces(*sbar_spaces(*ends(p)),
+                                                  *sbar_spaces(*ends(q)))), 2)
         assert v0.ok and v1.ok
         v0, v1 = arrow_check(compose_arrow(chi, inv),
-                             id_arrow(sbar_obj(sum_map(p, q))), 2)
+                             id_arrow(*ends(sbar_obj(sum_map(p, q)))), 2)
         assert v0.ok and v1.ok
 
     def test_nullary_equals_lifted_unit(self):
-        v0, v1 = arrow_check(arrow_seely0(), ubar(zero_obj()), 3)
+        v0, v1 = arrow_check(arrow_seely0(), ubar(ZERO, ZERO), 3)
         assert v0.ok and v1.ok

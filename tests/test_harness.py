@@ -221,6 +221,21 @@ run_suite(load_config(None, {"bound": 2}))
 print(sum(map(len, morphisms._MEMO.values())), len(spaces._TABLE))
 """
 
+#: Runs the default suite at bound 2; prints, by class, the interned maps
+#: other than ZeroM blocks that have no apply_basis memo entry: those built
+#: and never evaluated.
+_COUNT_UNEVALUATED = """
+import json
+from collections import Counter
+from symalg import morphisms, spaces
+from symalg.harness import load_config, run_suite
+
+run_suite(load_config(None, {"bound": 2}))
+print(json.dumps(Counter(type(n).__name__ for n in spaces._TABLE.values()
+                         if isinstance(n, morphisms.MorExpr)
+                         and type(n) is not morphisms.ZeroM and n not in morphisms._MEMO)))
+"""
+
 #: Runs the default suite at bound 2 twice; prints the entries each memo
 #: gained on the second run and whether the stripped reports are equal.
 _RERUN_MEMO = """
@@ -402,7 +417,22 @@ class TestRunner:
     def test_memo_and_intern_table_hold_the_same_work(self):
         # The counts the process-wide evaluation memo and intern table had
         # after this run; neither may depend on hash order.
-        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3411"]
+        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3376"]
+
+    @pytest.mark.hash_order
+    def test_maps_built_and_never_evaluated(self):
+        # Matrix skips its ZeroM blocks by design.  Of the rest, 12 Ids are
+        # the Id side of a whiskering, which the whisker rule never
+        # evaluates.  20 TensorMs are Matrix blocks over ZERO, which
+        # boxtimes_mor builds on the zero second component of ubar (12) or of
+        # a box monoid's unit (8).  8 Composes are second components over ZERO
+        # of arrow.D1 and arrow.monoidmorph.unit, which check_equal decides
+        # on no basis vector.  12 Composes and 4 TensorMs are the two
+        # aux diagrams of the S-bar algebras that deriv.roundtrip.nu1 builds:
+        # sbar_algebra builds them and does not validate them.  A lifted
+        # object built only to read its spaces would add to these.
+        got = json.loads(_fresh_process(_COUNT_UNEVALUATED))
+        assert got == {"Compose": 20, "Id": 12, "TensorM": 24}
 
     def test_second_identical_run_adds_no_memo_entry(self):
         # Every image and every verdict of the second run is a hit.
