@@ -9,7 +9,11 @@ the zero object.  All arrow-level laws are pairs of base-level diagram
 checks, one per component.
 
 Constructions that read only spaces take them, (A0, A1) or (A0, A1, B0,
-B1); sbar_spaces and box_spaces give a lifted object's spaces.
+B1); sbar_spaces and box_spaces give a lifted object's spaces.  Block maps
+between biproducts are Matrix nodes, whose entries fix their blocks.  A
+component whose spaces do not fit raises EndpointMismatchError from the
+node or check that reads it; InvalidArrowError means a square that does
+not commute.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
     Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
-    check_equal, compose, inj, proj,
+    check_equal, compose, sum_map, inj, proj,
 )
 
 #: Weight bound at which constructions validate their defining equations:
@@ -44,11 +48,8 @@ class ArrowMor:
 
 
 def arrow_mor(src: MorExpr, dst: MorExpr, f0: MorExpr, f1: MorExpr) -> ArrowMor:
-    """Build an arrow morphism, validating the commuting square."""
-    if f0.dom() != src.dom() or f0.cod() != dst.dom():
-        raise InvalidArrowError("f0 endpoints do not match the arrow objects")
-    if f1.dom() != src.cod() or f1.cod() != dst.cod():
-        raise InvalidArrowError("f1 endpoints do not match the arrow objects")
+    """Build an arrow morphism, validating the commuting square; a component
+    whose spaces do not fit is rejected by the square's nodes or check."""
     m = ArrowMor(f0, f1)
     v = check_equal(*commuting_square(src, dst, m), VALIDATE_BOUND)
     if not v.ok:
@@ -134,37 +135,19 @@ def box_spaces(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr):
 
 
 def boxtimes_obj(p: MorExpr, q: MorExpr) -> MorExpr:
-    a0, b0 = p.dom(), q.dom()
-    return Matrix(
-        entries=((TensorM(Id(a0), q),),
-                 (TensorM(p, Id(b0)),)),
-        dom_blocks=(tensor(a0, b0),),
-        cod_blocks=_box_blocks(a0, p.cod(), b0, q.cod()),
-    )
+    return Matrix(((TensorM(Id(p.dom()), q),),
+                   (TensorM(p, Id(q.dom())),)))
 
 
 def boxtimes_mor(m: ArrowMor, n: ArrowMor) -> ArrowMor:
-    sb = _box_blocks(m.f0.dom(), m.f1.dom(), n.f0.dom(), n.f1.dom())
-    db = _box_blocks(m.f0.cod(), m.f1.cod(), n.f0.cod(), n.f1.cod())
-    f1 = Matrix(
-        entries=((TensorM(m.f0, n.f1), ZeroM(sb[1], db[0])),
-                 (ZeroM(sb[0], db[1]), TensorM(m.f1, n.f0))),
-        dom_blocks=sb,
-        cod_blocks=db,
-    )
-    return ArrowMor(TensorM(m.f0, n.f0), f1)
+    return ArrowMor(TensorM(m.f0, n.f0), sum_map(TensorM(m.f0, n.f1), TensorM(m.f1, n.f0)))
 
 
 def boxtimes_sigma(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:
     """The symmetry p (x) q -> q (x) p for any p: A0 -> A1 and q: B0 -> B1."""
-    sb = _box_blocks(a0, a1, b0, b1)
-    db = _box_blocks(b0, b1, a0, a1)
-    f1 = Matrix(
-        entries=((ZeroM(sb[0], db[0]), Sigma(a1, b0)),
-                 (Sigma(a0, b1), ZeroM(sb[1], db[1]))),
-        dom_blocks=sb,
-        cod_blocks=db,
-    )
+    s, t = Sigma(a1, b0), Sigma(a0, b1)
+    f1 = Matrix(((ZeroM(t.dom(), s.cod()), s),
+                 (t, ZeroM(s.dom(), t.cod()))))
     return ArrowMor(Sigma(a0, b0), f1)
 
 
@@ -173,14 +156,10 @@ def boxtimes_sigma(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -
 # ---------------------------------------------------------------------------
 
 def mbar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
-    sa, sa1 = sbar_spaces(a0, a1)
+    sa = sym(a0)
     entry1 = TensorM(Mult(a0), Id(a1))
-    entry2 = Compose(TensorM(Mult(a0), Id(a1)),
-                     TensorM(Id(sa), Sigma(a1, sa)))
-    f1 = Matrix(entries=((entry1, entry2),),
-                dom_blocks=_box_blocks(sa, sa1, sa, sa1),  # (S (x) S (x) A1, S (x) A1 (x) S)
-                cod_blocks=(sa1,))
-    return ArrowMor(Mult(a0), f1)
+    entry2 = Compose(entry1, TensorM(Id(sa), Sigma(a1, sa)))
+    return ArrowMor(Mult(a0), Matrix(((entry1, entry2),)))
 
 
 def ubar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
@@ -190,13 +169,9 @@ def ubar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
 def dbar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
     """Deriving transformation on the arrow category."""
     sa, sa1 = sbar_spaces(a0, a1)
-    row1 = Id(sa1)
     row2 = Compose(TensorM(Id(sa), Sigma(a0, a1)),
                    TensorM(Deriv(a0), Id(a1)))
-    f1 = Matrix(entries=((row1,), (row2,)),
-                dom_blocks=(sa1,),
-                cod_blocks=_box_blocks(sa, sa1, a0, a1))  # (S (x) A1, S (x) A1 (x) A0)
-    return ArrowMor(Deriv(a0), f1)
+    return ArrowMor(Deriv(a0), Matrix(((Id(sa1),), (row2,))))
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +179,10 @@ def dbar(a0: SpaceExpr, a1: SpaceExpr) -> ArrowMor:
 # ---------------------------------------------------------------------------
 
 def arrow_seely(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:
-    sa, sa1 = sbar_spaces(a0, a1)
-    sb, sb1 = sbar_spaces(b0, b1)
-    _, cod = sbar_spaces(direct_sum(a0, b0), direct_sum(a1, b1))
     entry1 = TensorM(Chi(a0, b0), inj(1, (a1, b1)))
     entry2 = Compose(TensorM(Chi(a0, b0), inj(0, (a1, b1))),
-                     TensorM(Id(sa), Sigma(a1, sb)))
-    f1 = Matrix(entries=((entry1, entry2),),
-                dom_blocks=_box_blocks(sa, sa1, sb, sb1),
-                cod_blocks=(cod,))
-    return ArrowMor(Chi(a0, b0), f1)
+                     TensorM(Id(sym(a0)), Sigma(a1, sym(b0))))
+    return ArrowMor(Chi(a0, b0), Matrix(((entry1, entry2),)))
 
 
 def arrow_seely_inv(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:

@@ -165,9 +165,12 @@ def a_module(algebra: SAlgebra, carrier: SpaceExpr, alpha: MorExpr,
 
 @dataclass(frozen=True)
 class Derivation:
-    algebra: SAlgebra
     module: AModule
     d: MorExpr  # A -> M
+
+    @property
+    def algebra(self) -> SAlgebra:
+        return self.module.algebra
 
 
 def derivation_axioms(d: Derivation) -> dict:
@@ -183,10 +186,10 @@ def derivation_axioms(d: Derivation) -> dict:
     }
 
 
-def derivation(algebra: SAlgebra, module: AModule, d: MorExpr,
-               bound: int = VALIDATE_BOUND) -> Derivation:
-    """Validate the constant rule and the Leibniz rule."""
-    der = Derivation(algebra, module, d)
+def derivation(module: AModule, d: MorExpr, bound: int = VALIDATE_BOUND) -> Derivation:
+    """A derivation of module's algebra into module; validates the constant
+    rule and the Leibniz rule."""
+    der = Derivation(module, d)
     _validate(derivation_axioms(der), bound,
               names=("derivation.constant", "derivation.leibniz"))
     return der
@@ -214,11 +217,10 @@ class SBarAlgebra:
 
 
 def sbar_axioms(sba: SBarAlgebra) -> dict:
-    """The five defining diagrams, then two derived ones that every valid
-    algebra of the lifted monad obeys."""
+    """The five defining diagrams of an algebra of the lifted monad."""
     a0, a1, phi = sba.obj.dom(), sba.obj.cod(), sba.obj
     nu0, nu1 = sba.nu0, sba.nu1
-    sa, sa1 = sbar_spaces(a0, a1)
+    sa1 = sbar_spaces(a0, a1)[1]
     return {
         "sbar.square": commuting_square(sbar_obj(phi), phi, ArrowMor(nu0, nu1)),
         "sbar.unit0": (compose(Eta(a0), nu0), Id(a0)),
@@ -227,18 +229,24 @@ def sbar_axioms(sba: SBarAlgebra) -> dict:
         "sbar.assoc1": (compose(TensorM(Mu(a0), Id(sa1)),
                                 TensorM(Mult(a0), Id(a1)), nu1),
                         compose(TensorM(SymF(nu0), nu1), nu1)),
+    }
+
+
+def sbar_aux_axioms(sba: SBarAlgebra) -> dict:
+    """Two derived diagrams that every valid algebra of the lifted monad obeys."""
+    a0, a1, nu0, nu1 = sba.obj.dom(), sba.obj.cod(), sba.nu0, sba.nu1
+    return {
         "sbar.aux.evaluated-unit": (compose(TensorM(nu0, Id(a1)), TensorM(Eta(a0), Id(a1)), nu1),
                                     nu1),
         "sbar.aux.mult-action": (compose(TensorM(Mult(a0), Id(a1)), nu1),
-                                 compose(TensorM(Id(sa), nu1), nu1)),
+                                 compose(TensorM(Id(sym(a0)), nu1), nu1)),
     }
 
 
 def sbar_algebra(obj: MorExpr, nu0: MorExpr, nu1: MorExpr,
                  bound: int = VALIDATE_BOUND) -> SBarAlgebra:
     sba = SBarAlgebra(obj, nu0, nu1)
-    eqs = sbar_axioms(sba)
-    _validate(eqs, bound, names=list(eqs)[:5])  # the two aux diagrams follow from these
+    _validate(sbar_axioms(sba), bound)
     return sba
 
 
@@ -257,7 +265,7 @@ def algebra_to_derivation(sba: SBarAlgebra, bound: int = VALIDATE_BOUND) -> Deri
     alg = s_algebra("from-sbar", phi.dom(), sba.nu0, bound=bound)
     alpha = compose(TensorM(Eta(phi.dom()), Id(phi.cod())), sba.nu1)
     module = a_module(alg, phi.cod(), alpha, bound=bound)
-    return derivation(alg, module, phi, bound=bound)
+    return derivation(module, phi, bound=bound)
 
 
 def derivation_to_algebra(d: Derivation, bound: int = VALIDATE_BOUND) -> SBarAlgebra:
@@ -285,10 +293,7 @@ def monoid_axioms(mon: ArrowMonoid) -> dict:
     commutative-monoid diagrams, and m2 is m1 after the symmetry swap."""
     o = mon.obj
     a0, a1 = o.dom(), o.cod()
-    f1 = Matrix(entries=((mon.m1, mon.m2),),
-                dom_blocks=(tensor(a0, a1), tensor(a1, a0)),
-                cod_blocks=(a1,))
-    mm = ArrowMor(mon.m0, f1)
+    mm = ArrowMor(mon.m0, Matrix(((mon.m1, mon.m2),)))
     um = ArrowMor(mon.u0, ZeroM(ZERO, a1))
     one = id_arrow(a0, a1)
     return {
@@ -333,7 +338,7 @@ def monoid_to_derivation(mon: ArrowMonoid, algebra: SAlgebra,
                "monoid.matches-unit": (algebra.unit(), mon.u0),
                "monoid.m2-redundancy": monoid_axioms(mon)["monoid.m2-redundancy"]}, bound)
     module = a_module(algebra, mon.obj.cod(), mon.m1, bound=bound)
-    return derivation(algebra, module, mon.obj, bound=bound)
+    return derivation(module, mon.obj, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +390,7 @@ def formal_derivative(bound: int = VALIDATE_BOUND) -> Derivation:
     module = a_module(alg, sym(v), Mult(v), bound=bound)
     counit = linear_map_from_matrix(v, UNIT, ((1,),))
     d = compose(Deriv(v), TensorM(Id(sym(v)), counit))
-    return derivation(alg, module, d, bound=bound)
+    return derivation(module, d, bound=bound)
 
 
 def deriving_map_derivation(v: SpaceExpr, bound: int = VALIDATE_BOUND) -> Derivation:
@@ -393,14 +398,14 @@ def deriving_map_derivation(v: SpaceExpr, bound: int = VALIDATE_BOUND) -> Deriva
     alg = free_algebra(v, name="free", bound=bound)
     module = a_module(alg, tensor(sym(v), v),
                       TensorM(Mult(v), Id(v)), bound=bound)
-    return derivation(alg, module, Deriv(v), bound=bound)
+    return derivation(module, Deriv(v), bound=bound)
 
 
 def zero_derivation(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
     """The zero map, a derivation of any algebra into itself."""
     a = alg.carrier
     module = a_module(alg, a, alg.mult(), bound=bound)
-    return derivation(alg, module, ZeroM(a, a), bound=bound)
+    return derivation(module, ZeroM(a, a), bound=bound)
 
 
 def builtin_derivations(bound: int = VALIDATE_BOUND):

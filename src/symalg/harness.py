@@ -163,7 +163,7 @@ def _load_derivation(entry, algebras: dict):
     d = linear_map_from_matrix(a, a, [[_rational(x) for x in row] for row in matrix])
     try:
         module = a_module(alg, a, alg.mult())
-        return name, derivation(alg, module, d)
+        return name, derivation(module, d)
     except InvalidStructureError as e:
         raise ConfigError(f"derivation {name!r} rejected: {e}") from e
 

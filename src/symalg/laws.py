@@ -53,7 +53,7 @@ from .arrow import (
 )
 from .derivations import (
     SAlgebra, Derivation, both, decide, algebra_axioms, derivation_axioms,
-    sbar_axioms, monoid_axioms, builtin_algebras, builtin_derivations,
+    sbar_aux_axioms, monoid_axioms, builtin_algebras, builtin_derivations,
     derivation_to_algebra, algebra_to_derivation, derivation_to_monoid,
     monoid_to_derivation, rational_algebra, dual_numbers,
 )
@@ -218,7 +218,7 @@ def _dbar(a0, a1, ctx):
     if ctx.mutation == "dbar-twist-skip" and a0 == a1:
         # The second row without its symmetry twist: typed only when A0 = A1.
         (row1,), (row2,) = d.f1.entries
-        return replace(d, f1=Matrix(((row1,), (row2.f,)), d.f1.dom_blocks, d.f1.cod_blocks))
+        return replace(d, f1=Matrix(((row1,), (row2.f,))))
     return d
 
 
@@ -438,9 +438,9 @@ _LAWS = (
         _derivations, lambda x, ctx: (derivation_to_algebra(algebra_to_derivation(
             x.sba, bound=x.bound), bound=x.bound).nu1, x.sba.nu1)),
     _eq("sbar.aux.evaluated-unit", "derived diagram: evaluate, re-embed, act equals act",
-        _derivations, lambda x, ctx: sbar_axioms(x.sba)["sbar.aux.evaluated-unit"]),
+        _derivations, lambda x, ctx: sbar_aux_axioms(x.sba)["sbar.aux.evaluated-unit"]),
     _eq("sbar.aux.mult-action", "derived diagram: acting by a product equals acting twice",
-        _derivations, lambda x, ctx: sbar_axioms(x.sba)["sbar.aux.mult-action"]),
+        _derivations, lambda x, ctx: sbar_aux_axioms(x.sba)["sbar.aux.mult-action"]),
     _eq("boxmonoid.assoc", "box monoid from a derivation: associativity", _derivations,
         lambda x, ctx: monoid_axioms(x.box)["monoid.assoc"]),
     _eq("boxmonoid.unit.l", "box monoid from a derivation: left unit", _derivations,

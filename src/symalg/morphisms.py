@@ -146,33 +146,36 @@ class Sigma(MorExpr):
 
 @node
 class Matrix(MorExpr):
-    """Block matrix over biproducts: entry (i, j) maps dom block j to cod block i."""
+    """Block matrix over biproducts: entry (i, j) maps dom block j to cod block i.
+    Row 0 fixes the domain blocks and column 0 the codomain blocks."""
 
     entries: tuple  # rows of tuples of MorExpr
-    dom_blocks: tuple
-    cod_blocks: tuple
 
     def _endpoints(self):
-        # Layout: (where, columns).  where[k] is (j, t) for term k of the
-        # domain, term t of dom block j; columns[j] lists (entry, cod block,
-        # offset of the block's first term in the codomain) for the nonzero
-        # entries of column j.
-        _require(len(self.entries) == len(self.cod_blocks), "matrix row count mismatch")
-        columns = tuple([] for _ in self.dom_blocks)
+        # Layout: (where, columns).  where[k] is (j, dom block j, t) for term k
+        # of the domain, term t of dom block j; columns[j] lists (entry, cod
+        # block, offset of the block's first term in the codomain) for the
+        # nonzero entries of column j.
+        _require(self.entries and self.entries[0], "a matrix needs a row and a column")
+        dom_blocks = tuple(entry.dom() for entry in self.entries[0])
+        cod_blocks = []
+        columns = tuple([] for _ in dom_blocks)
         offset = 0
-        for i, (row, block) in enumerate(zip(self.entries, self.cod_blocks)):
-            _require(len(row) == len(self.dom_blocks), "matrix column count mismatch")
+        for i, row in enumerate(self.entries):
+            _require(len(row) == len(dom_blocks), "matrix column count mismatch")
+            block = row[0].cod()
+            cod_blocks.append(block)
             for j, entry in enumerate(row):
-                _require(entry.dom() == self.dom_blocks[j],
+                _require(entry.dom() == dom_blocks[j],
                          f"matrix entry ({i},{j}) domain mismatch")
                 _require(entry.cod() == block,
                          f"matrix entry ({i},{j}) codomain mismatch")
                 if not isinstance(entry, ZeroM):
                     columns[j].append((entry, block, offset))
             offset += len(terms(block))
-        where = tuple((j, t) for j, block in enumerate(self.dom_blocks)
+        where = tuple((j, block, t) for j, block in enumerate(dom_blocks)
                       for t in range(len(terms(block))))
-        return (direct_sum(*self.dom_blocks), direct_sum(*self.cod_blocks),
+        return (direct_sum(*dom_blocks), direct_sum(*cod_blocks),
                 (where, tuple(map(tuple, columns))))
 
 
@@ -368,8 +371,8 @@ def _matrix(m, bv):
     k, inner = decompose_sum(bv, m.dom())
     if k >= len(where):
         raise ValueError("term index out of range for block structure")
-    j, t = where[k]
-    x = build_sum(m.dom_blocks[j], t, inner)
+    j, block, t = where[k]
+    x = build_sum(block, t, inner)
     cod = m.cod()
     column = columns[j]
     if len(column) == 1 and column[0][1] is cod:  # already an element of cod
@@ -479,19 +482,16 @@ def compose(*ms: MorExpr) -> MorExpr:
 
 def sum_map(f: MorExpr, g: MorExpr) -> Matrix:
     """Pointwise biproduct of maps, f (+) g, as a block-diagonal matrix."""
-    return Matrix(entries=((f, ZeroM(g.dom(), f.cod())),
-                           (ZeroM(f.dom(), g.cod()), g)),
-                  dom_blocks=(f.dom(), g.dom()),
-                  cod_blocks=(f.cod(), g.cod()))
+    return Matrix(((f, ZeroM(g.dom(), f.cod())),
+                   (ZeroM(f.dom(), g.cod()), g)))
 
 
 def inj(i: int, summands: tuple) -> Matrix:
     """Injection of summands[i] into direct_sum(*summands): a column matrix."""
     _require(0 <= i < len(summands), "injection index out of range")
     s = summands[i]
-    return Matrix(entries=tuple((Id(s) if k == i else ZeroM(s, t),)
-                                for k, t in enumerate(summands)),
-                  dom_blocks=(s,), cod_blocks=summands)
+    return Matrix(tuple((Id(s) if k == i else ZeroM(s, t),)
+                        for k, t in enumerate(summands)))
 
 
 def Chi(a: SpaceExpr, b: SpaceExpr) -> MorExpr:
@@ -505,9 +505,8 @@ def proj(i: int, summands: tuple) -> Matrix:
     """Projection of direct_sum(*summands) onto summands[i]: a row matrix."""
     _require(0 <= i < len(summands), "projection index out of range")
     s = summands[i]
-    return Matrix(entries=(tuple(Id(s) if k == i else ZeroM(t, s)
-                                 for k, t in enumerate(summands)),),
-                  dom_blocks=summands, cod_blocks=(s,))
+    return Matrix((tuple(Id(s) if k == i else ZeroM(t, s)
+                         for k, t in enumerate(summands)),))
 
 
 def linear_map_from_matrix(dom: SpaceExpr, cod: SpaceExpr, entries) -> LinearMap:

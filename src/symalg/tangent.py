@@ -34,9 +34,7 @@ def tangent_structure_map(alg: SAlgebra) -> MorExpr:
                      TensorM(SymF(p1), p2),
                      TensorM(alg.nu, Id(a)),
                      alg.mult())
-    return Matrix(entries=((first,), (second,)),
-                  dom_blocks=(sym(aa),),
-                  cod_blocks=(a, a))
+    return Matrix(((first,), (second,)))
 
 
 def tangent_algebra(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> SAlgebra:
@@ -52,14 +50,9 @@ def tangent_module_action(module: AModule) -> MorExpr:
     acts on both components, the second copy feeds the first component
     into the second and annihilates the rest.
     """
-    a = module.algebra.carrier
-    m = module.carrier
-    am = tensor(a, m)
-    al = module.alpha
-    z = ZeroM(am, m)
-    return Matrix(entries=((al, z, z, z), (z, al, al, z)),
-                  dom_blocks=(am, am, am, am),
-                  cod_blocks=(m, m))
+    a, m, al = module.algebra.carrier, module.carrier, module.alpha
+    z = ZeroM(tensor(a, m), m)
+    return Matrix(((al, z, z, z), (z, al, al, z)))
 
 
 def tangent_derivation(d: Derivation, bound: int = VALIDATE_BOUND) -> Derivation:
@@ -67,7 +60,7 @@ def tangent_derivation(d: Derivation, bound: int = VALIDATE_BOUND) -> Derivation
     tan = tangent_algebra(d.algebra, bound=bound)
     mm = direct_sum(d.module.carrier, d.module.carrier)
     module = a_module(tan, mm, tangent_module_action(d.module), bound=bound)
-    return derivation(tan, module, sum_map(d.d, d.d), bound=bound)
+    return derivation(module, sum_map(d.d, d.d), bound=bound)
 
 
 def multiplication_table(alg: SAlgebra):

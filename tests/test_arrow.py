@@ -47,8 +47,14 @@ class TestSquares:
         assert exc.value.verdict.witness is not None
 
     def test_endpoint_mismatch_rejected(self):
-        with pytest.raises(InvalidArrowError):
-            arrow_mor(ID1, ID2, Id(B1), Id(B1))
+        # ID1 -> ID1 with one component endpoint moved to B2: the square's
+        # Compose nodes or its check reject each of the four.
+        for f0, f1, message in [(ZeroM(B2, B1), ID1, "^domain mismatch"),  # f0 dom
+                                (ZeroM(B1, B2), ID1, "^compose mismatch"),  # f0 cod
+                                (ID1, ZeroM(B2, B1), "^compose mismatch"),  # f1 dom
+                                (ID1, ZeroM(B1, B2), "^codomain mismatch")]:  # f1 cod
+            with pytest.raises(EndpointMismatchError, match=message):
+                arrow_mor(ID1, ID1, f0, f1)
 
     # (ID1, ID2) differ in both components; (RECT, ID2) only in the second.
     @pytest.mark.parametrize("p,q", [(ID1, ID2), (RECT, ID2)])

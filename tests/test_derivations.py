@@ -18,7 +18,7 @@ from symalg.derivations import (
     sbar_algebra, algebra_to_derivation, derivation_to_algebra,
     derivation_to_monoid, monoid_to_derivation,
     decide_all, table_axioms, algebra_axioms, module_axioms, derivation_axioms,
-    derivation_map_axioms, sbar_axioms, sbar_map_axioms, monoid_axioms,
+    derivation_map_axioms, sbar_axioms, sbar_aux_axioms, sbar_map_axioms, monoid_axioms,
     rational_algebra, dual_numbers, square_zero_extension,
     builtin_algebras, builtin_derivations,
     formal_derivative, deriving_map_derivation, zero_derivation,
@@ -106,12 +106,20 @@ class TestDerivations:
         # squaring-degree map is not a derivation
         bad = SymF(linear_map_from_matrix(B1, B1, ((2,),)))
         with pytest.raises(InvalidStructureError) as exc:
-            derivation(alg, module, bad)
+            derivation(module, bad)
         assert exc.value.diagram in ("derivation.constant", "derivation.leibniz")
 
     def test_zero_derivation_passes_trivially(self):
         d = zero_derivation(rational_algebra())
         assert chain_rule(d, 3)
+        sba = derivation_to_algebra(d)
+        assert holds({**sbar_axioms(sba), **sbar_aux_axioms(sba)}, 3)
+
+    def test_algebra_is_the_modules(self):
+        module = a_module(free_algebra(B1), sym(B1), Mult(B1))
+        d = derivation(module, ZeroM(sym(B1), sym(B1)))
+        assert d.algebra is module.algebra
+        assert Derivation.__match_args__ == ("module", "d")
 
     def test_deriving_map_is_chain_rule_derivation(self):
         d = deriving_map_derivation(base("v", 2))
@@ -129,13 +137,13 @@ class TestAlgebraDictionary:
     def test_aux_diagrams_hold(self):
         for d in builtin_derivations():
             sba = derivation_to_algebra(d)
-            for name, v in decide_all(sbar_axioms(sba), 2):
+            for name, v in decide_all({**sbar_axioms(sba), **sbar_aux_axioms(sba)}, 2):
                 assert v.ok, name
 
     def test_non_derivation_rejected(self):
         alg = free_algebra(B1)
         module = a_module(alg, sym(B1), Mult(B1))
-        fake = Derivation(alg, module, Id(sym(B1)))  # identity is not a derivation
+        fake = Derivation(module, Id(sym(B1)))  # identity is not a derivation
         with pytest.raises(InvalidStructureError):
             derivation_to_algebra(fake)
 
@@ -232,17 +240,16 @@ def _case_derivation():
     alg = free_algebra(B1)
     module = a_module(alg, sym(B1), Mult(B1))
     bad = SymF(linear_map_from_matrix(B1, B1, ((2,),)))
-    eqs = derivation_axioms(Derivation(alg, module, bad))
-    return (lambda: derivation(alg, module, bad),
+    eqs = derivation_axioms(Derivation(module, bad))
+    return (lambda: derivation(module, bad),
             {k: eqs[k] for k in PLAIN})
 
 
 def _case_sbar_algebra():
     sba = derivation_to_algebra(formal_derivative())
     nu1 = _doubled(sba.nu1)
-    eqs = sbar_axioms(SBarAlgebra(sba.obj, sba.nu0, nu1))
     return (lambda: sbar_algebra(sba.obj, sba.nu0, nu1),
-            {k: eqs[k] for k in list(eqs)[:5]})
+            sbar_axioms(SBarAlgebra(sba.obj, sba.nu0, nu1)))
 
 
 def _m2_dropped(mon):
@@ -262,7 +269,7 @@ def _case_monoid_to_derivation():
                       m2_dropped.m2, m2_dropped.u0)
     alg = d.algebra
     module = AModule(alg, bad.obj.cod(), bad.m1)
-    eqs = derivation_axioms(Derivation(alg, module, bad.obj))
+    eqs = derivation_axioms(Derivation(module, bad.obj))
     table = {"monoid.matches-mult": (alg.mult(), bad.m0),
              "monoid.matches-unit": (alg.unit(), bad.u0),
              "monoid.m2-redundancy": monoid_axioms(bad)["monoid.m2-redundancy"],

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,39 @@ def test_no_unused_import():
              for name in unused_imports(path.read_text(encoding="utf-8"))
              if (path.name, name) not in EXEMPT]
     assert found == []
+
+
+def unread_private_names(sources: dict):
+    """The module-level `_names` (not dunders) that sources, {file name:
+    source}, define and never read, as sorted "file: name" strings.  A read
+    is a loaded name or an attribute of that name in any of the sources."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        found += [f"{name}: {d}" for d in defined - read
+                  if d.startswith("_") and not d.startswith("__")]
+    return sorted(found)
+
+
+def test_no_unread_private_name():
+    sample = {"a.py": "_used, _dead = 1, 2\n__all__ = []\nclass _C: pass\n"
+                      "def _f():\n    return _used\n",
+              "b.py": "import a\nfrom a import _f\n_f()\na._C\n_gone: int = 0\n"}
+    assert unread_private_names(sample) == ["a.py: _dead", "b.py: _gone"]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PKG.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -105,7 +105,7 @@ class TestInterning:
         calls = []
         real = Matrix._endpoints
         monkeypatch.setattr(Matrix, "_endpoints", lambda self: calls.append(1) or real(self))
-        again = Matrix(entries=m.entries, dom_blocks=m.dom_blocks, cod_blocks=m.cod_blocks)
+        again = Matrix(entries=m.entries)
         assert again is m and again is inj(0, (B1, B2))
         assert calls == []
 

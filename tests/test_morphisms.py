@@ -142,9 +142,7 @@ class TestSymmetryAndBiproducts:
         f = linear_map_from_matrix(B1, B2, ((1,), (2,)))
         g = linear_map_from_matrix(B2, B2, ((0, 1), (1, 0)))
         blocks_in = (B1, B2)
-        blocks_out = (B2,)
-        m = Matrix(entries=((f, g),), dom_blocks=blocks_in,
-                   cod_blocks=blocks_out)
+        m = Matrix(((f, g),))
         manual = Add(compose(proj(0, blocks_in), f),
                      compose(proj(1, blocks_in), g))
         assert check_equal(m, manual, 1).ok
@@ -193,25 +191,43 @@ def _embed(blocks, j, x):
 
 def _matrix_reference(m, bound):
     """{domain basis vector: image}, built block by block from the entries."""
+    dom_blocks = [entry.dom() for entry in m.entries[0]]
+    cod_blocks = [row[0].cod() for row in m.entries]
     out = {}
-    for j, dblock in enumerate(m.dom_blocks):
+    for j, dblock in enumerate(dom_blocks):
         for x in enumerate_basis(dblock, bound):
-            image = {_embed(m.cod_blocks, i, y): c
+            image = {_embed(cod_blocks, i, y): c
                      for i, row in enumerate(m.entries)
                      for y, c in apply_basis(row[j], x).coeffs}
-            out[_embed(m.dom_blocks, j, x)] = element(m.cod(), image)
+            out[_embed(dom_blocks, j, x)] = element(m.cod(), image)
     return out
 
 
 S1 = direct_sum(UNIT, B2)  # a Sum block
 T1 = tensor(direct_sum(B1, B2), B3)  # a Sum block of tensor terms
-DENSE = Matrix(  # every entry nonzero; the first cod block has weight-1 images
-    entries=((Eta(B2), compose(linear_map_from_matrix(S1, B2, ((1, 2, 0), (0, 1, 3))), Eta(B2)),
-              compose(linear_map_from_matrix(T1, B2, ((1, 0) * 4 + (1,), (0, 3) * 4 + (0,))),
-                      Eta(B2))),
-             (linear_map_from_matrix(B2, S1, ((1, 2), (3, 0), (0, -1))), Id(S1),
-              linear_map_from_matrix(T1, S1, ((1,) * 9, (0, 2) * 4 + (0,), (5,) + (0,) * 8)))),
-    dom_blocks=(B2, S1, T1), cod_blocks=(sym(B2), S1))
+DENSE = Matrix((  # every entry nonzero; the first cod block has weight-1 images
+    (Eta(B2), compose(linear_map_from_matrix(S1, B2, ((1, 2, 0), (0, 1, 3))), Eta(B2)),
+     compose(linear_map_from_matrix(T1, B2, ((1, 0) * 4 + (1,), (0, 3) * 4 + (0,))), Eta(B2))),
+    (linear_map_from_matrix(B2, S1, ((1, 2), (3, 0), (0, -1))), Id(S1),
+     linear_map_from_matrix(T1, S1, ((1,) * 9, (0, 2) * 4 + (0,), (5,) + (0,) * 8)))))
+
+
+class TestMatrixShape:
+    def test_blocks_come_from_row_0_and_column_0(self):
+        assert Matrix.__match_args__ == ("entries",)
+        assert DENSE.dom() == direct_sum(B2, S1, T1)
+        assert DENSE.cod() == direct_sum(sym(B2), S1)
+
+    @pytest.mark.parametrize("entries, message", [
+        (((Id(B1), ZeroM(B2, B1)), (ZeroM(B1, B2),)), "column count"),
+        (((Id(B1),), (ZeroM(B2, B2),)), r"\(1,0\) domain"),
+        (((Id(B1), ZeroM(B2, B2)),), r"\(0,1\) codomain"),
+        ((), "a row and a column"),
+        (((),), "a row and a column"),
+    ], ids=["ragged-row", "entry-domain", "entry-codomain", "no-row", "no-column"])
+    def test_bad_shape_rejected(self, entries, message):
+        with pytest.raises(EndpointMismatchError, match=message):
+            Matrix(entries)
 
 
 class TestMatrixLayout:
