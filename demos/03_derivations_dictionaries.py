@@ -59,7 +59,7 @@ bad = base("bad", 2)
 one = singleton(bad, GenIx(0))
 eps = singleton(bad, GenIx(1))
 try:
-    table_algebra("bad", bad, ((eps, eps), (eps, zero_element(bad))), one)
+    table_algebra("bad", ((eps, eps), (eps, zero_element(bad))), one)
 except InvalidStructureError as exc:
     print("\nrejected table:", exc.diagram,
           "witness =", exc.verdict.witness)

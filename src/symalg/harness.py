@@ -140,7 +140,7 @@ def _load_algebra(entry: dict) -> SAlgebra:
     elems = tuple(tuple(_vector_element(space, cell) for cell in row)
                   for row in table)
     try:
-        return table_algebra(name, space, elems, _vector_element(space, unit))
+        return table_algebra(name, elems, _vector_element(space, unit))
     except InvalidStructureError as e:
         raise ConfigError(f"algebra {name!r} rejected: {e}") from e
 
@@ -162,7 +162,7 @@ def _load_derivation(entry, algebras: dict):
         raise ConfigError(f"derivation {name!r}: matrix must be {n}x{n}")
     d = linear_map_from_matrix(a, a, [[_rational(x) for x in row] for row in matrix])
     try:
-        module = a_module(alg, a, alg.mult())
+        module = a_module(alg, alg.mult())
         return name, derivation(module, d)
     except InvalidStructureError as e:
         raise ConfigError(f"derivation {name!r} rejected: {e}") from e

@@ -83,11 +83,12 @@ def _chi_inv(m, bv):
 def _table_fold(m, bv):
     """nu on a monomial: fold the multiplication table over the factors."""
     index = m._layout  # the index of each generator, made with the node
+    carrier = m.cod()
     acc = m.unit_elem
     for factor in bv.parts:
         col = index[factor]
-        acc = elem_combination(m.carrier, ((c, m.mult_table[index[g]][col])
-                                           for g, c in acc.coeffs))
+        acc = elem_combination(carrier, ((c, m.mult_table[index[g]][col])
+                                         for g, c in acc.coeffs))
     return acc
 
 

@@ -14,7 +14,7 @@ from itertools import chain
 
 from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
-    tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _level,
+    tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _basis_upto,
     decompose_sum, build_sum, pair_layout, pair_parts, join_parts, split_pair,
     term_parts, term_vector, is_basis_vector, _require_int,
 )
@@ -271,22 +271,23 @@ class Chi0Inv(MorExpr):
 @node
 class TableNu(MorExpr):
     """Structure map of a multiplication-table algebra: fold of the table
-    over a monomial, with the unit element on the empty monomial."""
+    over a monomial, with the unit element on the empty monomial.  The
+    carrier is the unit's space."""
 
-    carrier: SpaceExpr
     mult_table: tuple  # rank x rank of Element
     unit_elem: Element
 
     def _endpoints(self):
-        _require(is_sym_free(self.carrier), "table algebra carrier must be Sym-free")
-        n = rank(self.carrier)
+        carrier = self.unit_elem.space
+        _require(is_sym_free(carrier), "table algebra carrier must be Sym-free")
+        n = rank(carrier)
         _require(len(self.mult_table) == n and all(len(r) == n for r in self.mult_table),
                  "mult_table must be rank x rank")
         _require_elements((*chain.from_iterable(self.mult_table), self.unit_elem),
-                          self.carrier, "table algebra entry or unit")
+                          carrier, "table algebra entry or unit")
         # Layout: the index of each generator of the carrier.
-        index = {g: i for i, g in enumerate(enumerate_basis(self.carrier, 0))}
-        return sym(self.carrier), self.carrier, index
+        index = {g: i for i, g in enumerate(enumerate_basis(carrier, 0))}
+        return sym(carrier), carrier, index
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +417,9 @@ RULES = {
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    status: str  # "equal" | "counterexample"
+    """What check_equal enumerated, and the first basis vector on which the
+    two sides differ, if any: a verdict without a witness is equal."""
+
     tested_count: int
     weight_bound: int
     witness: BasisVector | None = None
@@ -425,7 +428,11 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        return self.status == "equal"
+        return self.witness is None
+
+    @property
+    def status(self) -> str:
+        return "equal" if self.ok else "counterexample"
 
     def __repr__(self):
         if self.ok:
@@ -452,18 +459,15 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
     verdict = _VERDICTS.get(key)
     if verdict is not None:
         return verdict
-    basis = chain.from_iterable(_level(lhs.dom(), w) for w in range(weight_bound + 1))
     n = 0
-    for n, bv in enumerate(basis, 1):
+    for n, bv in enumerate(_basis_upto(lhs.dom(), weight_bound), 1):
         lv = apply_basis(lhs, bv)
         rv = apply_basis(rhs, bv)
         if lv != rv:
-            verdict = Verdict("counterexample", tested_count=n,
-                              weight_bound=weight_bound, witness=bv,
-                              lhs_value=lv, rhs_value=rv)
+            verdict = Verdict(n, weight_bound, witness=bv, lhs_value=lv, rhs_value=rv)
             break
     else:
-        verdict = Verdict("equal", tested_count=n, weight_bound=weight_bound)
+        verdict = Verdict(n, weight_bound)
     _VERDICTS[key] = verdict
     return verdict
 

@@ -510,7 +510,15 @@ def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
 def enumerate_basis(space: SpaceExpr, weight_bound: int):
     """All basis vectors of weight <= weight_bound, in global order."""
     _require_int(weight_bound, "weight_bound", 0)
-    return [bv for w in range(weight_bound + 1) for bv in _level(space, w)]
+    return list(_basis_upto(space, weight_bound))
+
+
+def _basis_upto(space: SpaceExpr, weight_bound: int):
+    """The basis vectors of weight <= weight_bound, level by level, lazily.
+    A Sym-free space's whole basis has weight 0, so only level 0 is walked,
+    however large the bound."""
+    top = 0 if is_sym_free(space) else weight_bound
+    return itertools.chain.from_iterable(_level(space, w) for w in range(top + 1))
 
 
 @lru_cache(maxsize=None)

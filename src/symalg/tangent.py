@@ -38,8 +38,7 @@ def tangent_structure_map(alg: SAlgebra) -> MorExpr:
 
 
 def tangent_algebra(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> SAlgebra:
-    aa = direct_sum(alg.carrier, alg.carrier)
-    return s_algebra("tangent-" + alg.name, aa, tangent_structure_map(alg), bound=bound)
+    return s_algebra("tangent-" + alg.name, tangent_structure_map(alg), bound=bound)
 
 
 def tangent_module_action(module: AModule) -> MorExpr:
@@ -58,8 +57,7 @@ def tangent_module_action(module: AModule) -> MorExpr:
 def tangent_derivation(d: Derivation, bound: int = VALIDATE_BOUND) -> Derivation:
     """diag(D, D) between the doubled algebra and the doubled module."""
     tan = tangent_algebra(d.algebra, bound=bound)
-    mm = direct_sum(d.module.carrier, d.module.carrier)
-    module = a_module(tan, mm, tangent_module_action(d.module), bound=bound)
+    module = a_module(tan, tangent_module_action(d.module), bound=bound)
     return derivation(module, sum_map(d.d, d.d), bound=bound)
 
 

@@ -717,6 +717,7 @@ _config = st.builds(lambda known, junk: {**known, **junk}, st.fixed_dictionaries
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": [True]}]})
 @example(config={"derivations": [{"name": "e", "algebra": "rationals", "matrix": [[0]]}] * 2})
 @example(config={"algebras": [{"name": "a", "rank": 1, "mult_table": [[[1]]], "unit": ["1e3"]}]})
+@example(config={"mutate": []})
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path, capsys, config):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(config))

@@ -1,5 +1,6 @@
 """Structural morphisms: evaluation, biproduct equations, the checker."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,9 @@ from symalg.elements import (
     elem_tensor,
 )
 from symalg.tangent import kleisli_map
-from symalg import morphisms
+from symalg import morphisms, spaces
 from symalg.morphisms import (
-    MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix,
+    MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix, TableNu, Verdict,
     LinearMap, SymF, Eta, Mu, Mult, Deriv, RULES, apply, apply_basis, check_equal, compose,
     linear_map_from_matrix, sum_map, inj, proj, EndpointMismatchError,
 )
@@ -450,6 +451,35 @@ class TestChecker:
         f = linear_map_from_matrix(B2, B1, ((1, 2),))
         v = check_equal(Add(f, f), linear_map_from_matrix(B2, B1, ((2, 4),)), 1)
         assert v.ok
+
+    def test_sym_free_basis_is_walked_to_weight_0_only(self):
+        # A Sym-free space's whole basis has weight 0: a huge bound must not
+        # walk (and cache) one empty level per weight up to it.
+        before = spaces._level.cache_info().currsize
+        v = check_equal(Id(B2), Id(B2), 10 ** 5)
+        assert spaces._level.cache_info().currsize - before <= 1
+        assert (v.ok, v.tested_count, v.weight_bound) == (True, 2, 10 ** 5)
+
+
+class TestVerdictShape:
+    def test_fields_are_what_was_enumerated_and_the_witness(self):
+        assert [f.name for f in fields(Verdict)] == [
+            "tested_count", "weight_bound", "witness", "lhs_value", "rhs_value"]
+
+    def test_status_follows_the_witness(self):
+        equal = Verdict(2, 1)
+        assert (equal.ok, equal.status) == (True, "equal")
+        bad = Verdict(1, 1, witness=GenIx(0), lhs_value=zero_element(B1),
+                      rhs_value=singleton(B1, GenIx(0)))
+        assert (bad.ok, bad.status) == (False, "counterexample")
+
+
+class TestTableNuShape:
+    def test_carrier_is_the_units_space(self):
+        one = singleton(B1, GenIx(0))
+        nu = TableNu(((one,),), one)
+        assert [f.name for f in fields(TableNu)] == ["mult_table", "unit_elem"]
+        assert (nu.dom(), nu.cod()) == (sym(B1), B1)
 
 
 class TestRuleTable:
