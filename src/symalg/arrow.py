@@ -140,7 +140,14 @@ def boxtimes_obj(p: MorExpr, q: MorExpr) -> MorExpr:
 
 
 def boxtimes_mor(m: ArrowMor, n: ArrowMor) -> ArrowMor:
-    return ArrowMor(TensorM(m.f0, n.f0), sum_map(TensorM(m.f0, n.f1), TensorM(m.f1, n.f0)))
+    return ArrowMor(TensorM(m.f0, n.f0), sum_map(_box_block(m.f0, n.f1), _box_block(m.f1, n.f0)))
+
+
+def _box_block(f: MorExpr, g: MorExpr) -> MorExpr:
+    """f (x) g as a block of a box product; a ZeroM when its domain is ZERO,
+    where no basis vector reaches it."""
+    dom = tensor(f.dom(), g.dom())
+    return ZeroM(dom, tensor(f.cod(), g.cod())) if dom is ZERO else TensorM(f, g)
 
 
 def boxtimes_sigma(a0: SpaceExpr, a1: SpaceExpr, b0: SpaceExpr, b1: SpaceExpr) -> ArrowMor:

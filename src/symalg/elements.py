@@ -3,7 +3,8 @@
 Coefficients are exact rationals: an `int` when integral, a
 `fractions.Fraction` otherwise; there is no floating point.  Zero
 coefficients are never stored, so structural equality of elements is
-semantic equality.
+semantic equality.  The zero of each space and each basis vector with
+coefficient 1 are one shared `Element` each (`_SHARED`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import SpaceExpr, BasisVector, join_pair, tensor, order_key
+from .spaces import (
+    SpaceExpr, BasisVector, terms, decompose_sum, term_parts, pair_layout, join_parts,
+    order_key,
+)
 
 
 class SpaceMismatchError(ValueError):
@@ -59,16 +63,35 @@ def element(space: SpaceExpr, coeffs) -> Element:
             c = _coeff(c)
         if c:
             items.append((bv, c))
-    return Element(space, tuple(items))
+    return _from_items(space, tuple(items))
+
+
+#: The shared images, owned by this module: {space: {None: the zero of the
+#: space, basis vector: that vector with coefficient 1}}.  Its keys are
+#: interned nodes, which the intern table already keeps, so it holds at most
+#: one entry per (space, basis vector) pair built; like the intern table it
+#: lives as long as the process.
+_SHARED = {}
+
+
+def _from_items(space: SpaceExpr, items: tuple) -> Element:
+    """The element with these coefficients, which must be strictly sorted by
+    order key, nonzero and canonical; the shared object when it is zero or
+    one basis vector with coefficient 1."""
+    if len(items) > 1 or items and items[0][1] != 1:
+        return Element(space, items)
+    shared = _SHARED.get(space) or _SHARED.setdefault(space, {})
+    key = items[0][0] if items else None
+    return shared.get(key) or shared.setdefault(key, Element(space, items))
 
 
 def zero_element(space: SpaceExpr) -> Element:
-    return Element(space, ())
+    return _from_items(space, ())
 
 
 def singleton(space: SpaceExpr, bv: BasisVector, c=1) -> Element:
     c = _coeff(c)
-    return Element(space, ((bv, c),) if c else ())
+    return _from_items(space, ((bv, c),) if c else ())
 
 
 def elem_add(a: Element, b: Element) -> Element:
@@ -98,8 +121,20 @@ def elem_combination(space: SpaceExpr, pairs) -> Element:
 
 
 def elem_tensor(a: Element, b: Element) -> Element:
-    """Bilinear tensor product, landing in the normalized tensor space."""
-    # join_pair is injective, so no two pairs land on the same basis vector.
-    return element(tensor(a.space, b.space),
-                   {join_pair(a.space, bva, b.space, bvb): ca * cb
-                    for bva, ca in a.coeffs for bvb, cb in b.coeffs})
+    """Bilinear tensor product, landing in the normalized tensor space.  Each
+    side's terms are split into factor parts once, then every pair joined."""
+    layout = pair_layout(a.space, b.space)
+    left, right = _split(a), _split(b)
+    # join_parts is injective, so no two pairs land on the same basis vector.
+    return element(layout[0], {join_parts(layout, i, pa, j, pb): ca * cb
+                               for i, pa, ca in left for j, pb, cb in right})
+
+
+def _split(e: Element) -> list:
+    """Each term of e as (branch, one index per tensor factor, coefficient)."""
+    ts = terms(e.space)
+    out = []
+    for bv, c in e.coeffs:
+        i, inner = decompose_sum(bv, e.space)
+        out.append((i, term_parts(inner, ts[i]), c))
+    return out

@@ -20,7 +20,7 @@ from .spaces import (
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element, singleton,
-    elem_add, elem_combination, elem_tensor,
+    elem_add, elem_combination, elem_tensor, _from_items,
 )
 
 
@@ -358,7 +358,7 @@ def _tensor(m, bv):
         own = term_parts(inner, ts[r])
         items.append((join_parts(cod, r, own, j, keep) if side == "f"
                       else join_parts(cod, i, keep, r, own), c))
-    return Element(cod[0], tuple(items))
+    return _from_items(cod[0], tuple(items))
 
 
 def _sigma(m, bv):
@@ -386,7 +386,7 @@ def _matrix(m, bv):
         for rbv, c in apply_basis(entry, x).coeffs:
             r, rinner = decompose_sum(rbv, block)
             items.append((build_sum(cod, offset + r, rinner), c))
-    return Element(cod, tuple(items)) if len(column) == 1 else element(cod, dict(items))
+    return _from_items(cod, tuple(items)) if len(column) == 1 else element(cod, dict(items))
 
 
 def _linear_map(m, bv):

@@ -276,13 +276,18 @@ def base(name: str, rank: int) -> SpaceExpr:
 
 
 def is_sym_free(s: SpaceExpr) -> bool:
-    if isinstance(s, Sym):
-        return False
-    if isinstance(s, Tensor):
-        return all(is_sym_free(f) for f in s.factors)
-    if isinstance(s, Sum):
-        return all(is_sym_free(t) for t in s.summands)
-    return True
+    return not _sym_atoms(s)
+
+
+def has_finite_basis(s: SpaceExpr) -> bool:
+    """Whether s has a finite basis, which is then all of weight 0: every Sym
+    in s is over ZERO, whose one basis vector is the empty monomial."""
+    return all(x.inner is ZERO for x in _sym_atoms(s))
+
+
+def _sym_atoms(s: SpaceExpr) -> list:
+    """The Sym factors of the terms of a normalized space."""
+    return [f for t in terms(s) for f in factors(t) if isinstance(f, Sym)]
 
 
 def rank(s: SpaceExpr) -> int:
@@ -515,9 +520,9 @@ def enumerate_basis(space: SpaceExpr, weight_bound: int):
 
 def _basis_upto(space: SpaceExpr, weight_bound: int):
     """The basis vectors of weight <= weight_bound, level by level, lazily.
-    A Sym-free space's whole basis has weight 0, so only level 0 is walked,
-    however large the bound."""
-    top = 0 if is_sym_free(space) else weight_bound
+    A finite basis is all of weight 0, so only level 0 is walked, however
+    large the bound."""
+    top = 0 if has_finite_basis(space) else weight_bound
     return itertools.chain.from_iterable(_level(space, w) for w in range(top + 1))
 
 

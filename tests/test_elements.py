@@ -47,6 +47,35 @@ class TestInvariants:
             elem_add(singleton(S2, monomial([])), singleton(B2, GenIx(0)))
 
 
+class TestSharedImages:
+    """A space's zero and each of its basis vectors with coefficient 1 are one
+    shared Element each; elements with another coefficient or more terms are
+    built anew."""
+
+    def test_zero_is_one_object_per_space(self):
+        x = monomial([GenIx(0)])
+        zero = zero_element(S2)
+        assert zero is zero_element(S2)
+        assert element(S2, {}) is zero and element(S2, {x: 0}) is zero
+        assert singleton(S2, x, 0) is zero
+        assert elem_add(singleton(S2, x), singleton(S2, x, -1)) is zero
+        assert elem_tensor(zero, singleton(S2, x)) is zero_element(tensor(S2, S2))
+        assert zero_element(B2) is not zero and zero_element(B2) == Element(B2, ())
+
+    def test_coefficient_one_singleton_is_shared(self):
+        x = monomial([GenIx(0)])
+        one = singleton(S2, x)
+        assert singleton(S2, x, Fraction(2, 2)) is one
+        assert element(S2, {x: 1}) is one and element(S2, [(x, 2), (x, -1)]) is one
+        assert elem_scale(Fraction(1, 2), singleton(S2, x, 2)) is one
+        assert elem_tensor(one, one) is singleton(tensor(S2, S2), join_pair(S2, x, S2, x))
+        two = singleton(S2, x, 2)
+        assert two is not singleton(S2, x, 2) and two == singleton(S2, x, 2)
+        assert singleton(S2, x, -1) is not singleton(S2, x, -1)
+        # == stays structural: a shared element equals a freshly made one.
+        assert one == Element(S2, ((x, 1),)) and one is not Element(S2, ((x, 1),))
+
+
 class TestVectorSpace:
     @given(elems, elems)
     def test_add_commutes(self, a, b):
@@ -172,7 +201,7 @@ def mixed_elements(draw, max_size):
 
 
 class TestTensorOneTermSide:
-    """elem_tensor builds a product with a one-term factor without sorting."""
+    """elem_tensor of a one-term and a many-term element, either way round."""
 
     @given(mixed_elements(1), mixed_elements(5))
     def test_matches_the_sorted_reference(self, one, many):

@@ -180,11 +180,14 @@ print(len(calls))
 """
 
 #: Checks every Element built by a bound-2 run of the config in argv[1],
-#: unmutated and under every mutation; prints how many were built and the bad ones.
+#: unmutated and under every mutation, and then every image in the
+#: apply_basis memo, shared ones included; prints how many elements were
+#: built, how many distinct memo images were checked, and the bad ones.
 _CHECK_ELEMENTS = """
 import json, sys
 from fractions import Fraction
 from functools import lru_cache
+from symalg import morphisms
 from symalg.elements import Element
 from symalg.harness import load_config, run_suite
 from symalg.laws import MUTATIONS
@@ -194,9 +197,7 @@ built, bad = [0], []
 init = Element.__init__
 member = lru_cache(maxsize=None)(is_basis_vector)
 
-def checked(self, space, coeffs):
-    init(self, space, coeffs)
-    built[0] += 1
+def check(space, coeffs):
     keys = [order_key(bv) for bv, _ in coeffs]
     if (any(k >= k2 for k, k2 in zip(keys, keys[1:]))
             or not all(member(bv, space) for bv, _ in coeffs)
@@ -205,10 +206,18 @@ def checked(self, space, coeffs):
                        for _, c in coeffs)):
         bad.append(repr(coeffs))
 
+def checked(self, space, coeffs):
+    init(self, space, coeffs)
+    built[0] += 1
+    check(space, coeffs)
+
 Element.__init__ = checked
 for mutate in (None, *MUTATIONS):
     run_suite(load_config(sys.argv[1], {"bound": 2, "mutate": mutate}))
-print(json.dumps({"built": built[0], "bad": bad[:3]}))
+images = {id(img): img for d in morphisms._MEMO.values() for img in d.values()}
+for img in images.values():
+    check(img.space, img.coeffs)
+print(json.dumps({"built": built[0], "images": len(images), "bad": bad[:3]}))
 """
 
 #: Runs the default suite at bound 2; prints the apply_basis memo's entries
@@ -219,6 +228,25 @@ from symalg.harness import load_config, run_suite
 
 run_suite(load_config(None, {"bound": 2}))
 print(sum(map(len, morphisms._MEMO.values())), len(spaces._TABLE))
+"""
+
+#: Runs the default suite at bound 2; prints the apply_basis memo's entries,
+#: the distinct image objects it references, and its zero and one-term
+#: coefficient-1 images that are not the shared object.
+_COUNT_SHARED = """
+import json
+from symalg import morphisms
+from symalg.elements import zero_element, singleton
+from symalg.harness import load_config, run_suite
+
+run_suite(load_config(None, {"bound": 2}))
+images = [img for d in morphisms._MEMO.values() for img in d.values()]
+unshared = [repr(img) for img in images
+            if not img.coeffs and img is not zero_element(img.space)
+            or len(img.coeffs) == 1 and img.coeffs[0][1] == 1
+            and img is not singleton(img.space, img.coeffs[0][0])]
+print(json.dumps({"entries": len(images), "distinct": len({id(img) for img in images}),
+                  "unshared": unshared[:3]}))
 """
 
 #: Runs the default suite at bound 2; prints, by class, the interned maps
@@ -417,21 +445,27 @@ class TestRunner:
     def test_memo_and_intern_table_hold_the_same_work(self):
         # The counts the process-wide evaluation memo and intern table had
         # after this run; neither may depend on hash order.
-        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3360"]
+        assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3344"]
+
+    @pytest.mark.hash_order
+    def test_memo_shares_zero_and_basis_images(self):
+        # Every zero image is its space's one zero element and every image
+        # that is one basis vector with coefficient 1 is that vector's one
+        # shared element, so the memo's entries reference far fewer objects.
+        got = json.loads(_fresh_process(_COUNT_SHARED))
+        assert got == {"entries": 13005, "distinct": 2964, "unshared": []}
 
     @pytest.mark.hash_order
     def test_maps_built_and_never_evaluated(self):
-        # Matrix skips its ZeroM blocks by design.  Of the rest, 12 Ids are
-        # the Id side of a whiskering, which the whisker rule never
-        # evaluates.  20 TensorMs are Matrix blocks over ZERO, which
-        # boxtimes_mor builds on the zero second component of ubar (12) or of
-        # a box monoid's unit (8).  8 Composes are second components over ZERO
-        # of arrow.D1 and arrow.monoidmorph.unit, which check_equal decides
-        # on no basis vector.  A lifted object built only to read its spaces,
-        # or a diagram a factory builds and does not validate, would add to
-        # these.
+        # Matrix skips its ZeroM blocks by design, and boxtimes_mor builds a
+        # ZeroM for a block over ZERO.  Of the rest, 12 Ids are the Id side
+        # of a whiskering, which the whisker rule never evaluates.  8
+        # Composes are second components over ZERO of arrow.D1 and
+        # arrow.monoidmorph.unit, which check_equal decides on no basis
+        # vector.  A lifted object built only to read its spaces, or a
+        # diagram a factory builds and does not validate, would add to these.
         got = json.loads(_fresh_process(_COUNT_UNEVALUATED))
-        assert got == {"Compose": 8, "Id": 12, "TensorM": 20}
+        assert got == {"Compose": 8, "Id": 12}
 
     def test_second_identical_run_adds_no_memo_entry(self):
         # Every image and every verdict of the second run is a hit.
@@ -445,8 +479,17 @@ class TestRunner:
         p = tmp_path / "scaled_dual.json"
         p.write_text(json.dumps(_SCALED_DUAL))
         out = json.loads(_fresh_process(_CHECK_ELEMENTS, str(p)))
-        assert out["built"] > 10_000
+        assert out["images"] > 3_000
         assert out["bad"] == []
+
+    def test_basis_over_zero_is_walked_to_weight_0_only(self):
+        # seely0.iso.r is decided on S(0), whose one basis vector, the empty
+        # monomial, has weight 0: a huge bound must not walk one empty level
+        # per weight up to it.
+        start = time.perf_counter()
+        report = run_suite(SuiteConfig(bound=10**6, laws="seely0.iso.r"))
+        assert time.perf_counter() - start < 1
+        assert [(row["status"], row["tested"]) for row in report["results"]] == [("equal", 1)]
 
     def test_budget_aborts_politely(self):
         cfg = SuiteConfig(bound=3, laws="*", budget=1e-9)

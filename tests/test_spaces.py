@@ -12,7 +12,7 @@ from symalg.spaces import (
     UNIT, ZERO, base, tensor, direct_sum, sym,
     Sum, Tensor, Sym, Base, Unit, Zero,
     GenIx, MonIx, SumIx, TensorIx, UnitIx, UNIT_IX,
-    monomial, weight, enumerate_basis, rank, is_sym_free,
+    monomial, weight, enumerate_basis, rank, is_sym_free, has_finite_basis,
     decompose_sum, build_sum, split_pair, join_pair,
 )
 
@@ -118,6 +118,16 @@ class TestRank:
     def test_sym_free(self):
         assert is_sym_free(tensor(B2, B3))
         assert not is_sym_free(tensor(B2, sym(B3)))
+
+    def test_finite_basis_has_every_sym_over_zero(self):
+        # Sym(ZERO)'s basis is the empty monomial alone; Sym of anything else,
+        # Sym(Sym(ZERO)) included, has a basis vector of every weight.
+        for s in (B2, ZERO, sym(ZERO), tensor(B2, sym(ZERO)), direct_sum(UNIT, sym(ZERO))):
+            assert has_finite_basis(s)
+            assert enumerate_basis(s, 6) == enumerate_basis(s, 0)
+        for s in (sym(B1), sym(sym(ZERO)), direct_sum(B2, sym(UNIT)), tensor(B2, sym(B3))):
+            assert not has_finite_basis(s)
+            assert enumerate_basis(s, 3) != enumerate_basis(s, 2)
 
 
 class TestEnumeration:
