@@ -4,7 +4,10 @@ Coefficients are exact rationals: an `int` when integral, a
 `fractions.Fraction` otherwise; there is no floating point.  Zero
 coefficients are never stored, so structural equality of elements is
 semantic equality.  The zero of each space and each basis vector with
-coefficient 1 are one shared `Element` each (`_SHARED`).
+coefficient 1 are one shared `Element` each (`_SHARED`).  `element` and
+`singleton` refuse a key that is not a basis vector of the space; the
+evaluator's rules and the arithmetic here, whose keys are valid by
+construction, build through the unchecked `_element` and `_singleton`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 
 from .spaces import (
     SpaceExpr, BasisVector, terms, decompose_sum, term_parts, pair_layout, join_parts,
-    order_key,
+    order_key, is_basis_vector,
 )
 
 
@@ -51,11 +54,26 @@ def _coeff(c):
 
 def element(space: SpaceExpr, coeffs) -> Element:
     """Build an element from a {basis vector: coefficient} mapping or from
-    (basis vector, coefficient) pairs, which are summed."""
+    (basis vector, coefficient) pairs, which are summed.  A key that is not a
+    basis vector of space raises SpaceMismatchError."""
     if not isinstance(coeffs, dict):
         pairs, coeffs = coeffs, {}
         for bv, c in pairs:
             coeffs[bv] = coeffs.get(bv, 0) + _coeff(c)
+    for bv in coeffs:
+        _require_basis_vector(space, bv)
+    return _element(space, coeffs)
+
+
+def _require_basis_vector(space: SpaceExpr, bv) -> None:
+    if not is_basis_vector(bv, space):
+        raise SpaceMismatchError(f"{bv!r} is not a basis vector of {space!r}")
+
+
+def _element(space: SpaceExpr, coeffs: dict) -> Element:
+    """`element` from a {basis vector: coefficient} dict whose keys are basis
+    vectors of space, unchecked: for callers whose keys come from elements of
+    space or from its structure."""
     items = []
     for bv in sorted(coeffs, key=order_key):
         c = coeffs[bv]
@@ -90,8 +108,17 @@ def zero_element(space: SpaceExpr) -> Element:
 
 
 def singleton(space: SpaceExpr, bv: BasisVector, c=1) -> Element:
+    """c times bv; a bv that is not a basis vector of space raises
+    SpaceMismatchError."""
+    _require_basis_vector(space, bv)
     c = _coeff(c)
     return _from_items(space, ((bv, c),) if c else ())
+
+
+def _singleton(space: SpaceExpr, bv: BasisVector) -> Element:
+    """bv with coefficient 1, unchecked, for a bv known to be a basis vector
+    of space: the shared object."""
+    return _from_items(space, ((bv, 1),))
 
 
 def elem_add(a: Element, b: Element) -> Element:
@@ -101,7 +128,7 @@ def elem_add(a: Element, b: Element) -> Element:
 def elem_scale(c, a: Element) -> Element:
     if type(c) is not int:
         c = _coeff(c)
-    return element(a.space, {bv: c * x for bv, x in a.coeffs})
+    return _element(a.space, {bv: c * x for bv, x in a.coeffs})
 
 
 def elem_sum(space: SpaceExpr, elems) -> Element:
@@ -117,7 +144,7 @@ def elem_combination(space: SpaceExpr, pairs) -> Element:
         for bv, x in e.coeffs:
             old = out.get(bv)
             out[bv] = c * x if old is None else old + c * x
-    return element(space, out)
+    return _element(space, out)
 
 
 def elem_tensor(a: Element, b: Element) -> Element:
@@ -126,8 +153,8 @@ def elem_tensor(a: Element, b: Element) -> Element:
     layout = pair_layout(a.space, b.space)
     left, right = _split(a), _split(b)
     # join_parts is injective, so no two pairs land on the same basis vector.
-    return element(layout[0], {join_parts(layout, i, pa, j, pb): ca * cb
-                               for i, pa, ca in left for j, pb, cb in right})
+    return _element(layout[0], {join_parts(layout, i, pa, j, pb): ca * cb
+                                for i, pa, ca in left for j, pb, cb in right})
 
 
 def _split(e: Element) -> list:

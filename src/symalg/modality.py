@@ -5,20 +5,22 @@ monad unit embeds a vector as a degree-1 monomial, the monad
 multiplication multiplies out a monomial of monomials, the monoid
 multiplication merges multisets, and the deriving map sends a monomial to
 the sum of its partial derivatives (with integer multiplicities for
-repeated factors).  S(f) expands over multisets: it keys each product of
-image vectors by a count vector, so a degree-d monomial into a rank-n space
-makes at most C(n+d-1, d) states, not the n^d ordered tuples.
+repeated factors).  S(f) is a dynamic program over the memo: a monomial's
+image is its prefix's image times f of its last factor, each product
+monomial built by inserting one image vector into the prefix monomial's
+sorted parts.  The prefixes are walked shortest first, so the rule's
+nesting grows with log2 of the degree, not with the degree.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from bisect import bisect_right
 
 from .spaces import (
     MonIx, TensorIx, UNIT_IX, _mon_ix, monomial, terms, decompose_sum, build_sum,
     pair_parts, join_pair, order_key,
 )
-from .elements import element, singleton, elem_combination
+from .elements import _element, _singleton, elem_combination
 from .morphisms import (
     SymF, Eta, Mu, Mult, UnitM, Deriv, ChiInv, Chi0Inv, TableNu,
     RULES, apply_basis,
@@ -30,40 +32,52 @@ def _mu(m, bv):
     merged = []
     for inner in bv.parts:
         merged.extend(inner.parts)
-    return singleton(m.cod(), monomial(merged))
+    return _singleton(m.cod(), monomial(merged))
 
 
 def _mult(m, bv):
     _, (p, q) = pair_parts(bv, m._layout)
-    return singleton(m.cod(), monomial(p.parts + q.parts))
+    return _singleton(m.cod(), monomial(p.parts + q.parts))
 
 
 def _symf(m, bv):
-    """S(f) on a monomial: apply f to each factor and expand multilinearly,
-    keying each product by its count vector over the distinct image vectors."""
-    images = [apply_basis(m.f, p).coeffs for p in bv.parts]
-    vecs = sorted({fbv for img in images for fbv, _ in img}, key=order_key)
-    slot = {v: i for i, v in enumerate(vecs)}
-    acc = {(0,) * len(vecs): 1}
-    for img in images:
-        steps = [(slot[fbv], fc) for fbv, fc in img]
-        nxt = {}
-        for counts, c in acc.items():
-            for i, fc in steps:
-                key = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-                x = c * fc
-                old = nxt.get(key)
-                nxt[key] = x if old is None else old + x
-        acc = nxt  # empty when any factor image is zero
-    return element(m.cod(), {_mon_ix(tuple(chain.from_iterable(map(repeat, vecs, k)))): c
-                             for k, c in acc.items()})
+    """S(f) on p_1...p_d: the image of the prefix p_1...p_{d-1} times
+    f(p_d).  Each product monomial is a prefix monomial with one image vector
+    inserted into its sorted parts; equal monomials are summed in one dict.
+
+    The prefix image comes through `apply_basis`, after the prefixes of
+    length d - 2^j for falling j, so shortest first.  A prefix that misses
+    runs this rule with at most half the gap to the prefixes already in the
+    memo, so a cold degree-d monomial nests about log2(d) rules deep, not d,
+    and a warm one costs about log2(d) memo hits."""
+    parts = bv.parts
+    if not parts:
+        return _singleton(m.cod(), bv)
+    d = len(parts)
+    prefix = ((MonIx(()), 1),)
+    for j in reversed(range((d - 1).bit_length())):
+        prefix = apply_basis(m, _mon_ix(parts[:d - (1 << j)])).coeffs
+    last = apply_basis(m.f, parts[-1]).coeffs
+    acc = {}
+    for mono, c in prefix:
+        ps = mono.parts
+        for v, fc in last:
+            i = bisect_right(ps, v._key, key=order_key)
+            key = _mon_ix(ps[:i] + (v,) + ps[i:])
+            x = c * fc
+            old = acc.get(key)
+            acc[key] = x if old is None else old + x
+    return _element(m.cod(), acc)
 
 
 def _deriv(m, bv):
     """d on {b_1,...,b_k} = sum_i ({...without b_i}) (x) b_i, equal terms summed."""
     parts = bv.parts
-    return element(m.cod(), [(join_pair(m.dom(), _mon_ix(parts[:i] + parts[i + 1:]), m.a, b), 1)
-                             for i, b in enumerate(parts)])
+    out = {}
+    for i, b in enumerate(parts):
+        key = join_pair(m.dom(), _mon_ix(parts[:i] + parts[i + 1:]), m.a, b)
+        out[key] = out.get(key, 0) + 1
+    return _element(m.cod(), out)
 
 
 def _chi_inv(m, bv):
@@ -77,7 +91,7 @@ def _chi_inv(m, bv):
             pa.append(build_sum(m.a, k, inner))
         else:
             pb.append(build_sum(m.b, k - off, inner))
-    return singleton(m.cod(), TensorIx((monomial(pa), monomial(pb))))
+    return _singleton(m.cod(), TensorIx((monomial(pa), monomial(pb))))
 
 
 def _table_fold(m, bv):
@@ -93,13 +107,13 @@ def _table_fold(m, bv):
 
 
 RULES.update({
-    Eta: lambda m, bv: singleton(m.cod(), MonIx((bv,))),
-    UnitM: lambda m, bv: singleton(m.cod(), MonIx(())),
+    Eta: lambda m, bv: _singleton(m.cod(), MonIx((bv,))),
+    UnitM: lambda m, bv: _singleton(m.cod(), MonIx(())),
     Mu: _mu,
     Mult: _mult,
     SymF: _symf,
     Deriv: _deriv,
     ChiInv: _chi_inv,
-    Chi0Inv: lambda m, bv: singleton(m.cod(), UNIT_IX),
+    Chi0Inv: lambda m, bv: _singleton(m.cod(), UNIT_IX),
     TableNu: _table_fold,
 })

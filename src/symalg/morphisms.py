@@ -19,8 +19,8 @@ from .spaces import (
     term_parts, term_vector, is_basis_vector, _require_int,
 )
 from .elements import (
-    Element, SpaceMismatchError, element, zero_element, singleton,
-    elem_add, elem_combination, elem_tensor, _from_items,
+    Element, SpaceMismatchError, element, zero_element,
+    elem_add, elem_combination, elem_tensor, _element, _from_items, _singleton,
 )
 
 
@@ -364,7 +364,7 @@ def _tensor(m, bv):
 def _sigma(m, bv):
     dom, cod = m._layout
     (i, j, _, _, _, na), parts = pair_parts(bv, dom)
-    return singleton(cod[0], join_parts(cod, j, parts[na:], i, parts[:na]))
+    return _singleton(cod[0], join_parts(cod, j, parts[na:], i, parts[:na]))
 
 
 def _matrix(m, bv):
@@ -386,7 +386,7 @@ def _matrix(m, bv):
         for rbv, c in apply_basis(entry, x).coeffs:
             r, rinner = decompose_sum(rbv, block)
             items.append((build_sum(cod, offset + r, rinner), c))
-    return _from_items(cod, tuple(items)) if len(column) == 1 else element(cod, dict(items))
+    return _from_items(cod, tuple(items)) if len(column) == 1 else _element(cod, dict(items))
 
 
 def _linear_map(m, bv):
@@ -400,7 +400,7 @@ def _linear_map(m, bv):
 #: image of the basis vector bv under m.  modality.py adds the rules of the
 #: Sym primitives.
 RULES = {
-    Id: lambda m, bv: singleton(m.space, bv),
+    Id: lambda m, bv: _singleton(m.space, bv),
     Compose: _compose,
     ZeroM: lambda m, bv: zero_element(m.cod_space),
     Add: lambda m, bv: elem_add(apply_basis(m.f, bv), apply_basis(m.g, bv)),

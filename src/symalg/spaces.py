@@ -539,7 +539,7 @@ def _level(space: SpaceExpr, w: int) -> tuple:
     if isinstance(space, Sym):
         # Each multiset element costs 1 + its own weight.
         inner = [bv for v in range(w) for bv in _level(space.inner, v)]
-        return tuple(map(_mon_ix, _multisets(inner, 0, w)))
+        return tuple(map(_mon_ix, _multisets(inner, w)))
     if isinstance(space, Base):
         return tuple(map(GenIx, range(space.rank))) if w == 0 else ()
     if isinstance(space, Unit):
@@ -561,14 +561,24 @@ def _products(fs: tuple, w: int) -> list:
     return out
 
 
-def _multisets(inner: list, lo: int, w: int):
-    """Non-decreasing part tuples from inner[lo:] of total cost w, in
-    lexicographic order; inner is in global order, so by weight."""
-    if w == 0:
-        yield ()
-    for i in range(lo, len(inner)):
-        cost = 1 + inner[i]._key[0]
-        if cost > w:
+def _multisets(inner: list, w: int):
+    """Non-decreasing part tuples from inner of total cost w, in lexicographic
+    order; inner is in global order, so by weight, and costs never fall.  A
+    depth-first walk with an explicit stack of picked indices, so a monomial
+    of any degree needs no recursion."""
+    costs = [1 + bv._key[0] for bv in inner]
+    picked = []  # indices into inner, non-decreasing
+    i, rest = 0, w
+    while True:
+        if rest == 0:
+            yield tuple(inner[k] for k in picked)
+        elif i < len(costs) and costs[i] <= rest:
+            picked.append(i)
+            rest -= costs[i]
+            continue
+        # Nothing from i on fits: move the last pick to the next index.
+        if not picked:
             return
-        for rest in _multisets(inner, i, w - cost):
-            yield (inner[i],) + rest
+        i = picked.pop()
+        rest += costs[i]
+        i += 1

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from symalg.spaces import base, sym, GenIx, MonIx, enumerate_basis
-from symalg.elements import singleton, zero_element, element
+from symalg.elements import Element, singleton, zero_element, element
 from symalg.morphisms import (
     Id, ZeroM, TensorM, SymF, Mult, TableNu, apply, apply_basis, check_equal,
     compose, linear_map_from_matrix, Add, EndpointMismatchError,
@@ -71,12 +71,13 @@ class TestAlgebras:
     def test_table_entries_and_unit_must_be_elements_of_the_carrier(self):
         # Unchecked, a foreign unit fails as 'algebra.assoc', and a table entry
         # off the carrier's basis raises a bare KeyError during validation.
+        # singleton refuses a key off the basis, so that entry is a raw Element.
         q = base("q", 1)
         one = singleton(q, GenIx(0))
         with pytest.raises(EndpointMismatchError, match="not an element of"):
             table_algebra("q", ((one,),), singleton(base("r", 1), GenIx(0)))
         with pytest.raises(EndpointMismatchError, match="not an element of"):
-            table_algebra("q", ((singleton(q, GenIx(3)),),), one)
+            table_algebra("q", ((Element(q, ((GenIx(3), 1),)),),), one)
 
     def test_broken_structure_map_rejected(self):
         from symalg.spaces import ZERO, UNIT

@@ -15,6 +15,7 @@ from symalg.elements import (
     elem_add, elem_scale, elem_sum, elem_combination, elem_tensor,
 )
 from symalg.morphisms import linear_map_from_matrix
+from symalg import elements
 
 B2 = base("y", 2)
 S2 = sym(B2)
@@ -45,6 +46,16 @@ class TestInvariants:
     def test_space_mismatch_raises(self):
         with pytest.raises(SpaceMismatchError):
             elem_add(singleton(S2, monomial([])), singleton(B2, GenIx(0)))
+
+    def test_constructors_refuse_a_key_off_the_basis(self):
+        before = {s: dict(images) for s, images in elements._SHARED.items()}
+        with pytest.raises(SpaceMismatchError, match="not a basis vector"):
+            singleton(B2, GenIx(5))
+        with pytest.raises(SpaceMismatchError, match="not a basis vector"):
+            element(B2, {GenIx(7): 3})
+        with pytest.raises(SpaceMismatchError, match="not a basis vector"):
+            element(S2, [(GenIx(0), 1)])  # a generator is not a monomial
+        assert {s: dict(images) for s, images in elements._SHARED.items()} == before
 
 
 class TestSharedImages:

@@ -280,6 +280,21 @@ after = sizes()
 print(after[0] - before[0], after[1] - before[1], first == second)
 """
 
+#: S(f) of x -> 2x on x^2000, with the memo cold; prints whether it was cold
+#: and whether the image is 2^2000 x^2000.
+_COLD_SYMF = """
+from symalg import morphisms
+from symalg.elements import singleton
+from symalg.morphisms import SymF, apply_basis, linear_map_from_matrix
+from symalg.spaces import GenIx, MonIx, base, sym
+
+x = base("x", 1)
+f = linear_map_from_matrix(x, x, [[2]])
+x2000 = MonIx((GenIx(0),) * 2000)
+print(SymF(f) not in morphisms._MEMO,
+      apply_basis(SymF(f), x2000) == singleton(sym(x), x2000, 2 ** 2000))
+"""
+
 #: Builds nodes whose fields equal valid ones under == but differ in type
 #: (True and 1.0 for 1), then the valid ones; then, with the valid nodes in
 #: the table, the public constructors' wrong types again.  Prints each
@@ -470,6 +485,13 @@ class TestRunner:
     def test_second_identical_run_adds_no_memo_entry(self):
         # Every image and every verdict of the second run is a hit.
         assert _fresh_process(_RERUN_MEMO).split() == ["0", "0", "True"]
+
+    def test_cold_symf_on_a_degree_2000_monomial_stays_shallow(self):
+        # Each monomial's image is its prefix's times f of the last factor; a
+        # prefix walk one rule per factor deep would raise RecursionError.  A
+        # fresh process keeps the memo cold and its 2,000 prefixes out of
+        # this one.
+        assert _fresh_process(_COLD_SYMF).split() == ["True", "True"]
 
     @pytest.mark.hash_order
     def test_element_invariant_holds_for_every_built_element(self, tmp_path):

@@ -18,6 +18,7 @@ from symalg.morphisms import (
     Chi0Inv, ZeroM, apply, apply_basis, check_equal, compose,
     linear_map_from_matrix,
 )
+from symalg import morphisms
 
 B1 = base("x", 1)
 B2 = base("y", 2)
@@ -233,6 +234,19 @@ class TestSymF:
                 for j in range(2)}
         want = sympy.expand(mono_expr(mono).subs(subs, simultaneous=True))
         assert got == want
+
+    def test_cold_degree_12_matches_substitution_oracle(self):
+        rows = [[3, -4], [5, 7]]
+        f = linear_map_from_matrix(B2, B2, rows)
+        mono = monomial([GenIx(0)] * 5 + [GenIx(1)] * 7)
+        assert SymF(f) not in morphisms._MEMO
+        out = apply_basis(SymF(f), mono)
+        subs = {XS[j]: sum(rows[i][j] * YS[i] for i in range(2)) for j in range(2)}
+        want = sympy.expand(mono_expr(mono).subs(subs, simultaneous=True))
+        assert sym_elem_expr(out, YS) == want
+        assert_canonical_sym_element(out)
+        # Every prefix was evaluated on the way and stays in the memo.
+        assert set(morphisms._MEMO[SymF(f)]) == {monomial(mono.parts[:k]) for k in range(1, 13)}
 
     def test_functorial_on_identity(self):
         assert check_equal(SymF(Id(B2)), Id(sym(B2)), 3).ok

@@ -12,7 +12,7 @@ from symalg.spaces import (
     is_basis_vector, order_key,
 )
 from symalg.elements import (
-    SpaceMismatchError, element, singleton, zero_element, elem_add, elem_scale,
+    Element, SpaceMismatchError, element, singleton, zero_element, elem_add, elem_scale,
     elem_tensor,
 )
 from symalg.tangent import kleisli_map
@@ -46,12 +46,14 @@ class TestEndpoints:
 
     def test_linear_map_images_hold_only_basis_vectors_of_the_codomain(self):
         # Unchecked, an image in the declared space with a foreign key is
-        # accepted, and composing the map with itself fails to evaluate.
-        foreign = element(B2, {GenIx(7): 1})
+        # accepted, and composing the map with itself fails to evaluate.  The
+        # public constructors refuse a foreign key, so those images are built
+        # as raw Elements.
+        foreign = Element(B2, ((GenIx(7), 1),))
         with pytest.raises(EndpointMismatchError, match="not an element of"):
             LinearMap(B2, B2, ((GenIx(0), foreign), (GenIx(1), foreign)))
         with pytest.raises(EndpointMismatchError, match="not an element of"):
-            kleisli_map(base("e", 1), B1, {GenIx(0): singleton(sym(B1), MonIx((GenIx(5),)))})
+            kleisli_map(base("e", 1), B1, {GenIx(0): Element(sym(B1), ((MonIx((GenIx(5),)), 1),))})
         with pytest.raises(EndpointMismatchError, match="not an element of"):
             LinearMap(B1, B1, ((GenIx(0), singleton(B2, GenIx(0))),))
 

@@ -195,6 +195,15 @@ class TestEnumeration:
         keys = [_reference_key(bv) for bv in basis]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
+    @pytest.mark.parametrize("inner", [B1, UNIT], ids=["rank-1", "unit"])
+    def test_rank_1_sym_walks_far_past_the_recursion_limit(self, inner):
+        # One monomial of each degree; a walk that recursed once per factor
+        # raised RecursionError near weight 1,000.
+        basis = enumerate_basis(sym(inner), 1500)
+        assert len(basis) == 1501
+        assert [weight(bv) for bv in basis] == list(range(1501))
+        assert basis[-1] is MonIx((enumerate_basis(inner, 0)[0],) * 1500)
+
 
 
 class TestWeight:
