@@ -30,7 +30,7 @@ from .morphisms import (
 )
 from .arrow import (
     VALIDATE_BOUND, ArrowMor, id_arrow, compose_arrow, commuting_square, sbar_spaces, sbar_obj,
-    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit, arrow_check,
+    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
 )
 
 
@@ -47,19 +47,28 @@ class InvalidStructureError(ValueError):
 # Deciding equations: each side is a map, or both are arrow morphisms
 # ---------------------------------------------------------------------------
 
-def both(v0: Verdict, v1: Verdict) -> Verdict:
-    """Two verdicts as one: the first failure, else equal over both's tests."""
-    bad = v0 if not v0.ok else v1
-    if not bad.ok:
-        return bad
-    return Verdict(v0.tested_count + v1.tested_count, v0.weight_bound)
+def decide_equations(equations, bound: int) -> Verdict:
+    """Decide map equations in order, each (lhs, rhs) or (lhs, rhs, offset).
+
+    An arrow equation is its f0 equation, then its f1 equation; an offset
+    decides at max(1, bound + offset).  The first failure is returned as it
+    is, without deciding the rest; else one verdict at bound over all their tests."""
+    tested = 0
+    for lhs, rhs, *offset in equations:
+        b = max(1, bound + offset[0]) if offset else bound
+        pairs = (((lhs.f0, rhs.f0), (lhs.f1, rhs.f1)) if isinstance(lhs, ArrowMor)
+                 else ((lhs, rhs),))
+        for l, r in pairs:
+            v = check_equal(l, r, b)
+            if not v.ok:
+                return v
+            tested += v.tested_count
+    return Verdict(tested, bound)
 
 
 def decide(lhs, rhs, bound: int) -> Verdict:
     """lhs = rhs as maps, or componentwise as arrow morphisms."""
-    if isinstance(lhs, ArrowMor):
-        return both(*arrow_check(lhs, rhs, bound))
-    return check_equal(lhs, rhs, bound)
+    return decide_equations([(lhs, rhs)], bound)
 
 
 def decide_all(equations: dict, bound: int):

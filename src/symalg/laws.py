@@ -1,16 +1,15 @@
 """Named law registry: every algebraic law is one entry of the ordered table ``_LAWS``.
 
 Each entry has a stable name, an anchor, ``instances(bound, ctx)`` giving its
-``(instance_name, x)`` pairs and ``check(x, bound, ctx)`` deciding one of them.
-A law that is one equation is ``_eq(name, anchor, instances, build)``, where
-``build(x, ctx)`` returns ``(lhs, rhs)``: two maps, or two arrow morphisms
-compared componentwise, decided by ``derivations.decide``.  The structure
-laws take their equation from an axiom table of derivations.py, over
-derivations that a ``LawContext`` builds, with their S-bar algebras and box
-monoids, once per run and bound.  Four laws are not one equation and have
-their own check: ``deriv.implies.leibniz`` (Leibniz once the chain rule
-holds), ``boxmonoid.squares`` and ``monoid.dict.roundtrip`` (two equations
-each) and ``tangent.algebra`` (two bounds).
+``(instance_name, x)`` pairs and ``equations(x, ctx)`` listing the map
+equations of one of them, each ``(lhs, rhs)`` or ``(lhs, rhs, bound offset)``:
+two maps, or two arrow morphisms compared componentwise.  ``Law.run`` decides
+an instance's equations in order with ``derivations.decide_equations``, which
+stops at the first failure.  A law that is one equation is ``_eq(name,
+anchor, instances, build)``, where ``build(x, ctx)`` returns ``(lhs, rhs)``.
+The structure laws take their equations from an axiom table of
+derivations.py, over derivations that a ``LawContext`` builds, with their
+S-bar algebras and box monoids, once per run and bound.
 Deep laws, whose domain nests the symmetric algebra twice or more, run one
 bound lower, since their basis grows quickly.
 
@@ -42,7 +41,7 @@ from .spaces import (
 from .elements import singleton
 from .morphisms import (
     Id, Compose, TensorM, Add, ZeroM, Sigma, Matrix, SymF, Eta, Mu, Mult, UnitM,
-    Deriv, Chi, ChiInv, Chi0Inv, check_equal, compose,
+    Deriv, Chi, ChiInv, Chi0Inv, compose,
     linear_map_from_matrix,
 )
 from .arrow import (
@@ -52,7 +51,7 @@ from .arrow import (
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
 from .derivations import (
-    SAlgebra, Derivation, both, decide, algebra_axioms, derivation_axioms,
+    SAlgebra, Derivation, decide_equations, algebra_axioms, derivation_axioms,
     chain_rule_axioms, sbar_aux_axioms, monoid_axioms, builtin_algebras, builtin_derivations,
     derivation_to_algebra, algebra_to_derivation, derivation_to_monoid,
     monoid_to_derivation, rational_algebra, dual_numbers,
@@ -119,18 +118,18 @@ class Law:
     name: str
     anchor: str
     instances: Callable  # (bound, ctx) -> [(instance_name, x)]
-    check: Callable      # (x, bound, ctx) -> Verdict
+    equations: Callable  # (x, ctx) -> [(lhs, rhs) or (lhs, rhs, bound offset)]
     deep: bool = False
 
     def run(self, bound: int, ctx: LawContext):
         b = max(1, bound - 1) if self.deep else bound
-        return [(n, self.check(x, b, ctx)) for n, x in self.instances(b, ctx)]
+        return [(n, decide_equations(self.equations(x, ctx), b))
+                for n, x in self.instances(b, ctx)]
 
 
 def _eq(name, anchor, instances, build, deep=False) -> Law:
     """The law lhs = rhs on every instance x, where build(x, ctx) = (lhs, rhs)."""
-    return Law(name, anchor, instances,
-               lambda x, bound, ctx: decide(*build(x, ctx), bound), deep)
+    return Law(name, anchor, instances, lambda x, ctx: [build(x, ctx)], deep)
 
 
 #: Two objects a law takes together: base spaces (Seely) or arrows (box).
@@ -260,32 +259,15 @@ def _dual_table(x, ctx):
     return compose(tan.mult(), j), compose(TensorM(j, j), dual.mult())
 
 
-def _implies_leibniz(x, bound, ctx):
-    """The plain Leibniz rule, decided once the chain rule holds."""
-    strong = decide(*chain_rule_axioms(x.d)["derivation.chain-rule"], bound)
-    if not strong.ok:
-        return strong
-    return decide(*derivation_axioms(x.d)["derivation.leibniz"], bound)
+def _dict_roundtrip(x, ctx):
+    back = monoid_to_derivation(x.mon, x.d.algebra, bound=x.bound)
+    return [(back.d, x.d.d), (back.module.alpha, x.d.module.alpha)]
 
 
-def _squares(x, bound, ctx):
-    """Both structure maps of the box monoid are arrow morphisms."""
-    eqs = monoid_axioms(x.box)
-    return both(decide(*eqs["monoid.square.mult"], bound),
-                decide(*eqs["monoid.square.unit"], bound))
-
-
-def _dict_roundtrip(x, bound, ctx):
-    back = monoid_to_derivation(x.mon, x.d.algebra, bound=bound)
-    return both(check_equal(back.d, x.d.d, bound),
-                check_equal(back.module.alpha, x.d.module.alpha, bound))
-
-
-def _tangent_algebra(alg, bound, ctx):
-    """Unit law at `bound`; the associativity law nests S twice, so one lower."""
+def _tangent_algebra(alg, ctx):
+    """Unit law at the law's bound; the associativity law nests S twice, so one lower."""
     eqs = algebra_axioms(SAlgebra("tangent-" + alg.name, tangent_structure_map(alg)))
-    return both(decide(*eqs["algebra.unit"], bound),
-                decide(*eqs["algebra.assoc"], max(1, bound - 1)))
+    return [eqs["algebra.unit"], (*eqs["algebra.assoc"], -1)]
 
 
 def power_rule(k: int, coeff):
@@ -430,8 +412,8 @@ _LAWS = (
 
     _eq("deriv.chain-rule", "built-in derivations satisfy the chain rule", _derivations,
         lambda x, ctx: chain_rule_axioms(x.d)["derivation.chain-rule"]),
-    Law("deriv.implies.leibniz", "every chain-rule derivation obeys the plain Leibniz rule",
-        _derivations, _implies_leibniz),
+    _eq("deriv.implies.leibniz", "every chain-rule derivation obeys the plain Leibniz rule",
+        _derivations, lambda x, ctx: derivation_axioms(x.d)["derivation.leibniz"]),
     _eq("deriv.roundtrip.alpha", "module action survives derivation -> algebra -> derivation",
         _derivations, lambda x, ctx: (algebra_to_derivation(x.sba, bound=x.bound).module.alpha,
                                       x.d.module.alpha)),
@@ -451,7 +433,8 @@ _LAWS = (
     _eq("boxmonoid.comm", "box monoid from a derivation: commutativity", _derivations,
         lambda x, ctx: monoid_axioms(x.box)["monoid.comm"]),
     Law("boxmonoid.squares", "box monoid structure maps are arrow morphisms", _derivations,
-        _squares),
+        lambda x, ctx: [monoid_axioms(x.box)[k]
+                        for k in ("monoid.square.mult", "monoid.square.unit")]),
     _eq("monoid.m2-redundancy", "the second multiplication component is forced by symmetry",
         _derivations, lambda x, ctx: monoid_axioms(x.box)["monoid.m2-redundancy"]),
     Law("monoid.dict.roundtrip", "derivation -> monoid -> derivation is the identity",

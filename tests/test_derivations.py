@@ -12,13 +12,14 @@ from symalg.morphisms import (
     Id, ZeroM, TensorM, SymF, Mult, TableNu, apply, apply_basis, check_equal,
     compose, linear_map_from_matrix, Add, EndpointMismatchError,
 )
+from symalg.arrow import ArrowMor
 from symalg.derivations import (
     VALIDATE_BOUND, InvalidStructureError, SAlgebra, AModule, Derivation,
     SBarAlgebra, ArrowMonoid, arrow_monoid,
     s_algebra, free_algebra, table_algebra, a_module, derivation,
     sbar_algebra, algebra_to_derivation, derivation_to_algebra,
     derivation_to_monoid, monoid_to_derivation,
-    decide, decide_all, table_axioms, algebra_axioms, module_axioms, derivation_axioms,
+    decide, decide_all, decide_equations, table_axioms, algebra_axioms, module_axioms, derivation_axioms,
     chain_rule_axioms,
     derivation_map_axioms, sbar_axioms, sbar_aux_axioms, sbar_map_axioms, monoid_axioms,
     rational_algebra, dual_numbers, square_zero_extension,
@@ -35,6 +36,39 @@ def holds(equations, bound):
 
 def chain_rule(d, bound):
     return holds(chain_rule_axioms(d), bound)
+
+
+class TestDecideEquations:
+    """The one fold behind Law.run, decide, decide_all and the factories."""
+
+    S = sym(B1)
+    BAD = (Id(S), ZeroM(S, S))
+    MISMATCHED = (Id(S), Id(B1))  # deciding it raises EndpointMismatchError
+
+    def test_first_failure_is_returned_and_the_rest_not_decided(self):
+        with pytest.raises(EndpointMismatchError):
+            decide_equations([self.MISMATCHED], 2)
+        assert decide_equations([self.BAD, self.MISMATCHED], 2) is check_equal(*self.BAD, 2)
+
+    def test_holding_equations_sum_their_tests_at_the_law_bound(self):
+        s = self.S
+        v = decide_equations([(Id(s), Id(s)), (Id(B1), Id(B1)), (Id(s), Id(s), -1)], 3)
+        # S(B1) has 4 monomials of degree <= 3 and 3 of degree <= 2; B1 has 1 vector.
+        assert (v.ok, v.tested_count, v.weight_bound) == (True, 4 + 1 + 3, 3)
+
+    def test_an_offset_is_floored_at_bound_1(self):
+        s = self.S
+        v = decide_equations([(Id(s), Id(s), -1)], 1)
+        assert (v.tested_count, v.weight_bound) == (2, 1)  # degrees 0 and 1, not 0 alone
+
+    def test_an_arrow_equation_is_decided_f0_then_f1(self):
+        (l0, r0), (l1, r1) = self.BAD, self.MISMATCHED
+        f0_fails = (ArrowMor(l0, l1), ArrowMor(r0, r1))
+        assert decide_equations([f0_fails], 2) is check_equal(*self.BAD, 2)
+        f1_fails = (ArrowMor(Id(B1), l0), ArrowMor(Id(B1), r0))
+        assert decide_equations([f1_fails], 2) is check_equal(*self.BAD, 2)
+        holds = decide_equations([(ArrowMor(Id(B1), l0), ArrowMor(Id(B1), l0))], 2)
+        assert (holds.ok, holds.tested_count) == (True, 1 + 3)
 
 
 class TestAlgebras:

@@ -19,7 +19,7 @@ from symalg.harness import (
 from symalg.derivations import builtin_algebras
 from symalg.laws import registry, list_laws, MUTATIONS, MUTATION_TARGETS, BUILTIN_DERIVATIONS
 from symalg.cli import main
-from symalg import laws, morphisms
+from symalg import laws
 
 
 class TestRegistry:
@@ -220,6 +220,29 @@ for img in images.values():
 print(json.dumps({"built": built[0], "images": len(images), "bad": bad[:3]}))
 """
 
+#: Runs the default suite at bound 3; prints its check_equal calls and the
+#: verdicts check_equal kept.
+_COUNT_CHECKS = """
+import sys
+from symalg import morphisms
+from symalg.harness import load_config, run_suite
+
+calls = [0]
+check_equal = morphisms.check_equal
+
+def counted(*args, **kwargs):
+    calls[0] += 1
+    return check_equal(*args, **kwargs)
+
+for name, mod in list(sys.modules.items()):
+    if name == "symalg" or name.startswith("symalg."):
+        for attr, value in list(vars(mod).items()):
+            if value is check_equal:
+                setattr(mod, attr, counted)
+run_suite(load_config(None, {"bound": 3}))
+print(calls[0], len(morphisms._VERDICTS))
+"""
+
 #: Runs the default suite at bound 2; prints the apply_basis memo's entries
 #: and the intern table's nodes.
 _COUNT_MEMO = """
@@ -400,29 +423,23 @@ class TestRunner:
 
     def test_default_run_builds_each_family_once_per_bound(self, monkeypatch):
         # The derivation families are built once for the law bound and once
-        # for the deep laws' bound - 1, not once per law, and each law
-        # decides only the equations it names.
-        calls = {"builtin_derivations": 0, "check_equal": 0}
+        # for the deep laws' bound - 1, not once per law.
+        calls = [0]
+        builtin_derivations = laws.builtin_derivations
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return builtin_derivations(*args, **kwargs)
 
-        monkeypatch.setattr(laws, "builtin_derivations",
-                            counted("builtin_derivations", laws.builtin_derivations))
-        check_equal = morphisms.check_equal
-        wrapped = counted("check_equal", check_equal)
-        for name, mod in list(sys.modules.items()):
-            if name == "symalg" or name.startswith("symalg."):
-                for attr, value in list(vars(mod).items()):
-                    if value is check_equal:
-                        monkeypatch.setattr(mod, attr, wrapped)
+        monkeypatch.setattr(laws, "builtin_derivations", counted)
         report = run_suite(SuiteConfig(bound=3))
         assert report["summary"]["checks"] == 212
-        assert calls["builtin_derivations"] <= 2
-        assert calls["check_equal"] <= 700
+        assert calls[0] <= 2
+
+    def test_default_run_check_equal_calls_in_a_fresh_process(self):
+        # Each law decides only the equations it names, and no law decides
+        # another's premise: 631 calls, of which 349 distinct equations are kept.
+        assert _fresh_process(_COUNT_CHECKS).split() == ["631", "349"]
 
     def test_builtin_table_algebras_are_built_once_per_process(self):
         # rationals, dual numbers and the square-zero extension, once each.
