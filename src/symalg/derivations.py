@@ -66,15 +66,11 @@ def decide_equations(equations, bound: int) -> Verdict:
     return Verdict(tested, bound)
 
 
-def decide(lhs, rhs, bound: int) -> Verdict:
-    """lhs = rhs as maps, or componentwise as arrow morphisms."""
-    return decide_equations([(lhs, rhs)], bound)
-
-
 def decide_all(equations: dict, bound: int):
-    """(name, verdict) of each equation, in table order, lazily."""
+    """(name, verdict) of each equation, in table order, lazily: lhs = rhs as
+    maps, or componentwise as arrow morphisms."""
     for name, (lhs, rhs) in equations.items():
-        yield name, decide(lhs, rhs, bound)
+        yield name, decide_equations([(lhs, rhs)], bound)
 
 
 def _validate(equations: dict, bound: int) -> None:

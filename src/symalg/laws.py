@@ -13,18 +13,10 @@ S-bar algebras and box monoids, once per run and bound.
 Deep laws, whose domain nests the symmetric algebra twice or more, run one
 bound lower, since their basis grows quickly.
 
-Mutation names accepted by the checks (each breaks one construction on
-purpose, to prove the checks are not vacuous):
-
-- ``leibniz-drop``: drop one summand of the Leibniz law's right side.
-- ``dbar-twist-skip``: omit the symmetry twist in the lifted deriving map
-  (applied on endomorphism arrows, where the wrong map is still typed).
-- ``mubar-mult-skip``: replace the multiplication step of the lifted
-  monad multiplication by evaluation at zero.
-- ``m2-drop``: zero out the redundant second multiplication component of
-  a box-product monoid.
-- ``chi-split-swap``: swap the two tensor factors of the Seely inverse
-  (applied when both halves coincide, where the wrong map is typed).
+Each mutation breaks one construction on purpose, to prove the checks are
+not vacuous; it is one row of ``_MUTANTS``.  A law builds each construction a
+mutation may replace through ``ctx.made(site, f, *args)``, keyed by the
+site's name, not by ``f``, which perfbench's tracer rebinds.
 """
 
 from __future__ import annotations
@@ -61,18 +53,50 @@ from .tangent import (
     kleisli_map, kleisli_diff, monomial_power_map,
 )
 
-#: Law families expected to fail under each mutation.
-MUTATION_TARGETS = {
-    "leibniz-drop": ("D2",),
-    "dbar-twist-skip": ("arrow.D2", "arrow.D5"),
-    "mubar-mult-skip": ("arrow.monad.unit.l",),
-    "m2-drop": ("monoid.m2-redundancy",),
-    "chi-split-swap": ("seely.iso.l", "seely.iso.r"),
+def _dbar(a0, a1):
+    d = dbar(a0, a1)
+    if a0 != a1:
+        return d
+    (row1,), (row2,) = d.f1.entries
+    return replace(d, f1=Matrix(((row1,), (row2.f,))))
+
+
+def _mubar(o):
+    mu = mubar(o)
+    drop = compose(SymF(ZeroM(o.dom(), ZERO)), Chi0Inv())  # S(A0) -> I
+    step = TensorM(Id(sym(o.dom())), TensorM(drop, Id(o.cod())))
+    return replace(mu, f1=Compose(step, mu.f1.f))
+
+
+def _chi_inv(p, q):
+    inv = ChiInv(p, q)
+    return compose(inv, Sigma(sym(p), sym(q))) if p == q else inv
+
+
+#: A mutation: the law families it must make fail, the one construction
+#: site it replaces, and the mutant, built from that site's arguments.
+_Mutation = namedtuple("_Mutation", "kills site mutant")
+
+_MUTANTS = {
+    # Drop the second summand of the Leibniz law's right side.
+    "leibniz-drop": _Mutation(("D2",), "leibniz.rhs", lambda t1, t2: t1),
+    # Skip the lifted deriving map's symmetry twist; typed on endomorphism arrows only.
+    "dbar-twist-skip": _Mutation(("arrow.D2", "arrow.D5"), "dbar", _dbar),
+    # Evaluate at zero instead of multiplying in the lifted monad multiplication.
+    "mubar-mult-skip": _Mutation(("arrow.monad.unit.l",), "mubar", _mubar),
+    # Zero the redundant second multiplication m2 of the box monoid under test.
+    "m2-drop": _Mutation(("monoid.m2-redundancy",), "box.axioms", lambda mon: monoid_axioms(
+        replace(mon, m2=ZeroM(mon.m2.dom(), mon.m2.cod())))),
+    # Swap the Seely inverse's tensor factors; typed only when both halves coincide.
+    "chi-split-swap": _Mutation(("seely.iso.l", "seely.iso.r"), "seely.inv", _chi_inv),
 }
+
+#: Law families expected to fail under each mutation.
+MUTATION_TARGETS = {name: m.kills for name, m in _MUTANTS.items()}
 
 #: The mutation names, in order.  A tuple, not the dict: a config's raw
 #: "mutate" value may be unhashable, and `in` on a tuple compares by ==.
-MUTATIONS = tuple(MUTATION_TARGETS)
+MUTATIONS = tuple(_MUTANTS)
 
 #: Instance names of `builtin_derivations`, in its order.
 BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
@@ -83,7 +107,6 @@ class _Derived:
     """A derivation validated at `bound`, and what the dictionaries make of it, built once."""
     d: Derivation
     bound: int
-    mutation: str | None
 
     @cached_property
     def sba(self):
@@ -92,13 +115,6 @@ class _Derived:
     @cached_property
     def mon(self):
         return derivation_to_monoid(self.d, bound=self.bound)
-
-    @cached_property
-    def box(self):
-        """mon as the box-monoid laws see it: m2-drop zeroes its forced m2."""
-        if self.mutation != "m2-drop":
-            return self.mon
-        return replace(self.mon, m2=ZeroM(self.mon.m2.dom(), self.mon.m2.cod()))
 
 
 @dataclass
@@ -111,6 +127,12 @@ class LawContext:
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)
+
+    def made(self, site: str, f, *args):
+        """f(*args), or the mutant built from args if this context's mutation
+        replaces `site`."""
+        m = _MUTANTS.get(self.mutation)
+        return m.mutant(*args) if m is not None and m.site == site else f(*args)
 
 
 @dataclass(frozen=True)
@@ -194,49 +216,22 @@ def _derivations(bound, ctx):
     if bound not in ctx.derived:
         ders = [*zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound)),
                 *ctx.extra_derivations]
-        ctx.derived[bound] = [(n, _Derived(d, bound, ctx.mutation)) for n, d in ders]
+        ctx.derived[bound] = [(n, _Derived(d, bound)) for n, d in ders]
     return ctx.derived[bound]
 
 
-def _d2_rhs(a, drop: bool):
+def _d2_rhs(a, ctx):
     sa = sym(a)
     mstep = TensorM(Mult(a), Id(a))
     t1 = compose(TensorM(Id(sa), Deriv(a)), mstep)
     t2 = compose(TensorM(Deriv(a), Id(sa)), TensorM(Id(sa), Sigma(a, sa)), mstep)
-    return t1 if drop else Add(t1, t2)
-
-
-def _chi_inv(pair, ctx):
-    inv = ChiInv(pair.p, pair.q)
-    if ctx.mutation == "chi-split-swap" and pair.p == pair.q:
-        inv = compose(inv, Sigma(sym(pair.p), sym(pair.q)))
-    return inv
-
-
-def _dbar(a0, a1, ctx):
-    d = dbar(a0, a1)
-    if ctx.mutation == "dbar-twist-skip" and a0 == a1:
-        # The second row without its symmetry twist: typed only when A0 = A1.
-        (row1,), (row2,) = d.f1.entries
-        return replace(d, f1=Matrix(((row1,), (row2.f,))))
-    return d
-
-
-def _mubar(o, ctx):
-    mu = mubar(o)
-    if ctx.mutation == "mubar-mult-skip":
-        # Discard the second Sym factor by evaluating it at zero, S(A0) -> I,
-        # instead of multiplying.
-        drop = compose(SymF(ZeroM(o.dom(), ZERO)), Chi0Inv())
-        step = TensorM(Id(sym(o.dom())), TensorM(drop, Id(o.cod())))
-        return replace(mu, f1=Compose(step, mu.f1.f))
-    return mu
+    return ctx.made("leibniz.rhs", Add, t1, t2)
 
 
 def _arrow_d2(o, ctx):
     a = _ends(o)
     sb = sbar_spaces(*a)
-    d = _dbar(*a, ctx)
+    d = ctx.made("dbar", dbar, *a)
     t1 = boxtimes_mor(id_arrow(*sb), d)
     t2 = compose_arrow(boxtimes_mor(id_arrow(*sb), boxtimes_sigma(*a, *sb)),
                        boxtimes_mor(d, id_arrow(*sb)))
@@ -244,9 +239,16 @@ def _arrow_d2(o, ctx):
     return compose_arrow(d, mbar(*a)), rhs
 
 
+def _arrow_d4(o, ctx):
+    a = _ends(o)
+    d = ctx.made("dbar", dbar, *a)
+    rhs = compose_arrow(boxtimes_mor(mubar(o), d), ctx.made("dbar", dbar, *sbar_spaces(*a)))
+    return compose_arrow(d, mubar(o)), compose_arrow(boxtimes_mor(mbar(*a), id_arrow(*a)), rhs)
+
+
 def _arrow_d5(o, ctx):
     a = _ends(o)
-    d = _dbar(*a, ctx)
+    d = ctx.made("dbar", dbar, *a)
     inner = compose_arrow(boxtimes_mor(d, id_arrow(*a)), d)
     lhs = compose_arrow(boxtimes_mor(id_arrow(*sbar_spaces(*a)), boxtimes_sigma(*a, *a)), inner)
     return lhs, inner
@@ -257,6 +259,12 @@ def _dual_table(x, ctx):
     dual = dual_numbers()
     j = linear_map_from_matrix(tan.carrier, dual.carrier, ((1, 0), (0, 1)))
     return compose(tan.mult(), j), compose(TensorM(j, j), dual.mult())
+
+
+def _box_law(name, anchor, *keys) -> Law:
+    """The box-monoid equations `keys` of each derivation's monoid."""
+    return Law(name, anchor, _derivations, lambda x, ctx: [
+        ctx.made("box.axioms", monoid_axioms, x.mon)[k] for k in keys])
 
 
 def _dict_roundtrip(x, ctx):
@@ -284,8 +292,7 @@ _LAWS = (
     _eq("D1", "derivative of the constant monomial vanishes", _bases,
         lambda a, ctx: (compose(UnitM(a), Deriv(a)), ZeroM(UNIT, tensor(sym(a), a)))),
     _eq("D2", "Leibniz product rule for the deriving map", _bases,
-        lambda a, ctx: (compose(Mult(a), Deriv(a)),
-                        _d2_rhs(a, ctx.mutation == "leibniz-drop"))),
+        lambda a, ctx: (compose(Mult(a), Deriv(a)), _d2_rhs(a, ctx))),
     _eq("D3", "derivative of a generator is the generator", _bases,
         lambda a, ctx: (compose(Eta(a), Deriv(a)), TensorM(UnitM(a), Id(a)))),
     _eq("D4", "chain rule: derivative commutes with substitution", _bases,
@@ -333,10 +340,10 @@ _LAWS = (
                         compose(SymF(f), Deriv(f.cod())))),
 
     _eq("seely.iso.l", "merging then splitting monomials is the identity", _seely_pairs,
-        lambda pair, ctx: (compose(Chi(pair.p, pair.q), _chi_inv(pair, ctx)),
+        lambda pair, ctx: (compose(Chi(pair.p, pair.q), ctx.made("seely.inv", ChiInv, *pair)),
                            Id(tensor(sym(pair.p), sym(pair.q))))),
     _eq("seely.iso.r", "splitting then merging monomials is the identity", _seely_pairs,
-        lambda pair, ctx: (compose(_chi_inv(pair, ctx), Chi(pair.p, pair.q)),
+        lambda pair, ctx: (compose(ctx.made("seely.inv", ChiInv, *pair), Chi(pair.p, pair.q)),
                            Id(sym(direct_sum(pair.p, pair.q))))),
     _eq("seely0.iso.l", "the empty-space comparison is invertible, one way",
         lambda bound, ctx: [("I", None)],
@@ -346,14 +353,16 @@ _LAWS = (
         lambda x, ctx: (compose(Chi0Inv(), UnitM(ZERO)), Id(sym(ZERO)))),
 
     _eq("arrow.monad.unit.l", "lifted monad: outer unit then multiplication", _arrows,
-        lambda o, ctx: (compose_arrow(_mubar(o, ctx), etabar(sbar_obj(o))),
+        lambda o, ctx: (compose_arrow(ctx.made("mubar", mubar, o), etabar(sbar_obj(o))),
                         id_arrow(*sbar_spaces(*_ends(o))))),
     _eq("arrow.monad.unit.r", "lifted monad: inner unit then multiplication", _arrows,
-        lambda o, ctx: (compose_arrow(_mubar(o, ctx), sbar_mor(etabar(o))),
+        lambda o, ctx: (compose_arrow(ctx.made("mubar", mubar, o), sbar_mor(etabar(o))),
                         id_arrow(*sbar_spaces(*_ends(o))))),
     _eq("arrow.monad.assoc", "lifted monad: multiplication is associative", _arrows,
-        lambda o, ctx: (compose_arrow(_mubar(o, ctx), sbar_mor(_mubar(o, ctx))),
-                        compose_arrow(_mubar(o, ctx), _mubar(sbar_obj(o), ctx))),
+        lambda o, ctx: (compose_arrow(ctx.made("mubar", mubar, o),
+                                      sbar_mor(ctx.made("mubar", mubar, o))),
+                        compose_arrow(ctx.made("mubar", mubar, o),
+                                      ctx.made("mubar", mubar, sbar_obj(o)))),
         deep=True),
     _eq("arrow.monoid.assoc", "lifted multiplication is associative", _lifted_monoids,
         lambda x, ctx: (compose_arrow(x.m, boxtimes_mor(x.m, id_arrow(*x.sb))),
@@ -371,18 +380,13 @@ _LAWS = (
         lambda o, ctx: (compose_arrow(mubar(o), ubar(*sbar_spaces(*_ends(o)))), ubar(*_ends(o))),
         deep=True),
     _eq("arrow.D1", "lifted derivative of the constant vanishes", _arrows,
-        lambda o, ctx: (compose_arrow(_dbar(*_ends(o), ctx), ubar(*_ends(o))),
+        lambda o, ctx: (compose_arrow(ctx.made("dbar", dbar, *_ends(o)), ubar(*_ends(o))),
                         zero_arrow(UNIT, ZERO, *box_spaces(*sbar_spaces(*_ends(o)), *_ends(o))))),
     _eq("arrow.D2", "lifted Leibniz product rule", _arrows, _arrow_d2),
     _eq("arrow.D3", "lifted derivative of a generator", _arrows,
-        lambda o, ctx: (compose_arrow(_dbar(*_ends(o), ctx), etabar(o)),
+        lambda o, ctx: (compose_arrow(ctx.made("dbar", dbar, *_ends(o)), etabar(o)),
                         boxtimes_mor(ubar(*_ends(o)), id_arrow(*_ends(o))))),
-    _eq("arrow.D4", "lifted chain rule", _arrows,
-        lambda o, ctx: (compose_arrow(_dbar(*_ends(o), ctx), mubar(o)),
-                        compose_arrow(boxtimes_mor(mbar(*_ends(o)), id_arrow(*_ends(o))),
-                                      compose_arrow(boxtimes_mor(mubar(o), _dbar(*_ends(o), ctx)),
-                                                    _dbar(*sbar_spaces(*_ends(o)), ctx)))),
-        deep=True),
+    _eq("arrow.D4", "lifted chain rule", _arrows, _arrow_d4, deep=True),
     _eq("arrow.D5", "lifted interchange of second derivatives", _arrows, _arrow_d5),
 
     _eq("arrow.box.assoc", "box product is strictly associative", _box_pairs,
@@ -424,19 +428,14 @@ _LAWS = (
         _derivations, lambda x, ctx: sbar_aux_axioms(x.sba)["sbar.aux.evaluated-unit"]),
     _eq("sbar.aux.mult-action", "derived diagram: acting by a product equals acting twice",
         _derivations, lambda x, ctx: sbar_aux_axioms(x.sba)["sbar.aux.mult-action"]),
-    _eq("boxmonoid.assoc", "box monoid from a derivation: associativity", _derivations,
-        lambda x, ctx: monoid_axioms(x.box)["monoid.assoc"]),
-    _eq("boxmonoid.unit.l", "box monoid from a derivation: left unit", _derivations,
-        lambda x, ctx: monoid_axioms(x.box)["monoid.unit.l"]),
-    _eq("boxmonoid.unit.r", "box monoid from a derivation: right unit", _derivations,
-        lambda x, ctx: monoid_axioms(x.box)["monoid.unit.r"]),
-    _eq("boxmonoid.comm", "box monoid from a derivation: commutativity", _derivations,
-        lambda x, ctx: monoid_axioms(x.box)["monoid.comm"]),
-    Law("boxmonoid.squares", "box monoid structure maps are arrow morphisms", _derivations,
-        lambda x, ctx: [monoid_axioms(x.box)[k]
-                        for k in ("monoid.square.mult", "monoid.square.unit")]),
-    _eq("monoid.m2-redundancy", "the second multiplication component is forced by symmetry",
-        _derivations, lambda x, ctx: monoid_axioms(x.box)["monoid.m2-redundancy"]),
+    _box_law("boxmonoid.assoc", "box monoid from a derivation: associativity", "monoid.assoc"),
+    _box_law("boxmonoid.unit.l", "box monoid from a derivation: left unit", "monoid.unit.l"),
+    _box_law("boxmonoid.unit.r", "box monoid from a derivation: right unit", "monoid.unit.r"),
+    _box_law("boxmonoid.comm", "box monoid from a derivation: commutativity", "monoid.comm"),
+    _box_law("boxmonoid.squares", "box monoid structure maps are arrow morphisms",
+             "monoid.square.mult", "monoid.square.unit"),
+    _box_law("monoid.m2-redundancy", "the second multiplication component is forced by symmetry",
+             "monoid.m2-redundancy"),
     Law("monoid.dict.roundtrip", "derivation -> monoid -> derivation is the identity",
         _derivations, _dict_roundtrip),
 

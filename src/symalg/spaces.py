@@ -538,7 +538,7 @@ def _level(space: SpaceExpr, w: int) -> tuple:
         return tuple(map(_tensor_ix, _products(space.factors, w)))
     if isinstance(space, Sym):
         # Each multiset element costs 1 + its own weight.
-        inner = [bv for v in range(w) for bv in _level(space.inner, v)]
+        inner = list(_basis_upto(space.inner, w - 1)) if w else []
         return tuple(map(_mon_ix, _multisets(inner, w)))
     if isinstance(space, Base):
         return tuple(map(GenIx, range(space.rank))) if w == 0 else ()

@@ -269,7 +269,7 @@ class TestLiftedModality:
 
     def test_mutated_dbar_fails_interchange(self):
         o = ID2
-        d = laws._dbar(*ends(o), laws.LawContext(mutation="dbar-twist-skip"))
+        d = laws.LawContext(mutation="dbar-twist-skip").made("dbar", dbar, *ends(o))
         assert d.f1 != dbar(*ends(o)).f1
         sb = sbar_spaces(*ends(o))
         inner = compose_arrow(boxtimes_mor(d, id_arrow(*ends(o))), d)

@@ -19,7 +19,7 @@ from symalg.derivations import (
     s_algebra, free_algebra, table_algebra, a_module, derivation,
     sbar_algebra, algebra_to_derivation, derivation_to_algebra,
     derivation_to_monoid, monoid_to_derivation,
-    decide, decide_all, decide_equations, table_axioms, algebra_axioms, module_axioms, derivation_axioms,
+    decide_all, decide_equations, table_axioms, algebra_axioms, module_axioms, derivation_axioms,
     chain_rule_axioms,
     derivation_map_axioms, sbar_axioms, sbar_aux_axioms, sbar_map_axioms, monoid_axioms,
     rational_algebra, dual_numbers, square_zero_extension,
@@ -39,7 +39,7 @@ def chain_rule(d, bound):
 
 
 class TestDecideEquations:
-    """The one fold behind Law.run, decide, decide_all and the factories."""
+    """The one fold behind Law.run, decide_all and the factories."""
 
     S = sym(B1)
     BAD = (Id(S), ZeroM(S, S))
@@ -231,7 +231,8 @@ class TestMonoidDictionary:
 
     def test_m2_redundancy_holds(self):
         for d in builtin_derivations():
-            assert decide(*monoid_axioms(derivation_to_monoid(d))["monoid.m2-redundancy"], 2).ok
+            assert decide_equations(
+                [monoid_axioms(derivation_to_monoid(d))["monoid.m2-redundancy"]], 2).ok
 
     def test_mutated_m2_rejected_naming_the_diagram(self):
         d = formal_derivative()
@@ -246,7 +247,7 @@ class TestMonoidDictionary:
         # the stronger condition always comes with the plain one
         for d in builtin_derivations():
             if chain_rule(d, 2):
-                assert decide(*derivation_axioms(d)["derivation.leibniz"], 2).ok
+                assert decide_equations([derivation_axioms(d)["derivation.leibniz"]], 2).ok
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,8 @@ for img in images.values():
 print(json.dumps({"built": built[0], "images": len(images), "bad": bad[:3]}))
 """
 
-#: Runs the default suite at bound 3; prints its check_equal calls and the
-#: verdicts check_equal kept.
+#: Runs the default suite at bound 3, then again under each mutation named
+#: in argv; prints the check_equal calls and the verdicts check_equal kept.
 _COUNT_CHECKS = """
 import sys
 from symalg import morphisms
@@ -239,7 +239,8 @@ for name, mod in list(sys.modules.items()):
         for attr, value in list(vars(mod).items()):
             if value is check_equal:
                 setattr(mod, attr, counted)
-run_suite(load_config(None, {"bound": 3}))
+for mutate in [None, *sys.argv[1:]]:
+    run_suite(load_config(None, {"bound": 3, "mutate": mutate}))
 print(calls[0], len(morphisms._VERDICTS))
 """
 
@@ -440,6 +441,12 @@ class TestRunner:
         # Each law decides only the equations it names, and no law decides
         # another's premise: 631 calls, of which 349 distinct equations are kept.
         assert _fresh_process(_COUNT_CHECKS).split() == ["631", "349"]
+
+    def test_mutants_sequence_check_equal_calls_in_a_fresh_process(self):
+        # The bound-3 run unmutated and then under each mutation.  A mutant
+        # that is typed but built from other nodes keeps every report and
+        # changes these counts.
+        assert _fresh_process(_COUNT_CHECKS, *MUTATIONS).split() == ["3709", "402"]
 
     def test_builtin_table_algebras_are_built_once_per_process(self):
         # rationals, dual numbers and the square-zero extension, once each.

@@ -7,11 +7,17 @@ per mutation, the laws that no mutation can make fail, and each mutated
 report whole: a failing row's tested count, bound and witness.
 """
 
+import ast
+import functools
 import hashlib
+import inspect
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from symalg import arrow, laws
 from symalg.harness import SuiteConfig, run_suite, strip_timing
 from symalg.laws import MUTATIONS, MUTATION_TARGETS, registry
 
@@ -97,3 +103,44 @@ def test_uncovered_laws_only_shrink(failing):
 def test_mutated_report_digest(reports, mutation):
     report = json.dumps(reports[mutation], sort_keys=True).encode()
     assert hashlib.sha256(report).hexdigest() == MUTATED_DIGESTS[mutation]
+
+
+def test_mutations_survive_rebound_constructions(monkeypatch):
+    # perfbench's tracer rebinds each public arrow function wherever a symalg
+    # module holds it, so a mutation that found its site by the function
+    # object would miss it there and leave the laws passing.
+    originals = (arrow.dbar, arrow.mubar)
+    for fn in originals:
+        wrapped = functools.wraps(fn)(lambda *args, _fn=fn: _fn(*args))
+        for name, mod in list(sys.modules.items()):
+            if name == "symalg" or name.startswith("symalg."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    assert (laws.dbar, laws.mubar) != originals
+    for mutation, law in [("dbar-twist-skip", "arrow.D2"),
+                          ("mubar-mult-skip", "arrow.monad.unit.l")]:
+        assert run_suite(SuiteConfig(bound=2, laws=law))["summary"]["failures"] == 0
+        report = run_suite(SuiteConfig(bound=2, laws=law, mutate=mutation))
+        assert report["summary"]["failures"] > 0, (mutation, law)
+
+
+def test_each_mutation_is_one_table_row_and_no_branch():
+    tree = ast.parse(inspect.getsource(laws))
+    named = Counter(n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and n.value in MUTATIONS)
+    assert named == Counter(MUTATIONS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                assert not (isinstance(operand, ast.Constant) and operand.value in MUTATIONS)
+    # The mutation is read in one place: LawContext's site lookup.
+    reads = {id(n) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "mutation"}
+    context = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LawContext")
+    readers = [f for f in context.body if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Attribute) and n.attr == "mutation"
+                       for n in ast.walk(f))]
+    assert len(readers) == 1
+    assert reads == {id(n) for n in ast.walk(readers[0])
+                     if isinstance(n, ast.Attribute) and n.attr == "mutation"}

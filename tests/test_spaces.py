@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symalg import spaces
 from symalg.spaces import (
     UNIT, ZERO, base, tensor, direct_sum, sym,
     Sum, Tensor, Sym, Base, Unit, Zero,
@@ -203,6 +204,21 @@ class TestEnumeration:
         assert len(basis) == 1501
         assert [weight(bv) for bv in basis] == list(range(1501))
         assert basis[-1] is MonIx((enumerate_basis(inner, 0)[0],) * 1500)
+
+    def test_sym_walk_asks_a_finite_inner_basis_for_level_0_only(self, monkeypatch):
+        # A finite basis is all of weight 0, so walking S(B) to weight 40
+        # needs B's level 0 and none of its empty levels 1..39.
+        inner = base("walked", 2)
+        asked, level = [], spaces._level
+
+        def recorded(space, w):
+            asked.append((space, w))
+            return level(space, w)
+
+        monkeypatch.setattr(spaces, "_level", recorded)
+        basis = enumerate_basis(sym(inner), 40)
+        assert len(basis) == sum(multiset_count(2, d) for d in range(41))
+        assert {w for space, w in asked if space is inner} == {0}
 
 
 
