@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .spaces import (
-    SpaceExpr, BasisVector, terms, decompose_sum, term_parts, pair_layout, join_parts,
-    order_key, is_basis_vector,
+    SpaceExpr, BasisVector, pair_layout, split_term, join_term, order_key, is_basis_vector,
 )
 
 
@@ -40,6 +39,18 @@ class Element:
             return "Element(0)"
         body = " + ".join(f"{c}*{bv}" for bv, c in self.coeffs)
         return f"Element({body})"
+
+
+_set_space, _set_coeffs = Element.space.__set__, Element.coeffs.__set__
+
+
+def _new(space: SpaceExpr, coeffs: tuple) -> Element:
+    """Element(space, coeffs), built by setting its two slots, which skips
+    the frozen dataclass's __init__."""
+    e = object.__new__(Element)
+    _set_space(e, space)
+    _set_coeffs(e, coeffs)
+    return e
 
 
 def _coeff(c):
@@ -97,10 +108,10 @@ def _from_items(space: SpaceExpr, items: tuple) -> Element:
     order key, nonzero and canonical; the shared object when it is zero or
     one basis vector with coefficient 1."""
     if len(items) > 1 or items and items[0][1] != 1:
-        return Element(space, items)
+        return _new(space, items)
     shared = _SHARED.get(space) or _SHARED.setdefault(space, {})
     key = items[0][0] if items else None
-    return shared.get(key) or shared.setdefault(key, Element(space, items))
+    return shared.get(key) or shared.setdefault(key, _new(space, items))
 
 
 def zero_element(space: SpaceExpr) -> Element:
@@ -136,11 +147,19 @@ def elem_sum(space: SpaceExpr, elems) -> Element:
 
 
 def elem_combination(space: SpaceExpr, pairs) -> Element:
-    """The sum of c * e over the (c, e) pairs, accumulated in one dict."""
-    out = {}
-    for c, e in pairs:
+    """The sum of c * e over the (c, e) pairs; each e must lie in space."""
+    pairs = tuple(pairs)
+    for _, e in pairs:
         if e.space != space:
             raise SpaceMismatchError(f"summand in {e.space!r}, expected {space!r}")
+    return _combination(space, pairs)
+
+
+def _combination(space: SpaceExpr, pairs) -> Element:
+    """elem_combination for elements known to lie in space, unchecked: the
+    sum accumulated in one dict."""
+    out = {}
+    for c, e in pairs:
         for bv, x in e.coeffs:
             old = out.get(bv)
             out[bv] = c * x if old is None else old + c * x
@@ -148,20 +167,17 @@ def elem_combination(space: SpaceExpr, pairs) -> Element:
 
 
 def elem_tensor(a: Element, b: Element) -> Element:
-    """Bilinear tensor product, landing in the normalized tensor space.  Each
-    side's terms are split into factor parts once, then every pair joined."""
-    layout = pair_layout(a.space, b.space)
-    left, right = _split(a), _split(b)
-    # join_parts is injective, so no two pairs land on the same basis vector.
-    return _element(layout[0], {join_parts(layout, i, pa, j, pb): ca * cb
-                                for i, pa, ca in left for j, pb, cb in right})
+    """Bilinear tensor product, landing in the normalized tensor space."""
+    return _tensor_with(pair_layout(a.space, b.space), a, b)
 
 
-def _split(e: Element) -> list:
-    """Each term of e as (branch, one index per tensor factor, coefficient)."""
-    ts = terms(e.space)
-    out = []
-    for bv, c in e.coeffs:
-        i, inner = decompose_sum(bv, e.space)
-        out.append((i, term_parts(inner, ts[i]), c))
-    return out
+def _tensor_with(layout: tuple, a: Element, b: Element) -> Element:
+    """elem_tensor, where layout is the pair layout of a's and b's spaces.
+    Each side's terms are split into factor parts once, then every pair
+    joined."""
+    big, lab, _, branch, la, lb = layout
+    left = [(split_term(bv, la), c) for bv, c in a.coeffs]
+    right = [(split_term(bv, lb), c) for bv, c in b.coeffs]
+    # Joining is injective, so no two pairs land on the same basis vector.
+    return _element(big, {join_term(lab, branch[i][j], pa + pb): ca * cb
+                          for (i, pa), ca in left for (j, pb), cb in right})

@@ -18,12 +18,12 @@ from bisect import bisect_right
 
 from .spaces import (
     MonIx, TensorIx, UNIT_IX, _mon_ix, monomial, terms, decompose_sum, build_sum,
-    pair_parts, join_pair, order_key,
+    split_term, join_pair, order_key,
 )
-from .elements import _element, _singleton, elem_combination
+from .elements import _combination, _element, _singleton
 from .morphisms import (
     SymF, Eta, Mu, Mult, UnitM, Deriv, ChiInv, Chi0Inv, TableNu,
-    RULES, apply_basis,
+    RULES, _apply_basis,
 )
 
 
@@ -36,7 +36,7 @@ def _mu(m, bv):
 
 
 def _mult(m, bv):
-    _, (p, q) = pair_parts(bv, m._layout)
+    _, (p, q) = split_term(bv, m._layout)
     return _singleton(m.cod(), monomial(p.parts + q.parts))
 
 
@@ -45,7 +45,7 @@ def _symf(m, bv):
     f(p_d).  Each product monomial is a prefix monomial with one image vector
     inserted into its sorted parts; equal monomials are summed in one dict.
 
-    The prefix image comes through `apply_basis`, after the prefixes of
+    The prefix image comes through `_apply_basis`, after the prefixes of
     length d - 2^j for falling j, so shortest first.  A prefix that misses
     runs this rule with at most half the gap to the prefixes already in the
     memo, so a cold degree-d monomial nests about log2(d) rules deep, not d,
@@ -56,8 +56,8 @@ def _symf(m, bv):
     d = len(parts)
     prefix = ((MonIx(()), 1),)
     for j in reversed(range((d - 1).bit_length())):
-        prefix = apply_basis(m, _mon_ix(parts[:d - (1 << j)])).coeffs
-    last = apply_basis(m.f, parts[-1]).coeffs
+        prefix = _apply_basis(m, _mon_ix(parts[:d - (1 << j)])).coeffs
+    last = _apply_basis(m.f, parts[-1]).coeffs
     acc = {}
     for mono, c in prefix:
         ps = mono.parts
@@ -101,8 +101,8 @@ def _table_fold(m, bv):
     acc = m.unit_elem
     for factor in bv.parts:
         col = index[factor]
-        acc = elem_combination(carrier, ((c, m.mult_table[index[g]][col])
-                                         for g, c in acc.coeffs))
+        acc = _combination(carrier, ((c, m.mult_table[index[g]][col])
+                                     for g, c in acc.coeffs))
     return acc
 
 

@@ -15,12 +15,11 @@ from itertools import chain
 from .spaces import (
     Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
     tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _basis_upto,
-    decompose_sum, build_sum, pair_layout, pair_parts, join_parts, split_pair,
-    term_parts, term_vector, is_basis_vector, _require_int,
+    pair_layout, term_layout, split_term, join_term, is_basis_vector, _require_int,
 )
 from .elements import (
     Element, SpaceMismatchError, element, zero_element,
-    elem_add, elem_combination, elem_tensor, _element, _from_items, _singleton,
+    _combination, _element, _from_items, _singleton, _tensor_with,
 )
 
 
@@ -101,14 +100,12 @@ class TensorM(MorExpr):
     g: MorExpr
 
     def _endpoints(self):
-        # Layout: (side, pair_layout of the domain pair, of the codomain pair,
-        # terms of the acting side's codomain); side is "f" for f (x) Id(b),
-        # "g" for Id(a) (x) g, else None.
+        # Layout: (side, pair_layout of the domain pair, of the codomain
+        # pair); side is "f" for f (x) Id(b), "g" for Id(a) (x) g, else None.
         side = "f" if isinstance(self.g, Id) else "g" if isinstance(self.f, Id) else None
         dom = pair_layout(self.f.dom(), self.g.dom())
         cod = pair_layout(self.f.cod(), self.g.cod())
-        act = self.g if side == "g" else self.f
-        return dom[0], cod[0], (side, dom, cod, terms(act.cod()))
+        return dom[0], cod[0], (side, dom, cod)
 
 
 @node
@@ -152,10 +149,13 @@ class Matrix(MorExpr):
     entries: tuple  # rows of tuples of MorExpr
 
     def _endpoints(self):
-        # Layout: (where, columns).  where[k] is (j, dom block j, t) for term k
-        # of the domain, term t of dom block j; columns[j] lists (entry, cod
-        # block, offset of the block's first term in the codomain) for the
-        # nonzero entries of column j.
+        # Layout: (whether the domain is a Sum, where, columns, whether the
+        # codomain is a Sum).  where[k] is (j, t) for term k of the domain,
+        # term t of dom block j, with t None when the block is one term.
+        # columns[j] is (direct, entries): entries lists (entry, whether its
+        # block is a Sum, offset of the block's first term in the codomain)
+        # for the nonzero entries of column j, and direct says the column has
+        # one, whose block is the codomain.
         _require(self.entries and self.entries[0], "a matrix needs a row and a column")
         dom_blocks = tuple(entry.dom() for entry in self.entries[0])
         cod_blocks = []
@@ -173,10 +173,15 @@ class Matrix(MorExpr):
                 if not isinstance(entry, ZeroM):
                     columns[j].append((entry, block, offset))
             offset += len(terms(block))
-        where = tuple((j, block, t) for j, block in enumerate(dom_blocks)
+        dom, cod = direct_sum(*dom_blocks), direct_sum(*cod_blocks)
+        where = tuple((j, t if isinstance(block, Sum) else None)
+                      for j, block in enumerate(dom_blocks)
                       for t in range(len(terms(block))))
-        return (direct_sum(*dom_blocks), direct_sum(*cod_blocks),
-                (where, tuple(map(tuple, columns))))
+        columns = tuple((len(column) == 1 and column[0][1] is cod,
+                         tuple((entry, isinstance(block, Sum), offset)
+                               for entry, block, offset in column))
+                        for column in columns)
+        return dom, cod, (isinstance(dom, Sum), where, columns, isinstance(cod, Sum))
 
 
 @node
@@ -232,9 +237,9 @@ class Mult(MorExpr):
     a: SpaceExpr
 
     def _endpoints(self):
-        # Layout: pair_layout of the domain pair S(a), S(a).
-        layout = pair_layout(sym(self.a), sym(self.a))
-        return layout[0], sym(self.a), layout
+        # Layout: the term_layout of the domain, S(a) (x) S(a).
+        dom = pair_layout(sym(self.a), sym(self.a))[0]
+        return dom, sym(self.a), term_layout(dom)
 
 
 @node
@@ -304,20 +309,36 @@ def apply(m: MorExpr, v: Element) -> Element:
 
 def _apply(m, v):
     """apply for an element already known to lie in m's domain."""
-    return elem_combination(m.cod(), ((c, apply_basis(m, bv)) for bv, c in v.coeffs))
+    images = _MEMO.get(m, _NO_IMAGES)
+    pairs = []
+    for bv, c in v.coeffs:
+        img = images.get(bv)
+        pairs.append((c, _apply_basis(m, bv) if img is None else img))
+    return _combination(m.cod(), pairs)
 
 
 #: The two memos of the evaluator, owned by this module.  _MEMO is
-#: apply_basis's, {node: {basis vector: image}}; _VERDICTS is check_equal's,
+#: _apply_basis's, {node: {basis vector: image}}; _VERDICTS is check_equal's,
 #: {(lhs, rhs, weight_bound): Verdict}.  Nodes are interned and evaluation
 #: is pure, so a key's value never changes.  Both live as long as the
 #: process, so runs in one process share them.
 _MEMO = {}
 _VERDICTS = {}
+#: What a rule reads for a node with no memo entry yet; never written.
+_NO_IMAGES = {}
 
 
 def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
-    """Image of a single domain basis vector; always a finite element."""
+    """Image of a single domain basis vector; always a finite element.  A bv
+    that is not a basis vector of m.dom() raises SpaceMismatchError."""
+    if not is_basis_vector(bv, m.dom()):
+        raise SpaceMismatchError(f"{bv!r} is not a basis vector of {m.dom()!r}")
+    return _apply_basis(m, bv)
+
+
+def _apply_basis(m, bv):
+    """apply_basis for a bv already known to be a basis vector of m.dom(),
+    unchecked: the memo, or on a miss the node's rule."""
     images = _MEMO.get(m)
     if images is not None:
         img = images.get(bv)
@@ -326,67 +347,89 @@ def apply_basis(m: MorExpr, bv: BasisVector) -> Element:
     fn = RULES.get(type(m))
     if fn is None:
         raise TypeError(f"no evaluation rule for {type(m).__name__}")
-    img = _MEMO.setdefault(m, {})[bv] = fn(m, bv)
+    img = fn(m, bv)
+    if images is None:  # the rule may have made m's dict (SymF asks for prefixes)
+        images = _MEMO.setdefault(m, {})
+    images[bv] = img
     return img
 
 
 def _compose(m, bv):
-    img = apply_basis(m.f, bv)
-    if len(img.coeffs) == 1 and img.coeffs[0][1] == 1:
-        return apply_basis(m.g, img.coeffs[0][0])  # shared, not rebuilt
+    img = _MEMO.get(m.f, _NO_IMAGES).get(bv)
+    if img is None:
+        img = _apply_basis(m.f, bv)
+    coeffs = img.coeffs
+    if len(coeffs) == 1 and coeffs[0][1] == 1:
+        w = coeffs[0][0]  # the image of w under g is shared, not rebuilt
+        out = _MEMO.get(m.g, _NO_IMAGES).get(w)
+        return _apply_basis(m.g, w) if out is None else out
     return _apply(m.g, img)
 
 
 def _tensor(m, bv):
-    side, dom, cod, ts = m._layout
+    side, dom, cod = m._layout
+    _, ldom, rows, _, fdom, gdom = dom
+    k, parts = split_term(bv, ldom)
+    i, j, split = rows[k]
+    x, y = parts[:split], parts[split:]
     if side is None:
-        x, y = split_pair(bv, m.f.dom(), m.g.dom())
-        return elem_tensor(apply_basis(m.f, x), apply_basis(m.g, y))
-    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
+        return _tensor_with(cod, _apply_basis(m.f, join_term(fdom, i, x)),
+                            _apply_basis(m.g, join_term(gdom, j, y)))
     # A whiskering: evaluate the acting side's factor only and put the Id
     # side's parts back beside each term of its image.  With one side fixed
     # the codomain's order follows the image's, so no sort is needed.
-    if side == "f":
-        act, branch, x, keep = m.f, i, parts[:na], parts[na:]
-    else:
-        act, branch, x, keep = m.g, j, parts[na:], parts[:na]
-    x = term_vector(x)
-    img = apply_basis(act, _sum_ix(branch, x) if isinstance(act.dom(), Sum) else x)
+    big, lcod, _, branch, fcod, gcod = cod
     items = []
-    for y, c in img.coeffs:
-        r, inner = (y.branch, y.inner) if type(y) is SumIx else (0, y)
-        own = term_parts(inner, ts[r])
-        items.append((join_parts(cod, r, own, j, keep) if side == "f"
-                      else join_parts(cod, i, keep, r, own), c))
-    return _from_items(cod[0], tuple(items))
+    if side == "f":
+        for w, c in _apply_basis(m.f, join_term(fdom, i, x)).coeffs:
+            r, own = split_term(w, fcod)
+            items.append((join_term(lcod, branch[r][j], own + y), c))
+    else:
+        for w, c in _apply_basis(m.g, join_term(gdom, j, y)).coeffs:
+            r, own = split_term(w, gcod)
+            items.append((join_term(lcod, branch[i][r], x + own), c))
+    return _from_items(big, tuple(items))
 
 
 def _sigma(m, bv):
-    dom, cod = m._layout
-    (i, j, _, _, _, na), parts = pair_parts(bv, dom)
-    return _singleton(cod[0], join_parts(cod, j, parts[na:], i, parts[:na]))
+    (_, ldom, rows, _, _, _), (big, lcod, _, branch, _, _) = m._layout
+    k, parts = split_term(bv, ldom)
+    i, j, split = rows[k]
+    return _singleton(big, join_term(lcod, branch[j][i], parts[split:] + parts[:split]))
 
 
 def _matrix(m, bv):
-    where, columns = m._layout
-    k, inner = decompose_sum(bv, m.dom())
+    dom_sum, where, columns, cod_sum = m._layout
+    if dom_sum:
+        if type(bv) is not SumIx:
+            raise ValueError(f"expected a SumIx, got {bv!r}")
+        k, inner = bv.branch, bv.inner
+    else:
+        k, inner = 0, bv
     if k >= len(where):
         raise ValueError("term index out of range for block structure")
-    j, block, t = where[k]
-    x = build_sum(block, t, inner)
-    cod = m.cod()
-    column = columns[j]
-    if len(column) == 1 and column[0][1] is cod:  # already an element of cod
-        return apply_basis(column[0][0], x)
+    j, t = where[k]
+    x = inner if t is None else _sum_ix(t, inner)
+    direct, column = columns[j]
+    if direct:  # already an element of the codomain
+        return _apply_basis(column[0][0], x)
     # Each row writes only into its own block of codomain terms, so no two
     # rows write the same basis vector, and shifting one block's branches
     # keeps their order.
     items = []
-    for entry, block, offset in column:
-        for rbv, c in apply_basis(entry, x).coeffs:
-            r, rinner = decompose_sum(rbv, block)
-            items.append((build_sum(cod, offset + r, rinner), c))
+    for entry, block_sum, offset in column:
+        for w, c in _apply_basis(entry, x).coeffs:
+            if block_sum:
+                w = _sum_ix(offset + w.branch, w.inner)
+            elif cod_sum:
+                w = _sum_ix(offset, w)
+            items.append((w, c))
+    cod = m.cod()
     return _from_items(cod, tuple(items)) if len(column) == 1 else _element(cod, dict(items))
+
+
+def _add(m, bv):
+    return _combination(m.cod(), ((1, _apply_basis(m.f, bv)), (1, _apply_basis(m.g, bv))))
 
 
 def _linear_map(m, bv):
@@ -403,7 +446,7 @@ RULES = {
     Id: lambda m, bv: _singleton(m.space, bv),
     Compose: _compose,
     ZeroM: lambda m, bv: zero_element(m.cod_space),
-    Add: lambda m, bv: elem_add(apply_basis(m.f, bv), apply_basis(m.g, bv)),
+    Add: _add,
     TensorM: _tensor,
     Sigma: _sigma,
     Matrix: _matrix,
@@ -461,9 +504,9 @@ def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:
         return verdict
     n = 0
     for n, bv in enumerate(_basis_upto(lhs.dom(), weight_bound), 1):
-        lv = apply_basis(lhs, bv)
-        rv = apply_basis(rhs, bv)
-        if lv != rv:
+        lv = _apply_basis(lhs, bv)
+        rv = _apply_basis(rhs, bv)
+        if lv is not rv and lv != rv:  # images are often one shared object
             verdict = Verdict(n, weight_bound, witness=bv, lhs_value=lv, rhs_value=rv)
             break
     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 
 # ---------------------------------------------------------------------------
@@ -54,18 +54,19 @@ class Interned(type):
     a plain int; otherwise the call goes on as a miss, where the class's
     checks reject it.
 
-    The miss is the one place a node is built: check the number of fields,
-    `object.__new__`, set each field through its slot, run `__post_init__`
-    (the class's checks and stored structure), then intern.  A call that
-    raises leaves the table unchanged.  `dict.setdefault` keeps equal nodes
-    identical when two threads build the same node.
+    The miss is the one place a node is built, `_build`: after the call
+    checks the number of fields, it does `object.__new__`, sets each field
+    through its slot, runs `__post_init__` (the class's checks and stored
+    structure), then interns.  A call that raises leaves the table
+    unchanged.  `dict.setdefault` keeps equal nodes identical when two
+    threads build the same node.
 
     The evaluator's hot loops skip this call for the basis vectors they
     build most (`_sum_ix`, `_tensor_ix`, `_mon_ix`): those probe `_TABLE`
-    with the exact key and call the public constructor only on a miss, so
-    every new node is still checked and interned here.  They skip the hit
-    check too, so they stay private: only callers passing ints they computed
-    may use them.
+    with the exact key and call `_build` themselves on a miss, so every new
+    node is still checked and interned there.  They skip the hit check too,
+    so they stay private: only callers passing ints they computed may use
+    them.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -80,15 +81,20 @@ class Interned(type):
         if found is not None and (not cls._int_fields
                                   or all(type(args[i]) is int for i in cls._int_fields)):
             return found
-        setters = cls._setters
-        if len(args) != len(setters):
-            raise TypeError(f"{cls.__name__}() takes {len(setters)} arguments "
+        if len(args) != len(cls._setters):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._setters)} arguments "
                             f"{list(cls.__match_args__)}, got {len(args)}")
-        self = object.__new__(cls)
-        for set_field, value in zip(setters, args):
-            set_field(self, value)
-        self.__post_init__()
-        return _TABLE.setdefault(key, self)
+        return _build(cls, key, args)
+
+
+def _build(cls, key: tuple, args: tuple):
+    """The intern miss: build the node of class cls with fields args, one per
+    field, run its checks and intern it under key, which is (cls, *args)."""
+    self = object.__new__(cls)
+    for set_field, value in zip(cls._setters, args):
+        set_field(self, value)
+    self.__post_init__()
+    return _TABLE.setdefault(key, self)
 
 
 class Node(metaclass=Interned):
@@ -279,6 +285,7 @@ def is_sym_free(s: SpaceExpr) -> bool:
     return not _sym_atoms(s)
 
 
+@lru_cache(maxsize=None)
 def has_finite_basis(s: SpaceExpr) -> bool:
     """Whether s has a finite basis, which is then all of weight 0: every Sym
     in s is over ZERO, whose one basis vector is the empty monomial."""
@@ -307,22 +314,22 @@ class BasisVector(Node):
 
     __slots__ = ("_key",)
 
-    def _order(self, weight: int, skey: tuple) -> None:
-        object.__setattr__(self, "_key", (weight,) + skey)
-
     def key(self):
         """Graded global order key: weight first, then structure."""
         return self._key
 
 
+#: Sets a basis vector's order key, once, in its __post_init__.
+_set_key = BasisVector._key.__set__
 #: Sort key for basis vectors, read without a Python-level call.
 order_key = attrgetter("_key")
+_weight_of_key = itemgetter(0)
 
 
 @node
 class UnitIx(BasisVector):
     def __post_init__(self):
-        self._order(0, (0,))
+        _set_key(self, (0, 0))
 
 
 @node
@@ -331,7 +338,7 @@ class GenIx(BasisVector):
 
     def __post_init__(self):
         _require_int(self.index, "generator index", 0)
-        self._order(0, (1, self.index))
+        _set_key(self, (0, 1, self.index))
 
 
 @node
@@ -339,8 +346,8 @@ class TensorIx(BasisVector):
     parts: tuple
 
     def __post_init__(self):
-        self._order(sum(p._key[0] for p in self.parts),
-                    (2, tuple(p._key for p in self.parts)))
+        keys = tuple(map(order_key, self.parts))
+        _set_key(self, (sum(map(_weight_of_key, keys)), 2, keys))
 
 
 @node
@@ -350,7 +357,8 @@ class SumIx(BasisVector):
 
     def __post_init__(self):
         _require_int(self.branch, "sum branch", 0)
-        self._order(self.inner._key[0], (3, self.branch, self.inner._key))
+        key = self.inner._key
+        _set_key(self, (key[0], 3, self.branch, key))
 
 
 @node
@@ -363,23 +371,26 @@ class MonIx(BasisVector):
     parts: tuple
 
     def __post_init__(self):
-        self._order(len(self.parts) + sum(p._key[0] for p in self.parts),
-                    (4, tuple(p._key for p in self.parts)))
+        keys = tuple(map(order_key, self.parts))
+        _set_key(self, (len(keys) + sum(map(_weight_of_key, keys)), 4, keys))
 
 
 UNIT_IX = UnitIx()
 
 
 def _sum_ix(branch: int, inner: BasisVector) -> SumIx:
-    return _TABLE.get((SumIx, branch, inner)) or SumIx(branch, inner)
+    key = (SumIx, branch, inner)
+    return _TABLE.get(key) or _build(SumIx, key, (branch, inner))
 
 
 def _tensor_ix(parts: tuple) -> TensorIx:
-    return _TABLE.get((TensorIx, parts)) or TensorIx(parts)
+    key = (TensorIx, parts)
+    return _TABLE.get(key) or _build(TensorIx, key, (parts,))
 
 
 def _mon_ix(parts: tuple) -> MonIx:
-    return _TABLE.get((MonIx, parts)) or MonIx(parts)
+    key = (MonIx, parts)
+    return _TABLE.get(key) or _build(MonIx, key, (parts,))
 
 
 def monomial(parts) -> MonIx:
@@ -414,81 +425,79 @@ def build_sum(space: SpaceExpr, index: int, inner: BasisVector) -> BasisVector:
 
 
 @lru_cache(maxsize=None)
-def pair_layout(a: SpaceExpr, b: SpaceExpr):
-    """What split_pair and join_pair need, computed once per pair of spaces.
+def term_layout(s: SpaceExpr) -> tuple:
+    """What split_term and join_term need of s, computed once per space:
+    (whether s is a Sum, the number of tensor factors of each of its terms)."""
+    return isinstance(s, Sum), tuple(len(factors(t)) for t in terms(s))
 
-    Returns (tensor(a, b), number of terms of b, rows), where row k is
-    (i, j, term_a, term_b, term_k, number of factors of term_a) for term k of
-    tensor(a, b), the product of term i of a and term j of b.
+
+def split_term(bv: BasisVector, layout: tuple) -> tuple:
+    """Split a basis vector of a space whose term_layout is layout into
+    (its term index, one index per tensor factor of that term).  A vector
+    of another shape raises ValueError."""
+    is_sum, counts = layout
+    if is_sum:
+        if type(bv) is not SumIx:
+            raise ValueError(f"expected a SumIx, got {bv!r}")
+        k, bv = bv.branch, bv.inner
+    else:
+        k = 0
+    if k < len(counts):
+        n = counts[k]
+        if n >= 2:
+            if type(bv) is TensorIx and len(bv.parts) == n:
+                return k, bv.parts
+        elif n:
+            return k, (bv,)
+        elif bv is UNIT_IX:
+            return k, ()
+    raise ValueError(f"{bv!r} is not a basis vector of term {k} "
+                     f"of a space with {len(counts)} terms")
+
+
+def join_term(layout: tuple, k: int, parts: tuple) -> BasisVector:
+    """Inverse of split_term: the basis vector of term k of a space whose
+    term_layout is layout, with one index per tensor factor of the term."""
+    inner = _tensor_ix(parts) if len(parts) >= 2 else parts[0] if parts else UNIT_IX
+    return _sum_ix(k, inner) if layout[0] else inner
+
+
+@lru_cache(maxsize=None)
+def pair_layout(a: SpaceExpr, b: SpaceExpr) -> tuple:
+    """What splitting and joining basis vectors of tensor(a, b) needs, computed
+    once per pair of spaces.
+
+    Returns (tensor(a, b), its term_layout, rows, branch, term_layout(a),
+    term_layout(b)).  The terms of tensor(a, b) are row-major: term i of a
+    times term j of b is term branch[i][j] = i * (number of terms of b) + j.
+    Row k is (i, j, split) for that term k, whose first split factors are
+    term i's.
     """
     big = tensor(a, b)
-    pairs = itertools.product(enumerate(terms(a)), enumerate(terms(b)))
-    rows = tuple((i, j, ta, tb, tk, len(factors(ta)))
-                 for ((i, ta), (j, tb)), tk in zip(pairs, terms(big)))
-    return big, len(terms(b)), rows
-
-
-def term_parts(bv: BasisVector, term: SpaceExpr) -> tuple:
-    """Split a term-level basis vector into one index per tensor factor."""
-    if isinstance(term, Tensor):
-        if isinstance(bv, TensorIx) and len(bv.parts) == len(term.factors):
-            return bv.parts
-    elif not isinstance(term, Unit):
-        return (bv,)
-    elif isinstance(bv, UnitIx):
-        return ()
-    raise ValueError(f"{bv!r} is not a basis vector of the term {term!r}")
-
-
-def term_vector(parts: tuple) -> BasisVector:
-    """The term-level basis vector with one index per factor."""
-    if len(parts) >= 2:
-        return _tensor_ix(parts)
-    return parts[0] if parts else UNIT_IX
-
-
-def pair_parts(bv: BasisVector, layout):
-    """Split a basis vector of tensor(a, b), where layout is pair_layout(a, b),
-    into its row of the layout and its index per tensor factor."""
-    big, _, rows = layout
-    k, inner = decompose_sum(bv, big)
-    if k >= len(rows):
-        raise ValueError(f"branch {k} out of range for {big!r}")
-    row = rows[k]
-    return row, term_parts(inner, row[4])
-
-
-def join_parts(layout, i: int, parts_a: tuple, j: int, parts_b: tuple) -> BasisVector:
-    """The basis vector of tensor(a, b), where layout is pair_layout(a, b), of
-    term i of a joined with term j of b, given one index per tensor factor.
-
-    The terms of tensor(a, b) are row-major: term i of a times term j of b is
-    term i * (number of terms of b) + j.
-    """
-    big, nb, _ = layout
-    inner = term_vector(parts_a + parts_b)
-    return _sum_ix(i * nb + j, inner) if isinstance(big, Sum) else inner
+    la, lb = term_layout(a), term_layout(b)
+    nb = len(lb[1])
+    branch = tuple(tuple(i * nb + j for j in range(nb)) for i in range(len(la[1])))
+    rows = [None] * len(terms(big))
+    for i, ks in enumerate(branch):
+        for j, k in enumerate(ks):
+            rows[k] = (i, j, la[1][i])
+    return big, term_layout(big), tuple(rows), branch, la, lb
 
 
 def split_pair(bv: BasisVector, a: SpaceExpr, b: SpaceExpr):
     """Split a basis vector of tensor(a, b) into basis vectors of a and b."""
-    (i, j, _, _, _, na), parts = pair_parts(bv, pair_layout(a, b))
-    bva, bvb = term_vector(parts[:na]), term_vector(parts[na:])
-    return (_sum_ix(i, bva) if isinstance(a, Sum) else bva,
-            _sum_ix(j, bvb) if isinstance(b, Sum) else bvb)
+    _, lab, rows, _, la, lb = pair_layout(a, b)
+    k, parts = split_term(bv, lab)
+    i, j, split = rows[k]
+    return join_term(la, i, parts[:split]), join_term(lb, j, parts[split:])
 
 
 def join_pair(a: SpaceExpr, bva: BasisVector, b: SpaceExpr, bvb: BasisVector) -> BasisVector:
     """Inverse of split_pair."""
-    layout = pair_layout(a, b)
-    _, nb, rows = layout
-    i, inner_a = decompose_sum(bva, a)
-    j, inner_b = decompose_sum(bvb, b)
-    k = i * nb + j  # the layout row that names the two terms
-    if j >= nb or k >= len(rows):
-        raise ValueError(f"branches ({i}, {j}) out of range for {a!r} and {b!r}")
-    _, _, term_a, term_b, _, _ = rows[k]
-    return join_parts(layout, i, term_parts(inner_a, term_a), j, term_parts(inner_b, term_b))
+    _, lab, _, branch, la, lb = pair_layout(a, b)
+    i, parts_a = split_term(bva, la)
+    j, parts_b = split_term(bvb, lb)
+    return join_term(lab, branch[i][j], parts_a + parts_b)
 
 
 def is_basis_vector(bv: BasisVector, space: SpaceExpr) -> bool:
@@ -551,13 +560,19 @@ def _level(space: SpaceExpr, w: int) -> tuple:
 
 def _products(fs: tuple, w: int) -> list:
     """Part tuples of weight w, one part per factor: by the first factor's
-    weight, then its level, then the rest likewise."""
-    if not fs:
-        return [()] if w == 0 else []
+    weight, then its level, then the rest likewise.  An empty level of the
+    first factor, such as a base space's above weight 0, needs no tails."""
     out = []
+    rest = fs[1:]
     for v in range(w + 1):
-        tails = _products(fs[1:], w - v)
-        out.extend((bv,) + tail for bv in _level(fs[0], v) for tail in tails)
+        heads = _level(fs[0], v)
+        if not heads:
+            continue
+        if len(rest) == 1:
+            out.extend(itertools.product(heads, _level(rest[0], w - v)))
+        else:
+            tails = _products(rest, w - v)
+            out.extend((bv,) + tail for bv in heads for tail in tails)
     return out
 
 

@@ -16,7 +16,7 @@ from .spaces import (
 from .elements import singleton
 from .morphisms import (
     MorExpr, Id, TensorM, ZeroM, Matrix, LinearMap,
-    SymF, Eta, Deriv, Chi, apply_basis, compose, sum_map, proj,
+    SymF, Eta, Deriv, Chi, _apply_basis, compose, sum_map, proj,
 )
 from .derivations import (
     SAlgebra, AModule, Derivation, VALIDATE_BOUND, s_algebra, a_module, derivation,
@@ -66,7 +66,7 @@ def multiplication_table(alg: SAlgebra):
     a = alg.carrier
     gens = enumerate_basis(a, 0)
     m = alg.mult()
-    return tuple(tuple(apply_basis(m, join_pair(a, g, a, h)) for h in gens)
+    return tuple(tuple(_apply_basis(m, join_pair(a, g, a, h)) for h in gens)
                  for g in gens)
 
 

@@ -179,22 +179,22 @@ run_suite(load_config(None, {"bound": 3}))
 print(len(calls))
 """
 
-#: Checks every Element built by a bound-2 run of the config in argv[1],
-#: unmutated and under every mutation, and then every image in the
-#: apply_basis memo, shared ones included; prints how many elements were
-#: built, how many distinct memo images were checked, and the bad ones.
+#: Checks every Element the evaluator builds (elements._new) in a bound-2
+#: run of the config in argv[1], unmutated and under every mutation, and
+#: then every image in the apply_basis memo, shared ones included; prints
+#: how many elements were built, how many distinct memo images were
+#: checked, and the bad ones.
 _CHECK_ELEMENTS = """
 import json, sys
 from fractions import Fraction
 from functools import lru_cache
-from symalg import morphisms
-from symalg.elements import Element
+from symalg import elements, morphisms
 from symalg.harness import load_config, run_suite
 from symalg.laws import MUTATIONS
 from symalg.spaces import order_key, is_basis_vector
 
 built, bad = [0], []
-init = Element.__init__
+new = elements._new
 member = lru_cache(maxsize=None)(is_basis_vector)
 
 def check(space, coeffs):
@@ -206,12 +206,12 @@ def check(space, coeffs):
                        for _, c in coeffs)):
         bad.append(repr(coeffs))
 
-def checked(self, space, coeffs):
-    init(self, space, coeffs)
+def checked(space, coeffs):
     built[0] += 1
     check(space, coeffs)
+    return new(space, coeffs)
 
-Element.__init__ = checked
+elements._new = checked
 for mutate in (None, *MUTATIONS):
     run_suite(load_config(sys.argv[1], {"bound": 2, "mutate": mutate}))
 images = {id(img): img for d in morphisms._MEMO.values() for img in d.values()}
@@ -318,6 +318,45 @@ x2000 = MonIx((GenIx(0),) * 2000)
 print(SymF(f) not in morphisms._MEMO,
       apply_basis(SymF(f), x2000) == singleton(sym(x), x2000, 2 ** 2000))
 """
+
+#: The work of two benchmark workloads (perfbench/sample.py): "suite" runs
+#: the config in argv[2] at bound 4; "poly" loads the default registry and
+#: decides the three naturality squares, each on its own dense map of B2, at
+#: its bound.  Prints the memo's entries and the intern table's nodes.
+_COUNT_WORKLOAD = """
+import sys
+from symalg import morphisms as M, spaces
+from symalg.harness import load_config, run_suite
+
+if sys.argv[1] == "suite":
+    run_suite(load_config(sys.argv[2], {"bound": 4}))
+else:
+    load_config(None)
+    x = spaces.base("b", 2)
+    squares = (
+        ([[2, 2], [1, 2]], 8, lambda f: (M.compose(M.Mult(x), M.SymF(f)),
+                                         M.compose(M.TensorM(M.SymF(f), M.SymF(f)), M.Mult(x)))),
+        ([[2, 2], [2, 2]], 10, lambda f: (M.compose(M.Deriv(x), M.TensorM(M.SymF(f), f)),
+                                          M.compose(M.SymF(f), M.Deriv(x)))),
+        ([[2, 1], [1, 2]], 10, lambda f: (M.compose(M.Mu(x), M.SymF(f)),
+                                          M.compose(M.SymF(M.SymF(f)), M.Mu(x)))),
+    )
+    for matrix, bound, square in squares:
+        assert M.check_equal(*square(M.linear_map_from_matrix(x, x, matrix)), bound).ok
+print(sum(map(len, M._MEMO.values())), len(spaces._TABLE))
+"""
+
+#: The suite workload's user algebra, Q[x]/(x^3) on (1, x, x^2), and its
+#: Euler derivation x d/dx.
+_TRUNC3 = {
+    "algebras": [{"name": "trunc3", "rank": 3,
+                  "mult_table": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                 [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                                 [[0, 0, 1], [0, 0, 0], [0, 0, 0]]],
+                  "unit": [1, 0, 0]}],
+    "derivations": [{"name": "euler(trunc3)", "algebra": "trunc3",
+                     "matrix": [[0, 0, 0], [0, 1, 0], [0, 0, 2]]}],
+}
 
 #: Builds nodes whose fields equal valid ones under == but differ in type
 #: (True and 1.0 for 1), then the valid ones; then, with the valid nodes in
@@ -487,6 +526,15 @@ class TestRunner:
         assert _fresh_process(_COUNT_MEMO).split() == ["13005", "3344"]
 
     @pytest.mark.hash_order
+    def test_benchmark_workloads_do_the_same_work(self, tmp_path):
+        # What the suite and poly workloads memoize and intern: a faster
+        # evaluator must build the same images and nodes, no more.
+        p = tmp_path / "trunc3.json"
+        p.write_text(json.dumps(_TRUNC3))
+        assert _fresh_process(_COUNT_WORKLOAD, "suite", str(p)).split() == ["67219", "12028"]
+        assert _fresh_process(_COUNT_WORKLOAD, "poly").split() == ["7299", "1953"]
+
+    @pytest.mark.hash_order
     def test_memo_shares_zero_and_basis_images(self):
         # Every zero image is its space's one zero element and every image
         # that is one basis vector with coefficient 1 is that vector's one
@@ -525,7 +573,7 @@ class TestRunner:
         p = tmp_path / "scaled_dual.json"
         p.write_text(json.dumps(_SCALED_DUAL))
         out = json.loads(_fresh_process(_CHECK_ELEMENTS, str(p)))
-        assert out["images"] > 3_000
+        assert out["built"] > 3_000 and out["images"] > 3_000
         assert out["bad"] == []
 
     def test_basis_over_zero_is_walked_to_weight_0_only(self):

@@ -111,14 +111,26 @@ class TestInterning:
 
     def test_hot_path_constructors_return_the_interned_node(self):
         # _sum_ix, _tensor_ix and _mon_ix probe the intern table themselves
-        # and build through the public constructor only on a miss.
+        # and build the node directly on a miss.  What they build must be
+        # what the public constructor builds: the same class, fields and
+        # order key.  The check takes the node out of the table for one
+        # public build and puts it back.
         for private, public, new, old in (
                 (_sum_ix, SumIx, (5, GenIx(9001)), (1, GenIx(0))),
                 (_tensor_ix, TensorIx, ((GenIx(9002), GenIx(9003)),), ((GenIx(0), GenIx(1)),)),
                 (_mon_ix, MonIx, ((GenIx(9004), GenIx(9004)),), ((GenIx(0), GenIx(1)),))):
-            assert (public, *new) not in _TABLE
+            key = (public, *new)
+            assert key not in _TABLE
             built = private(*new)
-            assert type(built) is public and built is public(*new)
+            assert type(built) is public and _TABLE[key] is built and built is public(*new)
+            del _TABLE[key]
+            try:
+                twin = public(*new)
+            finally:
+                _TABLE[key] = built
+            assert twin is not built and type(twin) is public
+            assert repr(twin) == repr(built) and twin._key == built._key
+            assert private(*new) is built
             known = public(*old)
             assert private(*old) is known
 

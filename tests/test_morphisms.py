@@ -361,12 +361,48 @@ class TestTermPartLayouts:
     @given(f=MAPS, b=SPACES)
     @example(f=SUM_MAP, b=SUM_SPACE)
     def test_foreign_vectors_raise_value_error(self, f, b):
-        for m in (TensorM(f, Id(b)), TensorM(Id(b), f), Sigma(f.dom(), b)):
+        # The rules read the domain's shape from their layouts: a branch past
+        # the last term or a wrong number of factors still raises, from the
+        # rule itself, under the checked apply_basis.
+        for m in (TensorM(f, Id(b)), TensorM(Id(b), f), TensorM(f, f), Sigma(f.dom(), b)):
             for bv in _foreign_vectors(m.dom()):
                 with pytest.raises(ValueError):
                     split_pair(bv, *_factors(m))
                 with pytest.raises(ValueError):
+                    RULES[TensorM if isinstance(m, TensorM) else Sigma](m, bv)
+                with pytest.raises(ValueError):
                     apply_basis(m, bv)
+        # A Matrix reads only the term of the vector, which picks its block.
+        for m in (sum_map(f, f), inj(0, (f.dom(), b)), proj(1, (b, f.dom()))):
+            for bv in _foreign_vectors(m.dom()):
+                if type(bv) is SumIx and bv.branch == len(m.dom().summands):
+                    with pytest.raises(ValueError):
+                        RULES[Matrix](m, bv)
+                with pytest.raises(ValueError):
+                    apply_basis(m, bv)
+
+
+class TestCheckedApplyBasis:
+    """apply_basis refuses a vector that is not a basis vector of the map's
+    domain before it evaluates anything, so no rule memoizes or shares an
+    image of it."""
+
+    @pytest.mark.parametrize("m, bv", [
+        (Id(B2), GenIx(7)),
+        (inj(0, (B2, B1)), GenIx(9)),
+        (Eta(B2), MonIx(())),
+        (Deriv(B2), GenIx(0)),
+        (Mu(B2), MonIx((GenIx(0),))),
+        (SymF(linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))), GenIx(0)),
+    ], ids=["Id", "inj", "Eta", "Deriv", "Mu", "SymF"])
+    def test_foreign_vector_raises_and_leaves_the_memos_alone(self, m, bv):
+        from symalg import elements
+        memo = {n: dict(images) for n, images in morphisms._MEMO.items()}
+        shared = {s: dict(images) for s, images in elements._SHARED.items()}
+        with pytest.raises(SpaceMismatchError):
+            apply_basis(m, bv)
+        assert {n: dict(images) for n, images in morphisms._MEMO.items()} == memo
+        assert {s: dict(images) for s, images in elements._SHARED.items()} == shared
 
 
 class TestTensorInterchange:
