@@ -15,11 +15,12 @@ Run with:  python3 demos/03_derivations_dictionaries.py
 """
 
 from symalg import check_equal
+from symalg.morphisms import InvalidStructureError
 from symalg.derivations import (
     builtin_derivations, formal_derivative, dual_numbers,
     derivation_to_algebra, algebra_to_derivation,
     derivation_to_monoid, monoid_to_derivation, monoid_axioms, decide_all,
-    InvalidStructureError, table_algebra,
+    table_algebra,
 )
 from symalg import base, GenIx, singleton, zero_element
 

@@ -12,8 +12,8 @@ Constructions that read only spaces take them, (A0, A1) or (A0, A1, B0,
 B1); sbar_spaces and box_spaces give a lifted object's spaces.  Block maps
 between biproducts are Matrix nodes, whose entries fix their blocks.  A
 component whose spaces do not fit raises EndpointMismatchError from the
-node or check that reads it; InvalidArrowError means a square that does
-not commute.
+node or check that reads it; InvalidStructureError with the diagram
+"arrow.square" means a square that does not commute.
 """
 
 from __future__ import annotations
@@ -24,18 +24,12 @@ from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
     Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
-    check_equal, compose, sum_map, inj, proj,
+    InvalidStructureError, check_equal, compose, sum_map, inj, proj,
 )
 
 #: Weight bound at which constructions validate their defining equations:
 #: commuting squares here, structure axioms in derivations.py.
 VALIDATE_BOUND = 2
-
-
-class InvalidArrowError(ValueError):
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ def arrow_mor(src: MorExpr, dst: MorExpr, f0: MorExpr, f1: MorExpr) -> ArrowMor:
     m = ArrowMor(f0, f1)
     v = check_equal(*commuting_square(src, dst, m), VALIDATE_BOUND)
     if not v.ok:
-        raise InvalidArrowError(f"square does not commute at {v.witness}", v)
+        raise InvalidStructureError("arrow.square", v)
     return m
 
 
@@ -79,10 +73,14 @@ def add_arrow(m: ArrowMor, n: ArrowMor) -> ArrowMor:
     return ArrowMor(Add(m.f0, n.f0), Add(m.f1, n.f1))
 
 
+def _components(lhs, rhs) -> tuple:
+    """The map equations of lhs = rhs: f0's then f1's for arrow morphisms."""
+    return ((lhs.f0, rhs.f0), (lhs.f1, rhs.f1)) if isinstance(lhs, ArrowMor) else ((lhs, rhs),)
+
+
 def arrow_check(lhs: ArrowMor, rhs: ArrowMor, weight_bound: int):
     """Check an arrow-level equation componentwise."""
-    return (check_equal(lhs.f0, rhs.f0, weight_bound),
-            check_equal(lhs.f1, rhs.f1, weight_bound))
+    return tuple(check_equal(l, r, weight_bound) for l, r in _components(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

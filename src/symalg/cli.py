@@ -1,8 +1,8 @@
 """Command line interface: check, list-laws, demo.
 
-Exit codes: 0 all selected laws pass, 1 any law fails (or the budget was
-exceeded), 2 configuration or schema error, or a report that cannot be
-written.
+Exit codes: 0 all selected laws pass, 1 any law or built-in structure fails
+(or the budget was exceeded), 2 configuration or schema error, or a report
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from .harness import (
     ConfigError, load_config, run_suite, render_summary, write_report,
 )
 from .laws import MUTATIONS, list_laws
+from .morphisms import InvalidStructureError
 
 
 def _cmd_check(args) -> int:
@@ -29,6 +30,9 @@ def _cmd_check(args) -> int:
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except InvalidStructureError as e:  # a built-in algebra, not the config
+        print(f"check failed: built-in structure: {e}", file=sys.stderr)
+        return 1
     report = run_suite(cfg)
     print(render_summary(report))
     if args.json is not None:

@@ -26,21 +26,12 @@ from .elements import Element, singleton, zero_element
 from .morphisms import (
     MorExpr, Id, TensorM, Add, ZeroM, Sigma, Matrix,
     SymF, Eta, Mu, Mult, UnitM, Deriv, TableNu,
-    Verdict, check_equal, compose, linear_map_from_matrix,
+    Verdict, InvalidStructureError, check_equal, compose, linear_map_from_matrix,
 )
 from .arrow import (
-    VALIDATE_BOUND, ArrowMor, id_arrow, compose_arrow, commuting_square, sbar_spaces, sbar_obj,
-    boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
+    VALIDATE_BOUND, ArrowMor, _components, id_arrow, compose_arrow, commuting_square,
+    sbar_spaces, sbar_obj, boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
 )
-
-
-class InvalidStructureError(ValueError):
-    """A defining diagram failed; carries the diagram name and verdict."""
-
-    def __init__(self, diagram: str, verdict: Verdict):
-        super().__init__(f"diagram {diagram!r} fails at witness {verdict.witness}")
-        self.diagram = diagram
-        self.verdict = verdict
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +47,7 @@ def decide_equations(equations, bound: int) -> Verdict:
     tested = 0
     for lhs, rhs, *offset in equations:
         b = max(1, bound + offset[0]) if offset else bound
-        pairs = (((lhs.f0, rhs.f0), (lhs.f1, rhs.f1)) if isinstance(lhs, ArrowMor)
-                 else ((lhs, rhs),))
-        for l, r in pairs:
+        for l, r in _components(lhs, rhs):
             v = check_equal(l, r, b)
             if not v.ok:
                 return v

@@ -14,6 +14,9 @@ Report schema (``symalg-report/1``), a compatibility surface:
 - ``results``: one object per (law, instance) check with fields ``law``,
   ``anchor``, ``instance``, ``status`` ("equal" or "counterexample"),
   ``tested``, ``bound``, ``witness`` (string or null) and ``time_ms``.
+  A law whose instances need a structure that fails a defining diagram has
+  one ``counterexample`` row, ``<diagram>`` (say ``<derivation.leibniz>``),
+  with that diagram's ``tested``, ``bound`` and ``witness``.
 - ``summary``: ``laws_run``, ``checks``, ``failures``, ``aborted``.
 """
 
@@ -29,11 +32,8 @@ from fractions import Fraction
 
 from .spaces import base, rank, GenIx
 from .elements import Element, element
-from .derivations import (
-    SAlgebra, table_algebra, a_module, derivation,
-    builtin_algebras, InvalidStructureError,
-)
-from .morphisms import linear_map_from_matrix
+from .derivations import SAlgebra, table_algebra, a_module, derivation, builtin_algebras
+from .morphisms import InvalidStructureError, linear_map_from_matrix
 from .laws import registry, LawContext, MUTATIONS, BUILTIN_DERIVATIONS
 
 CONFIG_SCHEMA = "symalg-config/1"
@@ -249,8 +249,12 @@ def run_suite(cfg: SuiteConfig) -> dict:
     aborted = False
     for name, law in selected:
         t0 = time.perf_counter()
+        try:
+            checked = law.run(cfg.bound, ctx)
+        except InvalidStructureError as e:
+            checked = [(f"<{e.diagram}>", e.verdict)]
         rows = []
-        for instance, v in law.run(cfg.bound, ctx):
+        for instance, v in checked:
             rows.append({
                 "law": name,
                 "anchor": law.anchor,

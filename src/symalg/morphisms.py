@@ -355,14 +355,10 @@ def _apply_basis(m, bv):
 
 
 def _compose(m, bv):
-    img = _MEMO.get(m.f, _NO_IMAGES).get(bv)
-    if img is None:
-        img = _apply_basis(m.f, bv)
+    img = _apply_basis(m.f, bv)
     coeffs = img.coeffs
     if len(coeffs) == 1 and coeffs[0][1] == 1:
-        w = coeffs[0][0]  # the image of w under g is shared, not rebuilt
-        out = _MEMO.get(m.g, _NO_IMAGES).get(w)
-        return _apply_basis(m.g, w) if out is None else out
+        return _apply_basis(m.g, coeffs[0][0])  # g's image of it is shared, not rebuilt
     return _apply(m.g, img)
 
 
@@ -482,6 +478,15 @@ class Verdict:
             return f"Verdict(equal, tested={self.tested_count}, bound={self.weight_bound})"
         return (f"Verdict(counterexample at {self.witness}, "
                 f"lhs={self.lhs_value}, rhs={self.rhs_value})")
+
+
+class InvalidStructureError(ValueError):
+    """A defining diagram failed, such as "arrow.square"; carries its name and verdict."""
+
+    def __init__(self, diagram: str, verdict: Verdict):
+        super().__init__(f"diagram {diagram!r} fails at witness {verdict.witness}")
+        self.diagram = diagram
+        self.verdict = verdict
 
 
 def check_equal(lhs: MorExpr, rhs: MorExpr, weight_bound: int) -> Verdict:

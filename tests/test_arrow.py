@@ -9,11 +9,11 @@ from symalg.spaces import UNIT, ZERO, base, sym, tensor, direct_sum, GenIx, MonI
 from symalg.elements import singleton
 from symalg import laws
 from symalg.morphisms import (
-    Id, ZeroM, Sigma, EndpointMismatchError, apply_basis, check_equal, compose,
-    linear_map_from_matrix, sum_map,
+    Id, ZeroM, Sigma, EndpointMismatchError, InvalidStructureError, apply_basis, check_equal,
+    compose, linear_map_from_matrix, sum_map,
 )
 from symalg.arrow import (
-    ArrowMor, InvalidArrowError, arrow_mor, commuting_square, id_arrow, zero_arrow,
+    ArrowMor, arrow_mor, commuting_square, id_arrow, zero_arrow,
     compose_arrow, add_arrow, arrow_check,
     sbar_spaces, sbar_obj, sbar_mor, etabar, mubar,
     box_spaces, boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
@@ -41,9 +41,9 @@ class TestSquares:
 
     def test_broken_square_rejected(self):
         f = linear_map_from_matrix(B2, B2, ((1, 0), (0, 2)))
-        with pytest.raises(InvalidArrowError) as exc:
+        with pytest.raises(InvalidStructureError) as exc:
             arrow_mor(SWAP, SWAP, f, f)
-        assert exc.value.verdict is not None
+        assert exc.value.diagram == "arrow.square"
         assert exc.value.verdict.witness is not None
 
     def test_endpoint_mismatch_rejected(self):

@@ -10,11 +10,11 @@ from symalg.spaces import base, sym, GenIx, MonIx, enumerate_basis
 from symalg.elements import Element, singleton, zero_element, element
 from symalg.morphisms import (
     Id, ZeroM, TensorM, SymF, Mult, TableNu, apply, apply_basis, check_equal,
-    compose, linear_map_from_matrix, Add, EndpointMismatchError,
+    compose, linear_map_from_matrix, Add, EndpointMismatchError, InvalidStructureError,
 )
 from symalg.arrow import ArrowMor
 from symalg.derivations import (
-    VALIDATE_BOUND, InvalidStructureError, SAlgebra, AModule, Derivation,
+    VALIDATE_BOUND, SAlgebra, AModule, Derivation,
     SBarAlgebra, ArrowMonoid, arrow_monoid,
     s_algebra, free_algebra, table_algebra, a_module, derivation,
     sbar_algebra, algebra_to_derivation, derivation_to_algebra,

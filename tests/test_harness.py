@@ -38,6 +38,11 @@ class TestRegistry:
                        "monoid.m2-redundancy", "kleisli.power-rule"]:
             assert wanted in names
 
+    def test_duplicate_law_name_rejected(self, monkeypatch):
+        monkeypatch.setattr(laws, "_LAWS", laws._LAWS + laws._LAWS[:1])
+        with pytest.raises(ValueError, match="^duplicate law name D1$"):
+            registry()
+
     def test_glob_selection(self):
         assert {n for n, _ in select_laws("D?")} == {"D1", "D2", "D3", "D4", "D5"}
         assert select_laws("nothing-matches-this") == []
@@ -152,12 +157,17 @@ REPORT_DIGESTS = {
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _fresh_process(code: str, *args: str) -> str:
-    """Run code in a new interpreter, with no cache warmed; return its stdout."""
+def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter, with no cache warmed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _fresh_process(code: str, *args: str) -> str:
+    """Run code in a new interpreter, with no cache warmed; return its stdout."""
+    run = _fresh_run(code, *args)
     assert run.returncode == 0, run.stderr
     return run.stdout
 
@@ -768,6 +778,67 @@ class TestCLI:
         assert "D[x^2]" in out
         assert "Seely round trip" in out
         assert "round trip identical: True" in out
+
+
+#: Replaces the evaluation rule named in argv[1] by a broken one, then runs
+#: `symalg check --bound 3 --json argv[2]` and `run_suite` at bound 3; prints
+#: the suite's summary and instance names as the last line of stdout and
+#: exits with the check's code.
+_BROKEN_RULE = """
+import json, sys
+from symalg.cli import main
+from symalg.elements import element, singleton
+from symalg.harness import SuiteConfig, run_suite
+from symalg.morphisms import RULES, Deriv, Mu, Mult
+from symalg.spaces import monomial
+
+deriv = RULES[Deriv]
+BROKEN = {
+    # A factor repeated k times counts 3k - 2 times, not k.
+    "Deriv": (Deriv, lambda m, bv: element(m.cod(), {w: 3 * c - 2
+                                                    for w, c in deriv(m, bv).coeffs})),
+    # The last inner monomial is dropped.
+    "Mu": (Mu, lambda m, bv: singleton(m.cod(), monomial(
+        [g for inner in bv.parts[:-1] for g in inner.parts]))),
+    # The second factor's last generator is dropped.
+    "Mult": (Mult, lambda m, bv: singleton(m.cod(), monomial(
+        bv.parts[0].parts + bv.parts[1].parts[:-1]))),
+}
+cls, rule = BROKEN[sys.argv[1]]
+RULES[cls] = rule
+code = main(["check", "--bound", "3", "--json", sys.argv[2]])
+report = run_suite(SuiteConfig(bound=3))
+print(json.dumps({"summary": report["summary"],
+                  "instances": sorted({row["instance"] for row in report["results"]})}))
+sys.exit(code)
+"""
+
+
+class TestBrokenRules:
+    """An evaluator rule that breaks a built-in structure's defining diagram
+    gives failing rows and exit 1, never a traceback."""
+
+    # Deriv breaks the built-in derivations' Leibniz rule, Mu the free
+    # algebras' diagrams and the lifted monad's squares, Mult the table
+    # algebras that load_config validates.
+    @pytest.mark.parametrize("rule,diagrams", [
+        ("Deriv", {"<derivation.leibniz>"}),
+        ("Mu", {"<algebra.assoc>", "<algebra.unit>", "<arrow.square>"}),
+        ("Mult", {"<module.unit>", "<table.comm>"}),
+    ])
+    def test_check_fails_with_rows_in_a_fresh_process(self, tmp_path, rule, diagrams):
+        path = tmp_path / "report.json"
+        run = _fresh_run(_BROKEN_RULE, rule, str(path))
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        suite = json.loads(run.stdout.splitlines()[-1])
+        assert suite["summary"]["failures"] > 0
+        assert {i for i in suite["instances"] if i.startswith("<")} == diagrams
+        if rule == "Deriv":  # the built-in algebras load, so the check runs and reports
+            assert json.loads(path.read_text())["summary"]["failures"] > 0
+        else:  # a built-in table algebra fails while the config loads
+            assert run.stderr.startswith("check failed: built-in structure: diagram ")
+            assert run.stderr.count("\n") == 1 and "witness" in run.stderr
 
 
 # Any JSON value; NaN and infinities are not JSON.

@@ -104,16 +104,24 @@ class TestLinearity:
             want = elem_add(want, elem_scale(c, apply_basis(f, bv)))
         assert apply(f, e) == want
 
+    # A raw Element skips the constructors' check, so apply itself must
+    # refuse its space or a key, before anything is memoized or shared.
     @pytest.mark.parametrize("m, space, bv", [
         (Id(B2), B2, GenIx(7)),
         (Mu(B2), sym(sym(B2)), GenIx(0)),
         (Id(direct_sum(B1, B2)), direct_sum(B1, B2), SumIx(2, GenIx(0))),
         (Id(tensor(B2, B3)), tensor(B2, B3), TensorIx((GenIx(0),) * 3)),
         (Id(sym(B2)), sym(B2), MonIx((GenIx(1), GenIx(0)))),
-    ], ids=["generator", "mu", "branch", "parts", "unsorted-monomial"])
+        (Id(B2), B1, GenIx(0)),
+    ], ids=["generator", "mu", "branch", "parts", "unsorted-monomial", "other-space"])
     def test_apply_rejects_a_vector_outside_the_domain(self, m, space, bv):
-        with pytest.raises(SpaceMismatchError):
-            apply(m, element(space, {bv: 1}))
+        from symalg import elements
+        memo = {n: dict(images) for n, images in morphisms._MEMO.items()}
+        shared = {s: dict(images) for s, images in elements._SHARED.items()}
+        with pytest.raises(SpaceMismatchError, match="is not an element of"):
+            apply(m, Element(space, ((bv, 1),)))
+        assert {n: dict(images) for n, images in morphisms._MEMO.items()} == memo
+        assert {s: dict(images) for s, images in elements._SHARED.items()} == shared
 
 
 class TestSymmetryAndBiproducts:
@@ -510,6 +518,10 @@ class TestVerdictShape:
         bad = Verdict(1, 1, witness=GenIx(0), lhs_value=zero_element(B1),
                       rhs_value=singleton(B1, GenIx(0)))
         assert (bad.ok, bad.status) == (False, "counterexample")
+        # repr shows what was enumerated, or the witness and both sides.
+        assert repr(equal) == "Verdict(equal, tested=2, bound=1)"
+        assert repr(bad) == ("Verdict(counterexample at GenIx(index=0), "
+                             "lhs=Element(0), rhs=Element(1*GenIx(index=0)))")
 
 
 class TestTableNuShape:
