@@ -48,7 +48,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_list_laws(args) -> int:
     for name, anchor in list_laws():
-        print(f"{name} — {anchor}")
+        print(f"{name} -- {anchor}")  # ASCII: any stdout encoding can print it
     return 0
 
 

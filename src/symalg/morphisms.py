@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .spaces import (
-    Node, node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
+    Node, SpaceExpr, BasisVector, UNIT, ZERO, Sum, SumIx, _sum_ix,
     tensor, direct_sum, sym, terms, is_sym_free, rank, enumerate_basis, _basis_upto,
     pair_layout, term_layout, split_term, join_term, is_basis_vector, _require_int,
 )
@@ -72,7 +72,6 @@ def _require_elements(elems, space, what):
 # Structural constructors
 # ---------------------------------------------------------------------------
 
-@node
 class Id(MorExpr):
     space: SpaceExpr
 
@@ -80,7 +79,6 @@ class Id(MorExpr):
         return self.space, self.space
 
 
-@node
 class Compose(MorExpr):
     """g after f."""
 
@@ -94,7 +92,6 @@ class Compose(MorExpr):
         return self.f.dom(), self.g.cod()
 
 
-@node
 class TensorM(MorExpr):
     f: MorExpr
     g: MorExpr
@@ -108,7 +105,6 @@ class TensorM(MorExpr):
         return dom[0], cod[0], (side, dom, cod)
 
 
-@node
 class Add(MorExpr):
     f: MorExpr
     g: MorExpr
@@ -119,7 +115,6 @@ class Add(MorExpr):
         return self.f.dom(), self.f.cod()
 
 
-@node
 class ZeroM(MorExpr):
     dom_space: SpaceExpr
     cod_space: SpaceExpr
@@ -128,7 +123,6 @@ class ZeroM(MorExpr):
         return self.dom_space, self.cod_space
 
 
-@node
 class Sigma(MorExpr):
     """Symmetry a (x) b -> b (x) a."""
 
@@ -141,7 +135,6 @@ class Sigma(MorExpr):
         return dom[0], cod[0], (dom, cod)
 
 
-@node
 class Matrix(MorExpr):
     """Block matrix over biproducts: entry (i, j) maps dom block j to cod block i.
     Row 0 fixes the domain blocks and column 0 the codomain blocks."""
@@ -184,7 +177,6 @@ class Matrix(MorExpr):
         return dom, cod, (isinstance(dom, Sum), where, columns, isinstance(cod, Sum))
 
 
-@node
 class LinearMap(MorExpr):
     """Explicit table of basis-vector images; Sym-free domain only."""
 
@@ -206,7 +198,6 @@ class LinearMap(MorExpr):
 # Sym-modality primitives (semantics in modality.py)
 # ---------------------------------------------------------------------------
 
-@node
 class SymF(MorExpr):
     """Functor action S(f)."""
 
@@ -216,7 +207,6 @@ class SymF(MorExpr):
         return sym(self.f.dom()), sym(self.f.cod())
 
 
-@node
 class Eta(MorExpr):
     a: SpaceExpr
 
@@ -224,7 +214,6 @@ class Eta(MorExpr):
         return self.a, sym(self.a)
 
 
-@node
 class Mu(MorExpr):
     a: SpaceExpr
 
@@ -232,7 +221,6 @@ class Mu(MorExpr):
         return sym(sym(self.a)), sym(self.a)
 
 
-@node
 class Mult(MorExpr):
     a: SpaceExpr
 
@@ -242,7 +230,6 @@ class Mult(MorExpr):
         return dom, sym(self.a), term_layout(dom)
 
 
-@node
 class UnitM(MorExpr):
     a: SpaceExpr
 
@@ -250,7 +237,6 @@ class UnitM(MorExpr):
         return UNIT, sym(self.a)
 
 
-@node
 class Deriv(MorExpr):
     a: SpaceExpr
 
@@ -258,7 +244,6 @@ class Deriv(MorExpr):
         return sym(self.a), tensor(sym(self.a), self.a)
 
 
-@node
 class ChiInv(MorExpr):
     a: SpaceExpr
     b: SpaceExpr
@@ -267,13 +252,11 @@ class ChiInv(MorExpr):
         return sym(direct_sum(self.a, self.b)), tensor(sym(self.a), sym(self.b))
 
 
-@node
 class Chi0Inv(MorExpr):
     def _endpoints(self):
         return sym(ZERO), UNIT
 
 
-@node
 class TableNu(MorExpr):
     """Structure map of a multiplication-table algebra: fold of the table
     over a monomial, with the unit element on the empty monomial.  The

@@ -16,7 +16,7 @@ then structure), so truncations are prefix-stable by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
@@ -25,19 +25,6 @@ from operator import attrgetter, itemgetter
 # Hash-consed nodes
 # ---------------------------------------------------------------------------
 
-def node(cls):
-    """Dataclass form of every expression node: slotted, with its fields,
-    `__match_args__` and `dataclasses.replace`, but no generated methods.
-    `Interned.__call__` builds the node and `Node` gives the repr and the
-    frozen guard; eq=False keeps object's identity __eq__ and __hash__, which
-    interning makes exact.  Per class this stores each field's slot setter in
-    order (`_setters`), and the positions of the fields annotated `int`
-    (`_int_fields`), which the intern table checks on a hit."""
-    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
-    cls._int_fields = tuple(i for i, f in enumerate(fields(cls)) if f.type in ("int", int))
-    return cls
-
 # The intern table: (class, *fields) -> the one node with those fields.  It
 # lives as long as the process.
 _TABLE = {}
@@ -45,6 +32,12 @@ _TABLE = {}
 
 class Interned(type):
     """Metaclass of hash-consed nodes.
+
+    A class body that declares `__slots__` is a base.  Any other declares a
+    node class, whose annotations, in order, are its fields: its `__slots__`
+    and `__match_args__`.  A node class keeps its fields' slot setters
+    (`_setters`) and the positions of its `int` fields (`_int_fields`), which
+    the intern table checks on a hit.
 
     Constructing a node whose class and fields equal an existing node's
     returns that existing node, so equal nodes are identical.
@@ -68,6 +61,16 @@ class Interned(type):
     so they stay private: only callers passing ints they computed may use
     them.
     """
+
+    def __new__(mcls, name, bases, namespace):
+        if "__slots__" in namespace:
+            return super().__new__(mcls, name, bases, namespace)
+        types = namespace.get("__annotations__", {})
+        namespace["__slots__"] = namespace["__match_args__"] = tuple(types)
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._setters = tuple(cls.__dict__[field].__set__ for field in types)
+        cls._int_fields = tuple(i for i, t in enumerate(types.values()) if t in ("int", int))
+        return cls
 
     def __call__(cls, *args, **kwargs):
         if kwargs:
@@ -105,7 +108,7 @@ class Node(metaclass=Interned):
     object's __hash__ and __eq__, in C.  `__post_init__` runs once, when the
     node is built; the default does nothing.
 
-    The repr is the dataclass one, `Class(field=value, ...)`, over the
+    The repr is the dataclass format, `Class(field=value, ...)`, over the
     fields in order; witness reprs in the reports depend on it.  Fields are
     set once, when the node is built: assigning or deleting an attribute
     raises `FrozenInstanceError`.
@@ -161,17 +164,14 @@ def _require_normal(ok: bool, s: SpaceExpr) -> None:
                          "build spaces with tensor, direct_sum and sym")
 
 
-@node
 class Unit(SpaceExpr):
     pass
 
 
-@node
 class Zero(SpaceExpr):
     pass
 
 
-@node
 class Base(SpaceExpr):
     name: str
     rank: int
@@ -182,7 +182,6 @@ class Base(SpaceExpr):
         _require_int(self.rank, "base space rank", 1)
 
 
-@node
 class Tensor(SpaceExpr):
     factors: tuple  # atoms only, length >= 2
 
@@ -191,7 +190,6 @@ class Tensor(SpaceExpr):
                         and all(isinstance(f, (Base, Sym)) for f in self.factors), self)
 
 
-@node
 class Sum(SpaceExpr):
     summands: tuple  # tensor terms only, length >= 2
 
@@ -201,7 +199,6 @@ class Sum(SpaceExpr):
                                 for t in self.summands), self)
 
 
-@node
 class Sym(SpaceExpr):
     inner: SpaceExpr
 
@@ -326,13 +323,11 @@ order_key = attrgetter("_key")
 _weight_of_key = itemgetter(0)
 
 
-@node
 class UnitIx(BasisVector):
     def __post_init__(self):
         _set_key(self, (0, 0))
 
 
-@node
 class GenIx(BasisVector):
     index: int  # 0-based generator index
 
@@ -341,7 +336,6 @@ class GenIx(BasisVector):
         _set_key(self, (0, 1, self.index))
 
 
-@node
 class TensorIx(BasisVector):
     parts: tuple
 
@@ -350,7 +344,6 @@ class TensorIx(BasisVector):
         _set_key(self, (sum(map(_weight_of_key, keys)), 2, keys))
 
 
-@node
 class SumIx(BasisVector):
     branch: int
     inner: BasisVector
@@ -361,7 +354,6 @@ class SumIx(BasisVector):
         _set_key(self, (key[0], 3, self.branch, key))
 
 
-@node
 class MonIx(BasisVector):
     """A monomial: canonically sorted multiset of inner basis vectors.
 

@@ -704,6 +704,27 @@ class TestCLI:
         p.write_text(json.dumps(config))
         assert main(["check", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("config, message", [
+        ([], "config must be a JSON object"),
+        ("x", "config must be a JSON object"),
+        ({"bound": 0}, "bound must be >= 1"),
+        ({"algebras": [{"name": "rationals", "rank": 1, "mult_table": [[[1]]], "unit": [1]}]},
+         "algebra name 'rationals' already taken"),
+        ({"algebras": [{"name": "q", "rank": 1, "mult_table": [[[1]]], "unit": [1]}] * 2},
+         "algebra name 'q' already taken"),
+        ({"derivations": [5]}, "derivation entry malformed"),
+        ({"derivations": [{"name": "d", "algebra": "rationals"}]}, "derivation entry malformed"),
+        ({"derivations": [{"name": "d", "algebra": "nope", "matrix": [[0]]}]},
+         "derivation entry malformed"),
+        ({"derivations": [{"name": "d", "algebra": "rationals", "matrix": [[1]]}]},
+         "derivation 'd' rejected: diagram 'derivation.constant'"),
+    ])
+    def test_config_error_message_exit_two(self, tmp_path, capsys, config, message):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(config))
+        assert main(["check", "--config", str(p)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("names", [["e", "e"], *([n] for n in BUILTIN_DERIVATIONS)])
     def test_duplicate_derivation_name_exit_two(self, tmp_path, capsys, names):
         # Two rows with one law and instance name would make the report key ambiguous.
@@ -770,6 +791,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.count("\n") >= 40
         assert "D4" in out
+
+    def test_list_laws_prints_on_an_ascii_stdout(self, monkeypatch):
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        run = _fresh_run("import sys; from symalg.cli import main; sys.exit(main(['list-laws']))")
+        assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+        assert len(run.stdout.splitlines()) == len(list_laws()) == 62
 
     def test_demo_prints_worked_examples(self, capsys):
         assert main(["demo"]) == 0

@@ -11,13 +11,13 @@ import threading
 import pytest
 
 from symalg.spaces import (
-    Node, Base, Sum, Tensor, UNIT, ZERO, UNIT_IX, base, tensor, direct_sum, sym,
-    enumerate_basis, BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx, monomial,
-    _TABLE, _sum_ix, _tensor_ix, _mon_ix,
+    Node, SpaceExpr, Base, Sum, Sym, Tensor, UNIT, ZERO, UNIT_IX, base, tensor, direct_sum,
+    sym, enumerate_basis, decompose_sum, BasisVector, UnitIx, GenIx, TensorIx, SumIx, MonIx,
+    monomial, _TABLE, _sum_ix, _tensor_ix, _mon_ix,
 )
 from symalg.morphisms import (
-    Add, Chi0Inv, ChiInv, Compose, Deriv, Eta, Id, Matrix, Mu, Mult, Sigma, SymF, TensorM,
-    UnitM, ZeroM, compose, inj, linear_map_from_matrix,
+    Add, Chi0Inv, ChiInv, Compose, Deriv, Eta, Id, Matrix, MorExpr, Mu, Mult, Sigma, SymF,
+    TensorM, UnitM, ZeroM, compose, inj, linear_map_from_matrix,
 )
 from symalg.derivations import rational_algebra
 
@@ -36,7 +36,7 @@ def subclasses(root):
 
 
 def node_examples():
-    """One node of every @node class."""
+    """One node of every node class."""
     f = linear_map_from_matrix(B2, B2, ((1, 2), (0, 1)))
     return [
         UNIT, ZERO, B2, tensor(B1, B2), direct_sum(B1, B2), sym(B1),
@@ -50,7 +50,7 @@ def node_examples():
 
 def dataclass_repr(x):
     """x's repr as a dataclass with x's class name and fields would print it."""
-    names = [f.name for f in dataclasses.fields(x)]
+    names = list(x.__match_args__)
     reference = dataclasses.make_dataclass(type(x).__qualname__, names)
     return repr(reference(*(getattr(x, n) for n in names)))
 
@@ -172,9 +172,6 @@ class TestInterning:
             assert copy.deepcopy(x) is x
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(x, protocol)) is x
-            assert dataclasses.replace(x) is x
-        g = GenIx(0)
-        assert dataclasses.replace(SumIx(1, g), branch=2) is SumIx(2, g)
 
     def test_nodes_hash_and_compare_in_c(self):
         # Interning makes identity exact; a Python-level __hash__ or __eq__
@@ -215,7 +212,7 @@ class TestConstruction:
 
     def test_examples_cover_every_node_class(self):
         node_classes = {cls for cls in subclasses(Node)
-                        if dataclasses.is_dataclass(cls) and cls.__module__.startswith("symalg.")}
+                        if "__match_args__" in vars(cls) and cls.__module__.startswith("symalg.")}
         assert {type(x) for x in node_examples()} == node_classes
         assert len(node_classes) == 28
 
@@ -228,6 +225,46 @@ class TestConstruction:
         for cls in subclasses(Node)[1:]:
             for name in ("__init__", "__repr__", "__setattr__", "__delattr__"):
                 assert name not in cls.__dict__, (cls, name)
+
+    def test_the_metaclass_declares_every_node_class(self):
+        # A class body with __slots__ is a base; any other is a node class
+        # whose annotations, in order, are its slots and match args.
+        classes = [cls for cls in subclasses(Node) if cls.__module__.startswith("symalg.")]
+        bases = [cls for cls in classes if "__match_args__" not in vars(cls)]
+        assert set(bases) == {Node, SpaceExpr, BasisVector, MorExpr}
+        assert all("__slots__" in vars(cls) for cls in bases)
+        nodes = [cls for cls in classes if cls not in bases]
+        assert len(nodes) == 28
+        for cls in nodes:
+            names = tuple(vars(cls).get("__annotations__", {}))
+            assert cls.__slots__ == cls.__match_args__ == names, cls
+            expected = {Base: (1,), GenIx: (0,), SumIx: (0,)}.get(cls, ())
+            assert cls._int_fields == expected, cls
+
+    def test_a_node_class_without_endpoints_cannot_be_built(self):
+        class Bare(MorExpr):
+            space: object
+
+        before = len(_TABLE)
+        with pytest.raises(NotImplementedError):
+            Bare(B1)
+        assert len(_TABLE) == before
+
+    @pytest.mark.parametrize("call, args, error, message", [
+        (Base, (7, 1), TypeError, "base space name must be a str"),
+        (Sym, (5,), TypeError, "not a SpaceExpr"),
+        (decompose_sum, (GenIx(0), direct_sum(B1, B2)), ValueError, "expected SumIx"),
+        (decompose_sum, (UNIT_IX, ZERO), ValueError, "Zero space has no basis vectors"),
+        (enumerate_basis, (5, 1), TypeError, "not a SpaceExpr"),
+    ], ids=["Base-name", "Sym-inner", "decompose-non-SumIx", "decompose-Zero",
+            "enumerate-non-space"])
+    def test_rejected_call_interns_nothing(self, call, args, error, message):
+        # Every operand is built before the table is measured, so the class
+        # checks must run in the intern miss and leave the table unchanged.
+        before = len(_TABLE)
+        with pytest.raises(error, match=message):
+            call(*args)
+        assert len(_TABLE) == before
 
     @pytest.mark.parametrize("args", [(), (1, 2)])
     def test_wrong_arity_raises_and_interns_nothing(self, args):
