@@ -16,10 +16,11 @@ Run with:  python3 demos/03_derivations_dictionaries.py
 
 from symalg import check_equal
 from symalg.morphisms import InvalidStructureError
+from symalg.arrow import decide_equations
 from symalg.derivations import (
     builtin_derivations, formal_derivative, dual_numbers,
     derivation_to_algebra, algebra_to_derivation,
-    derivation_to_monoid, monoid_to_derivation, monoid_axioms, decide_all,
+    derivation_to_monoid, monoid_to_derivation, monoid_axioms,
     table_algebra,
 )
 from symalg import base, GenIx, singleton, zero_element
@@ -45,7 +46,7 @@ print("round trip through derivations:",
 # Derivation -> monoid -> derivation is the identity
 # ----------------------------------------------------------------------
 mon = derivation_to_monoid(d)
-verdicts = dict(decide_all(monoid_axioms(mon), 2))
+verdicts = {name: decide_equations([eq], 2) for name, eq in monoid_axioms(mon).items()}
 m2 = verdicts.pop("monoid.m2-redundancy")
 print("\nmonoid diagrams:", all(v.ok for v in verdicts.values()))
 print("the mixed component is forced by symmetry:", m2.ok)

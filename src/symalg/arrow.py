@@ -5,8 +5,9 @@ whose dom() and cod() are A0 and A1.  A morphism is its two components
 (f0, f1); commuting_square(src, dst, m) names the two maps it relates.
 The lifted functor sends phi to (1 (x) phi) . d, its monad structure is
 built from the chain rule, and the box product is the pushout product over
-the zero object.  All arrow-level laws are pairs of base-level diagram
-checks, one per component.
+the zero object.  decide_equations is the one fold that decides equations:
+an arrow equation is its f0 then its f1 map equation.  arrow_mor and the
+factories of derivations.py validate their tables through it.
 
 Constructions that read only spaces take them, (A0, A1) or (A0, A1, B0,
 B1); sbar_spaces and box_spaces give a lifted object's spaces.  Block maps
@@ -24,7 +25,7 @@ from .spaces import UNIT, ZERO, SpaceExpr, tensor, direct_sum, sym
 from .morphisms import (
     MorExpr, Id, Compose, TensorM, Add, ZeroM, Sigma,
     Matrix, SymF, Eta, Mu, Mult, UnitM, Deriv, Chi, ChiInv,
-    InvalidStructureError, check_equal, compose, sum_map, inj, proj,
+    Verdict, InvalidStructureError, check_equal, compose, sum_map, inj, proj,
 )
 
 #: Weight bound at which constructions validate their defining equations:
@@ -45,9 +46,7 @@ def arrow_mor(src: MorExpr, dst: MorExpr, f0: MorExpr, f1: MorExpr) -> ArrowMor:
     """Build an arrow morphism, validating the commuting square; a component
     whose spaces do not fit is rejected by the square's nodes or check."""
     m = ArrowMor(f0, f1)
-    v = check_equal(*commuting_square(src, dst, m), VALIDATE_BOUND)
-    if not v.ok:
-        raise InvalidStructureError("arrow.square", v)
+    _validate({"arrow.square": commuting_square(src, dst, m)}, VALIDATE_BOUND)
     return m
 
 
@@ -73,14 +72,31 @@ def add_arrow(m: ArrowMor, n: ArrowMor) -> ArrowMor:
     return ArrowMor(Add(m.f0, n.f0), Add(m.f1, n.f1))
 
 
-def _components(lhs, rhs) -> tuple:
-    """The map equations of lhs = rhs: f0's then f1's for arrow morphisms."""
-    return ((lhs.f0, rhs.f0), (lhs.f1, rhs.f1)) if isinstance(lhs, ArrowMor) else ((lhs, rhs),)
+def decide_equations(equations, bound: int) -> Verdict:
+    """Decide map equations in order, each (lhs, rhs) or (lhs, rhs, offset).
+
+    An arrow equation is its f0 equation, then its f1 equation; an offset
+    decides at max(1, bound + offset).  The first failure is returned as it
+    is, without deciding the rest; else one verdict at bound over all their tests."""
+    tested = 0
+    for lhs, rhs, *offset in equations:
+        b = max(1, bound + offset[0]) if offset else bound
+        arrow = isinstance(lhs, ArrowMor)
+        for l, r in ((lhs.f0, rhs.f0), (lhs.f1, rhs.f1)) if arrow else ((lhs, rhs),):
+            v = check_equal(l, r, b)
+            if not v.ok:
+                return v
+            tested += v.tested_count
+    return Verdict(tested, bound)
 
 
-def arrow_check(lhs: ArrowMor, rhs: ArrowMor, weight_bound: int):
-    """Check an arrow-level equation componentwise."""
-    return tuple(check_equal(l, r, weight_bound) for l, r in _components(lhs, rhs))
+def _validate(equations: dict, bound: int) -> None:
+    """Decide a table {diagram name: (lhs, rhs)} in order; raise
+    InvalidStructureError naming the first equation that fails."""
+    for name, eq in equations.items():
+        v = decide_equations([eq], bound)
+        if not v.ok:
+            raise InvalidStructureError(name, v)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Exit codes: 0 all selected laws pass, 1 any law or built-in structure fails
 (or the budget was exceeded), 2 configuration or schema error, or a report
-that cannot be written.
+that cannot be written.  A reader that closes stdout early, as `| head`
+does, is not an error: the rest of the output is dropped, the JSON report is
+still written, and the exit code is the same as with stdout open.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -15,6 +18,15 @@ from .harness import (
 )
 from .laws import MUTATIONS, list_laws
 from .morphisms import InvalidStructureError
+
+
+def _print(*args) -> None:
+    """Print to stdout and flush; once the reader has closed stdout, point it
+    at os.devnull, so that neither this run nor the exit flush raises."""
+    try:
+        print(*args, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_check(args) -> int:
@@ -34,7 +46,7 @@ def _cmd_check(args) -> int:
         print(f"check failed: built-in structure: {e}", file=sys.stderr)
         return 1
     report = run_suite(cfg)
-    print(render_summary(report))
+    _print(render_summary(report))
     if args.json is not None:
         try:
             write_report(report, args.json)
@@ -48,7 +60,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_list_laws(args) -> int:
     for name, anchor in list_laws():
-        print(f"{name} -- {anchor}")  # ASCII: any stdout encoding can print it
+        _print(f"{name} -- {anchor}")  # ASCII: any stdout encoding can print it
     return 0
 
 
@@ -61,29 +73,29 @@ def _cmd_demo(args) -> int:
 
     a = base("x", 1)
     x2 = MonIx((GenIx(0), GenIx(0)))
-    print("d(x^2) =", apply_basis(Deriv(a), x2))
+    _print("d(x^2) =", apply_basis(Deriv(a), x2))
 
     d = formal_derivative()
     td = tangent_derivation(d)
-    print("tangent of d/dx on (x^2, x^3):")
+    _print("tangent of d/dx on (x^2, x^3):")
     aa = td.algebra.carrier
     x3 = MonIx((GenIx(0),) * 3)
     sample = elem_add(singleton(aa, build_sum(aa, 0, x2)),
                       singleton(aa, build_sum(aa, 1, x3)))
-    print("  D[eps](x^2 + x^3 eps) =", apply(td.d, sample))
+    _print("  D[eps](x^2 + x^3 eps) =", apply(td.d, sample))
 
     df = kleisli_diff(monomial_power_map(2))
-    print("D[x^2] at the generator =", apply_basis(df, GenIx(0)))
+    _print("D[x^2] at the generator =", apply_basis(df, GenIx(0)))
 
     b = base("y", 1)
     p = MonIx((GenIx(0),))
     pq = elem_tensor(singleton(sym(a), x2), singleton(sym(b), p))
     merged = apply(Chi(a, b), pq)
     back = apply(ChiInv(a, b), merged)
-    print("Seely round trip on x^2 (x) y:")
-    print("  merged =", merged)
-    print("  split  =", back)
-    print("  round trip identical:", back == pq)
+    _print("Seely round trip on x^2 (x) y:")
+    _print("  merged =", merged)
+    _print("  split  =", back)
+    _print("  round trip identical:", back == pq)
     return 0
 
 

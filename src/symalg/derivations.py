@@ -25,48 +25,12 @@ from .spaces import UNIT, ZERO, SpaceExpr, base, sym, GenIx
 from .elements import Element, singleton, zero_element
 from .morphisms import (
     MorExpr, Id, TensorM, Add, ZeroM, Sigma, Matrix,
-    SymF, Eta, Mu, Mult, UnitM, Deriv, TableNu,
-    Verdict, InvalidStructureError, check_equal, compose, linear_map_from_matrix,
+    SymF, Eta, Mu, Mult, UnitM, Deriv, TableNu, compose, linear_map_from_matrix,
 )
 from .arrow import (
-    VALIDATE_BOUND, ArrowMor, _components, id_arrow, compose_arrow, commuting_square,
+    VALIDATE_BOUND, ArrowMor, _validate, id_arrow, compose_arrow, commuting_square,
     sbar_spaces, sbar_obj, boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
 )
-
-
-# ---------------------------------------------------------------------------
-# Deciding equations: each side is a map, or both are arrow morphisms
-# ---------------------------------------------------------------------------
-
-def decide_equations(equations, bound: int) -> Verdict:
-    """Decide map equations in order, each (lhs, rhs) or (lhs, rhs, offset).
-
-    An arrow equation is its f0 equation, then its f1 equation; an offset
-    decides at max(1, bound + offset).  The first failure is returned as it
-    is, without deciding the rest; else one verdict at bound over all their tests."""
-    tested = 0
-    for lhs, rhs, *offset in equations:
-        b = max(1, bound + offset[0]) if offset else bound
-        for l, r in _components(lhs, rhs):
-            v = check_equal(l, r, b)
-            if not v.ok:
-                return v
-            tested += v.tested_count
-    return Verdict(tested, bound)
-
-
-def decide_all(equations: dict, bound: int):
-    """(name, verdict) of each equation, in table order, lazily: lhs = rhs as
-    maps, or componentwise as arrow morphisms."""
-    for name, (lhs, rhs) in equations.items():
-        yield name, decide_equations([(lhs, rhs)], bound)
-
-
-def _validate(equations: dict, bound: int) -> None:
-    """Raise InvalidStructureError naming the first equation that fails."""
-    for name, v in decide_all(equations, bound):
-        if not v.ok:
-            raise InvalidStructureError(name, v)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each entry has a stable name, an anchor, ``instances(bound, ctx)`` giving its
 ``(instance_name, x)`` pairs and ``equations(x, ctx)`` listing the map
 equations of one of them, each ``(lhs, rhs)`` or ``(lhs, rhs, bound offset)``:
 two maps, or two arrow morphisms compared componentwise.  ``Law.run`` decides
-an instance's equations in order with ``derivations.decide_equations``, which
+an instance's equations in order with ``arrow.decide_equations``, which
 stops at the first failure.  A law that is one equation is ``_eq(name,
 anchor, instances, build)``, where ``build(x, ctx)`` returns ``(lhs, rhs)``.
 The structure laws take their equations from an axiom table of
@@ -37,13 +37,13 @@ from .morphisms import (
     linear_map_from_matrix,
 )
 from .arrow import (
-    id_arrow, zero_arrow, compose_arrow, add_arrow,
+    decide_equations, id_arrow, zero_arrow, compose_arrow, add_arrow,
     sbar_spaces, sbar_obj, sbar_mor, etabar, mubar,
     box_spaces, boxtimes_obj, boxtimes_mor, boxtimes_sigma, boxtimes_unit,
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
 from .derivations import (
-    SAlgebra, Derivation, decide_equations, algebra_axioms, derivation_axioms,
+    SAlgebra, Derivation, algebra_axioms, derivation_axioms,
     chain_rule_axioms, sbar_aux_axioms, monoid_axioms, builtin_algebras, builtin_derivations,
     derivation_to_algebra, algebra_to_derivation, derivation_to_monoid,
     monoid_to_derivation, rational_algebra, dual_numbers,

@@ -157,11 +157,16 @@ REPORT_DIGESTS = {
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code in a new interpreter, with no cache warmed."""
+def _src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a new interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return env
+
+
+def _fresh_run(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter, with no cache warmed."""
+    return subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
                           capture_output=True, text=True, timeout=300)
 
 
@@ -718,12 +723,35 @@ class TestCLI:
          "derivation entry malformed"),
         ({"derivations": [{"name": "d", "algebra": "rationals", "matrix": [[1]]}]},
          "derivation 'd' rejected: diagram 'derivation.constant'"),
+        ({"algebras": [{"name": "q", "rank": 2, "mult_table": [[[1, 0]]], "unit": [1, 0]}]},
+         "algebra 'q': mult_table must be 2x2"),
     ])
     def test_config_error_message_exit_two(self, tmp_path, capsys, config, message):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(config))
         assert main(["check", "--config", str(p)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [
+        ["list-laws"], ["demo"], ["check", "--laws", "D1", "--bound", "1", "--json"],
+    ], ids=lambda c: c[0])
+    def test_closed_stdout_is_not_an_error(self, tmp_path, command, unbuffered):
+        # As in `symalg list-laws | true`: the reader is gone before the process writes.
+        report = tmp_path / "r.json"
+        env = _src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        args = [*command, str(report)] if command[-1] == "--json" else command
+        proc = subprocess.Popen([sys.executable, "-m", "symalg.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.communicate(timeout=300)[1].decode()
+        assert "BrokenPipeError" not in err and "Traceback" not in err, err
+        assert proc.returncode == 0
+        if command[0] == "check":
+            assert json.loads(report.read_text())["summary"]["checks"] > 0
 
     @pytest.mark.parametrize("names", [["e", "e"], *([n] for n in BUILTIN_DERIVATIONS)])
     def test_duplicate_derivation_name_exit_two(self, tmp_path, capsys, names):
