@@ -23,6 +23,7 @@ Report schema (``symalg-report/1``), a compatibility surface:
 from __future__ import annotations
 
 import fnmatch
+import gc
 import json
 import re
 import sys
@@ -240,6 +241,7 @@ def select_laws(pattern: str):
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
+    """Run the laws with the cyclic collector paused (runs make no cycles), then restore its state."""
     ctx = LawContext(mutation=cfg.mutate, seed=cfg.seed,
                      extra_algebras=cfg.extra_algebras,
                      extra_derivations=cfg.extra_derivations)
@@ -247,30 +249,36 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
     results = []
     aborted = False
-    for name, law in selected:
-        t0 = time.perf_counter()
-        try:
-            checked = law.run(cfg.bound, ctx)
-        except InvalidStructureError as e:
-            checked = [(f"<{e.diagram}>", e.verdict)]
-        rows = []
-        for instance, v in checked:
-            rows.append({
-                "law": name,
-                "anchor": law.anchor,
-                "instance": instance,
-                "status": v.status,
-                "tested": v.tested_count,
-                "bound": v.weight_bound,
-                "witness": None if v.witness is None else repr(v.witness),
-            })
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        for row in rows:
-            row["time_ms"] = round(elapsed / max(1, len(rows)), 3)
-        results.extend(rows)
-        if cfg.budget is not None and elapsed > cfg.budget * 1000.0:
-            aborted = True
-            break
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for name, law in selected:
+            t0 = time.perf_counter()
+            try:
+                checked = law.run(cfg.bound, ctx)
+            except InvalidStructureError as e:
+                checked = [(f"<{e.diagram}>", e.verdict)]
+            rows = []
+            for instance, v in checked:
+                rows.append({
+                    "law": name,
+                    "anchor": law.anchor,
+                    "instance": instance,
+                    "status": v.status,
+                    "tested": v.tested_count,
+                    "bound": v.weight_bound,
+                    "witness": None if v.witness is None else repr(v.witness),
+                })
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            for row in rows:
+                row["time_ms"] = round(elapsed / max(1, len(rows)), 3)
+            results.extend(rows)
+            if cfg.budget is not None and elapsed > cfg.budget * 1000.0:
+                aborted = True
+                break
+    finally:
+        if collecting:
+            gc.enable()
 
     failures = sum(1 for r in results if r["status"] != "equal")
     return {

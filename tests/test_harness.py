@@ -1,5 +1,6 @@
 """Suite runner, configuration handling, reports, CLI."""
 
+import gc
 import hashlib
 import json
 import os
@@ -894,6 +895,79 @@ class TestBrokenRules:
         else:  # a built-in table algebra fails while the config loads
             assert run.stderr.startswith("check failed: built-in structure: diagram ")
             assert run.stderr.count("\n") == 1 and "witness" in run.stderr
+
+
+#: Collects the cycles the import left, turns the cyclic collector off and
+#: makes the runs named by argv[1]; prints what gc.collect() freed after each
+#: and the diagram rows of the last.  "runs" is a default bound-3 run, one
+#: under each mutation, and the config in argv[2] at bound 2; "broken" is a
+#: bound-3 run under TestBrokenRules' broken Deriv rule, whose built-in
+#: derivations fail their Leibniz diagram.
+_CYCLIC_GARBAGE = """
+import gc, json, sys
+from symalg.elements import element
+from symalg.harness import load_config, run_suite
+from symalg.laws import MUTATIONS
+from symalg.morphisms import RULES, Deriv
+
+gc.collect()
+gc.disable()
+if sys.argv[1] == "runs":
+    configs = [(None, {"bound": 3, "mutate": m}) for m in (None, *MUTATIONS)]
+    configs.append((sys.argv[2], {"bound": 2}))
+else:
+    deriv = RULES[Deriv]
+    RULES[Deriv] = lambda m, bv: element(m.cod(), {w: 3 * c - 2
+                                                  for w, c in deriv(m, bv).coeffs})
+    configs = [(None, {"bound": 3})]
+freed = []
+for path, overrides in configs:
+    report = run_suite(load_config(path, overrides))
+    freed.append(gc.collect())
+print(json.dumps({"freed": freed, "diagrams": sorted(
+    {row["instance"] for row in report["results"] if row["instance"].startswith("<")})}))
+"""
+
+
+class TestCollectorPause:
+    """run_suite pauses the cyclic collector, which is safe only because runs
+    make no cyclic garbage, and gives the caller back its collector state."""
+
+    def test_runs_make_no_cyclic_garbage(self, tmp_path):
+        p = tmp_path / "trunc3.json"
+        p.write_text(json.dumps(_TRUNC3))
+        out = json.loads(_fresh_process(_CYCLIC_GARBAGE, "runs", str(p)))
+        assert out == {"freed": [0] * (len(MUTATIONS) + 2), "diagrams": []}
+
+    def test_a_failed_structure_makes_no_cyclic_garbage(self):
+        out = json.loads(_fresh_process(_CYCLIC_GARBAGE, "broken"))
+        assert out == {"freed": [0], "diagrams": ["<derivation.leibniz>"]}
+
+    @pytest.mark.parametrize("raised", [None, RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_caller_state_is_restored(self, monkeypatch, collecting, raised):
+        seen = []
+
+        def run(law, bound, ctx):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return []
+
+        monkeypatch.setattr(laws.Law, "run", run)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            if raised is None:
+                run_suite(SuiteConfig(bound=1, laws="D1"))
+            else:
+                with pytest.raises(raised):
+                    run_suite(SuiteConfig(bound=1, laws="D1"))
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+        assert after is collecting
 
 
 # Any JSON value; NaN and infinities are not JSON.
