@@ -24,6 +24,7 @@ from .morphisms import (
     sum_map, inj, proj,
 )
 
-from . import arrow, derivations, tangent, laws, harness  # noqa: E402,F401
+# modality registers the Sym primitives' rules in morphisms.RULES.
+from . import modality, arrow, derivations, tangent, laws, harness  # noqa: E402,F401
 
 __version__ = "0.1.0"

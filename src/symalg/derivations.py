@@ -376,6 +376,10 @@ def zero_derivation(alg: SAlgebra, bound: int = VALIDATE_BOUND) -> Derivation:
     return derivation(module, ZeroM(a, a), bound=bound)
 
 
+#: Instance names of `builtin_derivations`, in its order.
+BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
+
+
 def builtin_derivations(bound: int = VALIDATE_BOUND):
     return [
         formal_derivative(bound=bound),

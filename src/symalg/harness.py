@@ -33,9 +33,11 @@ from fractions import Fraction
 
 from .spaces import base, rank, GenIx
 from .elements import Element, element
-from .derivations import SAlgebra, table_algebra, a_module, derivation, builtin_algebras
+from .derivations import (
+    SAlgebra, BUILTIN_DERIVATIONS, table_algebra, a_module, derivation, builtin_algebras,
+)
 from .morphisms import InvalidStructureError, linear_map_from_matrix
-from .laws import registry, LawContext, MUTATIONS, BUILTIN_DERIVATIONS
+from .laws import registry, LawContext, MUTATIONS
 
 CONFIG_SCHEMA = "symalg-config/1"
 REPORT_SCHEMA = "symalg-report/1"
@@ -69,8 +71,20 @@ class SuiteConfig:
     mutate: str | None = None
     seed: int = 0
     budget: float | None = None
-    extra_algebras: tuple = ()
-    extra_derivations: tuple = ()
+    extra_algebras: tuple = ()     # (SAlgebra, ...) from a user config
+    extra_derivations: tuple = ()  # ((name, Derivation), ...) from a user config
+
+    def __post_init__(self):
+        """Check the settings as a config file's are checked; budget becomes a float."""
+        if _integer("bound", self.bound) < 1:
+            raise ConfigError("bound must be >= 1")
+        if not isinstance(self.laws, str):
+            raise ConfigError(f"laws must be a string pattern, got {self.laws!r}")
+        if self.mutate is not None and self.mutate not in MUTATIONS:
+            raise ConfigError(f"unknown mutation {self.mutate!r}; known: {list(MUTATIONS)}")
+        _integer("seed", self.seed)
+        if self.budget is not None:
+            self.budget = _budget(self.budget)
 
     def as_json(self) -> dict:
         return {
@@ -186,27 +200,11 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Suite
     _reject_unknown(raw, {"schema", "bound", "laws", "mutate", "seed", "budget",
                           "parallelism", "algebras", "derivations"}, "unknown config keys")
 
-    cfg = SuiteConfig()
     merged = dict(raw)
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
-
-    if "bound" in merged:
-        cfg.bound = _integer("bound", merged["bound"])
-        if cfg.bound < 1:
-            raise ConfigError("bound must be >= 1")
-    if "laws" in merged and merged["laws"] is not None:
-        if not isinstance(merged["laws"], str):
-            raise ConfigError(f"laws must be a string pattern, got {merged['laws']!r}")
-        cfg.laws = merged["laws"]
-    if "mutate" in merged and merged["mutate"] is not None:
-        if merged["mutate"] not in MUTATIONS:
-            raise ConfigError(
-                f"unknown mutation {merged['mutate']!r}; known: {list(MUTATIONS)}")
-        cfg.mutate = merged["mutate"]
-    if "seed" in merged:
-        cfg.seed = _integer("seed", merged["seed"])
-    if "budget" in merged and merged["budget"] is not None:
-        cfg.budget = _budget(merged["budget"])
+    # A null laws, mutate or budget means the default; a null bound or seed is an error.
+    cfg = SuiteConfig(**{k: merged[k] for k in ("bound", "laws", "mutate", "seed", "budget")
+                         if k in merged and (merged[k] is not None or k in ("bound", "seed"))})
     if "parallelism" in merged:
         _integer("parallelism", merged["parallelism"])  # accepted; laws run serially
 
@@ -242,9 +240,7 @@ def select_laws(pattern: str):
 
 def run_suite(cfg: SuiteConfig) -> dict:
     """Run the laws with the cyclic collector paused (runs make no cycles), then restore its state."""
-    ctx = LawContext(mutation=cfg.mutate, seed=cfg.seed,
-                     extra_algebras=cfg.extra_algebras,
-                     extra_derivations=cfg.extra_derivations)
+    ctx = LawContext(cfg)
     selected = select_laws(cfg.laws)
 
     results = []
@@ -258,21 +254,17 @@ def run_suite(cfg: SuiteConfig) -> dict:
                 checked = law.run(cfg.bound, ctx)
             except InvalidStructureError as e:
                 checked = [(f"<{e.diagram}>", e.verdict)]
-            rows = []
-            for instance, v in checked:
-                rows.append({
-                    "law": name,
-                    "anchor": law.anchor,
-                    "instance": instance,
-                    "status": v.status,
-                    "tested": v.tested_count,
-                    "bound": v.weight_bound,
-                    "witness": None if v.witness is None else repr(v.witness),
-                })
             elapsed = (time.perf_counter() - t0) * 1000.0
-            for row in rows:
-                row["time_ms"] = round(elapsed / max(1, len(rows)), 3)
-            results.extend(rows)
+            results.extend({
+                "law": name,
+                "anchor": law.anchor,
+                "instance": instance,
+                "status": v.status,
+                "tested": v.tested_count,
+                "bound": v.weight_bound,
+                "witness": None if v.witness is None else repr(v.witness),
+                "time_ms": round(elapsed / len(checked), 3),
+            } for instance, v in checked)
             if cfg.budget is not None and elapsed > cfg.budget * 1000.0:
                 aborted = True
                 break

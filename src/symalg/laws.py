@@ -43,7 +43,7 @@ from .arrow import (
     mbar, ubar, dbar, arrow_seely, arrow_seely_inv, arrow_seely0,
 )
 from .derivations import (
-    SAlgebra, Derivation, algebra_axioms, derivation_axioms,
+    SAlgebra, Derivation, BUILTIN_DERIVATIONS, algebra_axioms, derivation_axioms,
     chain_rule_axioms, sbar_aux_axioms, monoid_axioms, builtin_algebras, builtin_derivations,
     derivation_to_algebra, algebra_to_derivation, derivation_to_monoid,
     monoid_to_derivation, rational_algebra, dual_numbers,
@@ -98,9 +98,6 @@ MUTATION_TARGETS = {name: m.kills for name, m in _MUTANTS.items()}
 #: "mutate" value may be unhashable, and `in` on a tuple compares by ==.
 MUTATIONS = tuple(_MUTANTS)
 
-#: Instance names of `builtin_derivations`, in its order.
-BUILTIN_DERIVATIONS = ("d/dx", "deriving-map", "zero(Q)", "zero(dual)")
-
 
 @dataclass(frozen=True)
 class _Derived:
@@ -119,19 +116,17 @@ class _Derived:
 
 @dataclass
 class LawContext:
-    mutation: str | None = None
-    seed: int = 0
-    extra_algebras: tuple = ()    # (SAlgebra, ...) from a user config
-    extra_derivations: tuple = () # ((name, Derivation), ...) from a user config
+    """A run's SuiteConfig, and the derivation families built for it, per bound."""
+    config: SuiteConfig  # harness.SuiteConfig, which imports this module
     derived: dict = field(default_factory=dict, init=False, repr=False)  # bound -> family
 
     def rng(self) -> random.Random:
-        return random.Random(self.seed)
+        return random.Random(self.config.seed)
 
     def made(self, site: str, f, *args):
-        """f(*args), or the mutant built from args if this context's mutation
+        """f(*args), or the mutant built from args if the config's mutation
         replaces `site`."""
-        m = _MUTANTS.get(self.mutation)
+        m = _MUTANTS.get(self.config.mutate)
         return m.mutant(*args) if m is not None and m.site == site else f(*args)
 
 
@@ -215,7 +210,7 @@ def _derivations(bound, ctx):
     """The built-in derivations, then the config's, built once per run and bound."""
     if bound not in ctx.derived:
         ders = [*zip(BUILTIN_DERIVATIONS, builtin_derivations(bound=bound)),
-                *ctx.extra_derivations]
+                *ctx.config.extra_derivations]
         ctx.derived[bound] = [(n, _Derived(d, bound)) for n, d in ders]
     return ctx.derived[bound]
 
@@ -441,7 +436,7 @@ _LAWS = (
 
     Law("tangent.algebra", "the doubled structure map is again an algebra",
         lambda bound, ctx: [(alg.name, alg)
-                            for alg in [*builtin_algebras(), *ctx.extra_algebras]],
+                            for alg in [*builtin_algebras(), *ctx.config.extra_algebras]],
         _tangent_algebra),
     _eq("tangent.dual-table", "tangent of the rank-1 algebra is exactly dual numbers",
         lambda bound, ctx: [("rank-1", None)], _dual_table),

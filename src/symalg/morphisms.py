@@ -561,7 +561,3 @@ def linear_map_from_matrix(dom: SpaceExpr, cod: SpaceExpr, entries) -> LinearMap
         images.append((dbv, element(cod, col)))
     return LinearMap(dom, cod, tuple(images))
 
-
-# The Sym primitives' rules live in modality.py, which needs this module
-# complete; importing it here registers them whenever morphisms is loaded.
-from . import modality  # noqa: E402,F401

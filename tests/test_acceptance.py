@@ -31,7 +31,7 @@ REG = registry()
 
 
 def run_families(prefixes, bound, mutation=None):
-    ctx = LawContext(mutation=mutation)
+    ctx = LawContext(SuiteConfig(mutate=mutation))
     failures = []
     checks = 0
     for name, law in REG.items():

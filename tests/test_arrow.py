@@ -8,6 +8,7 @@ import pytest
 from symalg.spaces import UNIT, ZERO, base, sym, tensor, direct_sum, GenIx, MonIx, TensorIx
 from symalg.elements import singleton
 from symalg import laws
+from symalg.harness import SuiteConfig
 from symalg.morphisms import (
     Id, ZeroM, Sigma, EndpointMismatchError, InvalidStructureError, apply_basis, check_equal,
     compose, linear_map_from_matrix, sum_map,
@@ -260,7 +261,7 @@ class TestLiftedModality:
 
     def test_mutated_dbar_fails_interchange(self):
         o = ID2
-        d = laws.LawContext(mutation="dbar-twist-skip").made("dbar", dbar, *ends(o))
+        d = laws.LawContext(SuiteConfig(mutate="dbar-twist-skip")).made("dbar", dbar, *ends(o))
         assert d.f1 != dbar(*ends(o)).f1
         sb = sbar_spaces(*ends(o))
         inner = compose_arrow(boxtimes_mor(d, id_arrow(*ends(o))), d)

@@ -70,6 +70,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, overrides={"mutate": "nope"})
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"mutate": "leibniz-dropp"},
+         f"unknown mutation 'leibniz-dropp'; known: {list(MUTATIONS)}"),
+        ({"bound": True}, "bound must be an integer, got True"),
+        ({"bound": 0}, "bound must be >= 1"),
+        ({"laws": None}, "laws must be a string pattern, got None"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"budget": float("nan")}, "budget must be a finite positive number, got nan"),
+    ], ids=["mutate-typo", "bound-bool", "bound-zero", "laws-null", "seed-float", "budget-nan"])
+    def test_config_built_in_python_is_checked(self, setting, message):
+        # Not only a config file: a mistyped mutation would otherwise run unmutated.
+        with pytest.raises(ConfigError) as built:
+            SuiteConfig(**setting)
+        assert str(built.value) == message
+        if None not in setting.values():  # load_config reads a null as the default
+            with pytest.raises(ConfigError) as loaded:
+                load_config(None, overrides=setting)
+            assert str(loaded.value) == message
+
+    def test_budget_is_held_as_a_float(self):
+        budget = SuiteConfig(budget=2).budget
+        assert budget == 2.0 and type(budget) is float
+
     def test_custom_algebra_loads_and_runs(self, tmp_path):
         cfg_json = {
             "bound": 2,
@@ -726,6 +749,8 @@ class TestCLI:
          "derivation 'd' rejected: diagram 'derivation.constant'"),
         ({"algebras": [{"name": "q", "rank": 2, "mult_table": [[[1, 0]]], "unit": [1, 0]}]},
          "algebra 'q': mult_table must be 2x2"),
+        ({"algebras": [5]}, "algebra entry malformed"),
+        ({"algebras": [{"name": "q", "rank": 1, "unit": [1]}]}, "algebra entry malformed"),
     ])
     def test_config_error_message_exit_two(self, tmp_path, capsys, config, message):
         p = tmp_path / "bad.json"

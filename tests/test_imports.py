@@ -1,14 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is read somewhere in the package."""
+"""Every name a module of the package imports is used in that module, every
+private module-level name is read somewhere in the package, and no module
+imports itself through others."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "symalg"
-
-#: Imports kept for their effect.  __init__.py re-exports the public names,
-#: and morphisms imports modality so that modality registers its rules.
-EXEMPT = {("morphisms.py", "modality")}
 
 
 def unused_imports(source: str):
@@ -28,8 +26,7 @@ def test_no_unused_import():
     assert unused_imports("import os.path\nfrom a import b as c, d\nd()\n") == ["c", "os"]
     found = [f"{path.name}: {name}" for path in sorted(PKG.glob("*.py"))
              if path.name != "__init__.py"
-             for name in unused_imports(path.read_text(encoding="utf-8"))
-             if (path.name, name) not in EXEMPT]
+             for name in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
 
 
@@ -67,3 +64,26 @@ def test_no_unread_private_name():
     assert unread_private_names(sample) == ["a.py: _dead", "b.py: _gone"]
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PKG.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def import_cycle(sources: dict):
+    """A cycle of relative imports among sources, {module name: source}, as
+    the list of its modules, each importing the next, or None."""
+    graph = {name: {(node.module or a.name) for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.ImportFrom) and node.level for a in node.names}
+             for name, source in sources.items()}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as e:
+        return e.args[1][::-1]
+    return None
+
+
+def test_relative_imports_are_acyclic():
+    sample = {"a": "from .b import x\n", "b": "from . import c\n",
+              "c": "from .a import y\nimport os\n", "d": "from .a import z\n"}
+    assert import_cycle(sample) == ["a", "b", "c", "a"]
+    assert import_cycle({**sample, "c": "import a\n"}) is None
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PKG.glob("*.py"))
+               if path.name != "__init__.py"}
+    assert import_cycle(sources) is None

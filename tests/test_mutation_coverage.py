@@ -136,11 +136,11 @@ def test_each_mutation_is_one_table_row_and_no_branch():
                 assert not (isinstance(operand, ast.Constant) and operand.value in MUTATIONS)
     # The mutation is read in one place: LawContext's site lookup.
     reads = {id(n) for n in ast.walk(tree)
-             if isinstance(n, ast.Attribute) and n.attr == "mutation"}
+             if isinstance(n, ast.Attribute) and n.attr == "mutate"}
     context = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LawContext")
     readers = [f for f in context.body if isinstance(f, ast.FunctionDef)
-               and any(isinstance(n, ast.Attribute) and n.attr == "mutation"
+               and any(isinstance(n, ast.Attribute) and n.attr == "mutate"
                        for n in ast.walk(f))]
     assert len(readers) == 1
     assert reads == {id(n) for n in ast.walk(readers[0])
-                     if isinstance(n, ast.Attribute) and n.attr == "mutation"}
+                     if isinstance(n, ast.Attribute) and n.attr == "mutate"}
